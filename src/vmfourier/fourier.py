@@ -175,11 +175,9 @@ def ft_weak(
     return ft_classical(ScalarFunction(f.group, f.values * h), dual)
 
 
-def ft_sup_norm(c: VectorFourierCoefficients, *, seed: int = 0) -> NormEstimate:
+def ft_sup_norm(c: VectorFourierCoefficients) -> NormEstimate:
     """Sup over irreps of the matrix-level norms of the blocks, as a bracket."""
-    return NormEstimate.max_of(
-        amplified_norm(b, seed=seed) for b in c.blocks
-    )
+    return NormEstimate.max_of(amplified_norm(b) for b in c.blocks)
 
 
 def _coefficient_rows(dual: UnitaryDual) -> np.ndarray:

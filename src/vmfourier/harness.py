@@ -296,12 +296,12 @@ def grid_dual_points(space: CoefficientSpace, phases: int = 24) -> np.ndarray:
     raise ValueError(f"grid oracle does not support {space!r}")
 
 
-def grid_dual_sup(space, atoms, phases: int = 24) -> float:
-    """Brute-force max of sum_t c_t |<v_t, xp>| over the phase-grid points."""
-    weights = np.asarray([c for c, _ in atoms], dtype=float)
+def grid_dual_sup(space, weights, vecs, phases: int = 24) -> float:
+    """Brute-force max of sum_t w_t |<v_t, xp>| over the phase-grid points."""
+    weights = np.asarray(weights, dtype=float)
     if weights.size == 0:
         return 0.0
-    vecs = np.asarray([v.coords for _, v in atoms])
+    vecs = np.asarray(vecs, dtype=complex)
     pts = grid_dual_points(space, phases)
     vals = np.abs(space.pair_many(vecs, pts)) @ weights
     return float(vals.max())
@@ -939,15 +939,13 @@ def _suite_calibration(ctx: _Ctx, trials: int) -> _Tally:
             continue
         rng = _instance_rng(ctx.cfg.seed, "calibration", i)
         m = int(rng.integers(1, 5))
-        atoms = [
-            (
-                float(rng.uniform(0.1, 2.0)),
-                XVector(space, rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)),
-            )
-            for _ in range(m)
-        ]
-        est = dual_ball_sup(space, atoms)
-        bf = grid_dual_sup(space, atoms)
+        weights = np.zeros(m)
+        vecs = np.zeros((m, space.dim), dtype=complex)
+        for t in range(m):
+            weights[t] = rng.uniform(0.1, 2.0)
+            vecs[t] = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        est = dual_ball_sup(space, weights, vecs)
+        bf = grid_dual_sup(space, weights, vecs)
         resid = max(0.0, bf - est.upper, est.lower - 1.02 * bf)
         if space.exact_dual_sup:
             resid = max(resid, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))

@@ -124,7 +124,7 @@ def lp_norm_haar(f: ScalarFunction, p: float) -> float:
     return float(np.mean(a**p) ** (1.0 / p))
 
 
-def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0, *, seed: int = 0) -> NormEstimate:
+def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0) -> NormEstimate:
     """The measure-weighted p-norm |||f|^p||_nu^{1/p}.
 
     The p = 1 case is the dual-ball sup of the scalarized integrals of |f|;
@@ -138,20 +138,17 @@ def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0, *, seed: in
         live = nu.space.norm_many(nu.atoms) > 0
         vals = np.abs(f.values[live])
         return NormEstimate.of_exact(float(vals.max()) if vals.size else 0.0)
-    weights = np.abs(f.values) ** p
-    atoms = [(float(w), XVector(nu.space, v)) for w, v in zip(weights, nu.atoms)]
-    return dual_ball_sup(nu.space, atoms, seed=seed).rooted(p)
+    return dual_ball_sup(nu.space, np.abs(f.values) ** p, nu.atoms).rooted(p)
 
 
-def N_norm(F: MatrixFunction, nu: VectorMeasure, *, seed: int = 0) -> NormEstimate:
+def N_norm(F: MatrixFunction, nu: VectorMeasure) -> NormEstimate:
     """Matrix-level integrand norm: the dual-ball sup of the scalarized
     integrals of t -> ||F(t)||_op; collapses to ``lp_nu_norm`` at level 1."""
     _same_group(F.group, nu.group)
     opnorms = np.linalg.svd(F.values, compute_uv=False)[:, 0] if F.n > 1 else np.abs(
         F.values[:, 0, 0]
     )
-    atoms = [(float(w), XVector(nu.space, v)) for w, v in zip(opnorms, nu.atoms)]
-    return dual_ball_sup(nu.space, atoms, seed=seed)
+    return dual_ball_sup(nu.space, opnorms, nu.atoms)
 
 
 def Nw_norm(
@@ -170,9 +167,9 @@ def Nw_norm(
         raise ValueError("samples must be >= 1")
     _same_group(F.group, nu.group)
     if F.n == 1:
-        return lp_nu_norm(F.entry(0, 0), nu, 1.0, seed=seed)
+        return lp_nu_norm(F.entry(0, 0), nu, 1.0)
     rng = np.random.default_rng(seed)
-    upper = N_norm(F, nu, seed=seed).upper
+    upper = N_norm(F, nu).upper
     lower = 0.0
     u = rng.standard_normal((samples, F.n)) + 1j * rng.standard_normal((samples, F.n))
     v = rng.standard_normal((samples, F.n)) + 1j * rng.standard_normal((samples, F.n))
@@ -180,18 +177,18 @@ def Nw_norm(
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     for r in range(samples):
         compressed = np.einsum("a,tab,b->t", np.conj(u[r]), F.values, v[r])
-        est = lp_nu_norm(ScalarFunction(F.group, compressed), nu, 1.0, seed=seed)
+        est = lp_nu_norm(ScalarFunction(F.group, compressed), nu, 1.0)
         lower = max(lower, est.lower)
     return NormEstimate.bracket(min(lower, upper), upper)
 
 
-def Pp_norm(phi: VectorFunction, p: float, *, seed: int = 0) -> NormEstimate:
+def Pp_norm(phi: VectorFunction, p: float) -> NormEstimate:
     """Weak p-norm of a vector-valued function: sup over the dual ball of the
     L^p(Haar) norm of the scalarized function.  Exact for the closed-form
     spaces; otherwise bracketed above by the L^p norm of t -> ||phi(t)||."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return lp_dual_sup(phi.space, phi.values, p, seed=seed)
+    return lp_dual_sup(phi.space, phi.values, p)
 
 
 def pettis_integral(phi: VectorFunction, subset=None) -> XVector:

@@ -196,23 +196,17 @@ def variation(nu: VectorMeasure, subset: Iterable[int] | None = None) -> float:
     return float(nu.space.norm_many(nu.atoms[idx]).sum())
 
 
-def semivariation(
-    nu: VectorMeasure,
-    subset: Iterable[int] | None = None,
-    *,
-    seed: int = 0,
-) -> NormEstimate:
+def semivariation(nu: VectorMeasure, subset: Iterable[int] | None = None) -> NormEstimate:
     """||nu||(A): sup over the dual ball of the scalarized total variation.
 
     Sandwiched between ||nu(A)|| and |nu|(A); exact for scalar / max-norm
     coefficient spaces, a certified bracket otherwise.
     """
     idx = _subset_indices(nu.group, subset)
-    atoms = [(1.0, XVector(nu.space, nu.atoms[t])) for t in idx]
-    return dual_ball_sup(nu.space, atoms, seed=seed)
+    return dual_ball_sup(nu.space, np.ones(idx.size), nu.atoms[idx])
 
 
-def p_semivariation(nu: VectorMeasure, p: float, *, seed: int = 0) -> NormEstimate:
+def p_semivariation(nu: VectorMeasure, p: float) -> NormEstimate:
     """Operator norm of f -> integral of f against nu, from L^{p'}(G) to X.
 
     For p = inf this is the exact max over singletons of ||nu({t})|| / m_G({t});
@@ -226,7 +220,7 @@ def p_semivariation(nu: VectorMeasure, p: float, *, seed: int = 0) -> NormEstima
     n = nu.group.order
     if np.isinf(p):
         return NormEstimate.of_exact(float(n * nu.space.norm_many(nu.atoms).max()))
-    return lp_dual_sup(nu.space, n * nu.atoms, p, seed=seed)
+    return lp_dual_sup(nu.space, n * nu.atoms, p)
 
 
 def radon_nikodym(nu: VectorMeasure, xp: XVector) -> np.ndarray:

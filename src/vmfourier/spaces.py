@@ -28,9 +28,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_RESTARTS = 64
-DEFAULT_ITERS = 100
+# every ascent starts ASCENT_RESTARTS points drawn from one fixed seed and
+# runs at most ASCENT_ITERS iterations, so each estimate is deterministic
+ASCENT_RESTARTS = 64
+ASCENT_ITERS = 100
+ASCENT_SEED = 0
 ASCENT_TOL = 1e-10
+_STALL_PATIENCE = 3
 
 __all__ = [
     "NormEstimate",
@@ -444,77 +448,61 @@ def pair(x: XVector, xp: XVector) -> complex:
     return complex(x.space.pair_many(x.coords[None, :], xp.coords[None, :])[0, 0])
 
 
-def _atoms_to_arrays(space, atoms):
-    weights = []
-    vecs = []
-    for c, v in atoms:
-        if c < 0:
-            raise ValueError("atom weights must be nonnegative")
-        _require_same_space(space, v.space)
-        weights.append(float(c))
-        vecs.append(v.coords)
-    if not weights:
-        return np.zeros(0), np.zeros((0, space.dim), dtype=complex)
-    return np.asarray(weights), np.asarray(vecs)
+def _ascend(values, cap: float) -> float:
+    """Best value of an ascent, given as a generator of per-iteration values.
 
-
-_STALL_PATIENCE = 3
-
-
-def _phase_ascent(space, weights, vecs, seed, restarts, iters, tol, cap=np.inf):
-    """Lower bound for sup_{xp in B_X'} sum_t w_t |<v_t, xp>| by alternating
-    ascent: freeze per-atom phases and move xp to the norming functional of
-    the phase-aligned sum, then realign phases; monotone in each half-step.
-
-    Stops at the iteration cap, when the incumbent best stalls, or when it
-    reaches ``cap`` (a known upper bound); every visited value is a valid
-    lower bound, so early stopping never breaks soundness.
+    Stops after ``_STALL_PATIENCE`` iterations in a row without a gain above
+    ``ASCENT_TOL``, once the best reaches ``cap`` (a known upper bound), or
+    when the generator runs out at its iteration cap.  Each generator does its
+    update half-step after its ``yield``, so a stop skips that update.  Every
+    yielded value is a valid lower bound, so stopping early never breaks
+    soundness.
     """
-    rng = np.random.default_rng(seed)
-    T = len(weights)
-    eps = np.ones((restarts, T), dtype=complex)
-    if restarts > 1:
-        eps[1:] = np.exp(2j * np.pi * rng.random((restarts - 1, T)))
-    wv = weights[:, None] * vecs
     best = 0.0
     stall = 0
-    for _ in range(iters):
-        y = eps @ wv
-        xp = space.norming_dual_many(y)
-        p = space.pair_many(vecs, xp)
-        ap = np.abs(p)
-        val = ap @ weights
-        top = float(val.max())
-        if top > best + tol:
-            best = max(best, top)
-            stall = 0
-        else:
-            best = max(best, top)
-            stall += 1
-            if stall >= _STALL_PATIENCE:
-                break
-        if best >= cap - tol:
+    for top in values:
+        stall = 0 if top > best + ASCENT_TOL else stall + 1
+        best = max(best, top)
+        if stall >= _STALL_PATIENCE or best >= cap - ASCENT_TOL:
             break
-        eps = np.where(ap > 0, np.conj(p) / np.maximum(ap, 1e-300), 1.0)
     return best
 
 
-def dual_ball_sup(
-    space: CoefficientSpace,
-    atoms: Sequence[tuple[float, XVector]],
-    *,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-    iters: int = DEFAULT_ITERS,
-) -> NormEstimate:
-    """sup over the dual unit ball of sum_t c_t |<v_t, xp>|.
+def _phase_ascent(space, weights, vecs):
+    """Values of sum_t w_t |<v_t, xp>| along an alternating ascent: freeze
+    per-atom phases and move xp to the norming functional of the
+    phase-aligned sum, then realign phases; monotone in each half-step."""
+    rng = np.random.default_rng(ASCENT_SEED)
+    T = len(weights)
+    eps = np.ones((ASCENT_RESTARTS, T), dtype=complex)
+    eps[1:] = np.exp(2j * np.pi * rng.random((ASCENT_RESTARTS - 1, T)))
+    wv = weights[:, None] * vecs
+    for _ in range(ASCENT_ITERS):
+        xp = space.norming_dual_many(eps @ wv)
+        p = space.pair_many(vecs, xp)
+        ap = np.abs(p)
+        yield float((ap @ weights).max())
+        eps = np.where(ap > 0, np.conj(p) / np.maximum(ap, 1e-300), 1.0)
 
-    Exact for ``ScalarSpace`` and ``LinfSpace``.  Otherwise returns a bracket:
-    the lower end from phase ascent (which starts at the all-aligned phase
-    configuration, so it always dominates ||sum c_t v_t||), the upper end from
-    the variation bound sum_t c_t ||v_t||.
+
+def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
+    """sup over the dual unit ball of sum_t w_t |<v_t, xp>|.
+
+    ``weights`` is a length-T vector of nonnegative weights and ``vecs`` the
+    [T, space.dim] coordinates of the vectors v_t.  Exact for ``ScalarSpace``
+    and ``LinfSpace``.  Otherwise returns a bracket: the lower end from phase
+    ascent (which starts at the all-aligned phase configuration, so it always
+    dominates ||sum w_t v_t||), the upper end from the variation bound
+    sum_t w_t ||v_t||.
     """
-    weights, vecs = _atoms_to_arrays(space, atoms)
+    weights = np.asarray(weights, dtype=float)
+    vecs = np.asarray(vecs, dtype=complex)
+    if weights.ndim != 1 or vecs.shape != (len(weights), space.dim):
+        raise ValueError(
+            f"expected weights (T,) and vecs (T, {space.dim}), got {weights.shape} and {vecs.shape}"
+        )
+    if np.any(weights < 0):
+        raise ValueError("atom weights must be nonnegative")
     keep = weights > 0
     weights, vecs = weights[keep], vecs[keep]
     if len(weights) == 0:
@@ -525,56 +513,33 @@ def dual_ball_sup(
     upper = float(weights @ space.norm_many(vecs))
     if len(weights) == 1:
         return NormEstimate.bracket(upper, upper)
-    lower = _phase_ascent(space, weights, vecs, seed, restarts, iters, ASCENT_TOL, cap=upper)
+    lower = _ascend(_phase_ascent(space, weights, vecs), cap=upper)
     return NormEstimate.bracket(min(lower, upper), upper)
 
 
-def _lp_ascent(space, vecs, p, seed, restarts, iters, tol, cap=np.inf):
-    """Lower bound for sup_{xp in B_X'} || t -> <v_t, xp> ||_{L^p(mean)} via
-    alternating ascent between the xp-ball and the L^{p'} ball of test
-    densities (Hoelder-optimal in each half-step)."""
-    rng = np.random.default_rng(seed)
+def _lp_ascent(space, vecs, p):
+    """Values of || t -> <v_t, xp> ||_{L^p(mean)} along an alternating ascent
+    between the xp-ball and the L^{p'} ball of test densities
+    (Hoelder-optimal in each half-step)."""
+    rng = np.random.default_rng(ASCENT_SEED)
     T = vecs.shape[0]
-    beta = np.ones((restarts, T), dtype=complex)
-    if restarts > 1:
-        raw = rng.standard_normal((restarts - 1, T)) + 1j * rng.standard_normal((restarts - 1, T))
-        beta[1:] = raw
+    beta = np.ones((ASCENT_RESTARTS, T), dtype=complex)
+    shape = (ASCENT_RESTARTS - 1, T)
+    beta[1:] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q = p / (p - 1.0)
     nrm = np.mean(np.abs(beta) ** q, axis=1) ** (1.0 / q)
     beta /= np.maximum(nrm, 1e-300)[:, None]
-    best = 0.0
-    stall = 0
-    for _ in range(iters):
-        y = (beta @ vecs) / T
-        xp = space.norming_dual_many(y)
+    for _ in range(ASCENT_ITERS):
+        xp = space.norming_dual_many((beta @ vecs) / T)
         h = space.pair_many(vecs, xp)
         ah = np.abs(h)
         val = np.mean(ah**p, axis=1) ** (1.0 / p)
-        top = float(val.max())
-        if top > best + tol:
-            best = max(best, top)
-            stall = 0
-        else:
-            best = max(best, top)
-            stall += 1
-            if stall >= _STALL_PATIENCE:
-                break
-        if best >= cap - tol:
-            break
+        yield float(val.max())
         sgn = np.where(ah > 0, np.conj(h) / np.maximum(ah, 1e-300), 0.0)
         beta = sgn * ah ** (p - 1.0) / np.maximum(val, 1e-300)[:, None] ** (p - 1.0)
-    return best
 
 
-def lp_dual_sup(
-    space: CoefficientSpace,
-    vecs: np.ndarray,
-    p: float,
-    *,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-    iters: int = DEFAULT_ITERS,
-) -> NormEstimate:
+def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEstimate:
     """sup over the dual unit ball of the L^p norm (w.r.t. the uniform
     probability weight 1/T) of t -> <v_t, xp>.
 
@@ -590,54 +555,33 @@ def lp_dual_sup(
     if np.isinf(p):
         return NormEstimate.of_exact(float(space.norm_many(vecs).max()))
     if p == 1:
-        atoms = [(1.0 / T, XVector(space, v)) for v in vecs]
-        return dual_ball_sup(space, atoms, seed=seed, restarts=restarts, iters=iters)
+        return dual_ball_sup(space, np.full(T, 1.0 / T), vecs)
     closed = space.closed_lp_sup(vecs, p)
     if closed is not None:
         return NormEstimate.of_exact(closed)
     upper = float(np.mean(space.norm_many(vecs) ** p) ** (1.0 / p))
-    lower = _lp_ascent(space, vecs, p, seed, restarts, iters, ASCENT_TOL, cap=upper)
+    lower = _ascend(_lp_ascent(space, vecs, p), cap=upper)
     return NormEstimate.bracket(min(lower, upper), upper)
 
 
-def _amplified_ascent(space, entries, seed, restarts, iters, tol, cap=np.inf):
-    """Lower bound for sup_{xp in B_X'} || [<x_ij, xp>] ||_op by alternating
-    between the top singular pair of the paired matrix and the polydisc
-    norming point of the (u, v)-compressed entry vector."""
-    rng = np.random.default_rng(seed)
+def _amplified_ascent(space, entries):
+    """Values of || [<x_ij, xp>] ||_op along an alternating ascent between
+    the top singular pair of the paired matrix and the norming point of the
+    (u, v)-compressed entry vector."""
+    rng = np.random.default_rng(ASCENT_SEED)
     n = entries.shape[0]
     flat = entries.reshape(n * n, space.dim)
-    xp = space.sample_dual(rng, restarts)
-    best = 0.0
-    stall = 0
-    for _ in range(iters):
-        a = space.pair_many(flat, xp).reshape(restarts, n, n)
+    xp = space.sample_dual(rng, ASCENT_RESTARTS)
+    for _ in range(ASCENT_ITERS):
+        a = space.pair_many(flat, xp).reshape(ASCENT_RESTARTS, n, n)
         u, s, vh = np.linalg.svd(a)
-        top = float(s[:, 0].max())
-        if top > best + tol:
-            best = max(best, top)
-            stall = 0
-        else:
-            best = max(best, top)
-            stall += 1
-            if stall >= _STALL_PATIENCE:
-                break
-        if best >= cap - tol:
-            break
+        yield float(s[:, 0].max())
         u1 = np.conj(u[:, :, 0])
         v1 = np.conj(vh[:, 0, :])
-        y = np.einsum("ri,rj,ijc->rc", u1, v1, entries)
-        xp = space.norming_dual_many(y)
-    return best
+        xp = space.norming_dual_many(np.einsum("ri,rj,ijc->rc", u1, v1, entries))
 
 
-def amplified_norm(
-    m: MatrixOverX,
-    *,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-    iters: int = DEFAULT_ITERS,
-) -> NormEstimate:
+def amplified_norm(m: MatrixOverX) -> NormEstimate:
     """Matrix-level norm of an n x n matrix over X.
 
     Exact for Scalar (operator norm), MatOp (block operator norm) and Linf
@@ -659,8 +603,7 @@ def amplified_norm(
     upper = n * max_entry
     if max_entry == 0.0:
         return NormEstimate.of_exact(0.0)
-    lower = _amplified_ascent(space, entries, seed, restarts, iters, ASCENT_TOL, cap=upper)
-    lower = max(lower, max_entry)
+    lower = max(_ascend(_amplified_ascent(space, entries), cap=upper), max_entry)
     return NormEstimate.bracket(min(lower, upper), upper)
 
 

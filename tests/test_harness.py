@@ -247,12 +247,9 @@ class TestGridOracle:
 
     def test_grid_value_below_exact(self, linf2):
         rng = np.random.default_rng(0)
-        atoms = [
-            (1.0, vf.XVector(linf2, rng.standard_normal(2) + 1j * rng.standard_normal(2)))
-            for _ in range(3)
-        ]
-        exact = vf.dual_ball_sup(linf2, atoms)
-        assert grid_dual_sup(linf2, atoms) <= exact.lower + 1e-12
+        vecs = np.array([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)])
+        exact = vf.dual_ball_sup(linf2, np.ones(3), vecs)
+        assert grid_dual_sup(linf2, np.ones(3), vecs) <= exact.lower + 1e-12
 
 
 def run_cli(*args, env=None):

@@ -19,6 +19,7 @@ from vmfourier import (
     pair,
 )
 from vmfourier.harness import grid_dual_sup
+from vmfourier.spaces import ASCENT_TOL, _ascend
 
 SPACES = [ScalarSpace(), LinfSpace(2), MatOpSpace(2), WeightedL1Space.uniform(2)]
 
@@ -92,51 +93,63 @@ class TestNormAxioms:
         assert norm(x + y) <= norm(x) + norm(y) + 1e-9
 
 
+def random_atoms(space, rng, m, low=0.1):
+    """m weights in [low, 2) and m random vectors, drawn atom by atom."""
+    weights = np.zeros(m)
+    vecs = np.zeros((m, space.dim), dtype=complex)
+    for t in range(m):
+        weights[t] = rng.uniform(low, 2)
+        vecs[t] = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    return weights, vecs
+
+
 class TestDualBallSup:
     def test_scalar_moduli_sum(self):
-        s = ScalarSpace()
-        est = dual_ball_sup(s, [(1.0, xv(s, [1])), (1.0, xv(s, [-1]))])
+        est = dual_ball_sup(ScalarSpace(), [1.0, 1.0], [[1], [-1]])
         assert est.exact and est.lower == pytest.approx(2.0)
 
     def test_linf_column_sums(self):
         s = LinfSpace(2)
-        atoms = [(1.0, xv(s, [1, 0])), (1.0, xv(s, [0, 1]))]
-        est = dual_ball_sup(s, atoms)
+        weights, vecs = [1.0, 1.0], [[1, 0], [0, 1]]
+        est = dual_ball_sup(s, weights, vecs)
         assert est.exact and est.lower == pytest.approx(1.0)
         # the independent phase-grid search agrees within its resolution
-        bf = grid_dual_sup(s, atoms)
+        bf = grid_dual_sup(s, weights, vecs)
         assert bf == pytest.approx(1.0, rel=0.02)
 
     def test_matop_single_atom_collapses(self):
-        s = MatOpSpace(2)
-        est = dual_ball_sup(s, [(1.0, xv(s, [1, 0, 0, 1]))])
+        est = dual_ball_sup(MatOpSpace(2), [1.0], [[1, 0, 0, 1]])
         assert est.lower == pytest.approx(1.0) and est.upper == pytest.approx(1.0)
 
     def test_empty_atoms(self):
-        est = dual_ball_sup(MatOpSpace(2), [])
+        est = dual_ball_sup(MatOpSpace(2), np.zeros(0), np.zeros((0, 4)))
         assert est.exact and est.upper == 0.0
 
     def test_negative_weight_rejected(self):
-        s = ScalarSpace()
         with pytest.raises(ValueError):
-            dual_ball_sup(s, [(-1.0, xv(s, [1]))])
+            dual_ball_sup(ScalarSpace(), [-1.0], [[1]])
 
-    def test_mixed_spaces_rejected(self):
-        with pytest.raises(ValueError):
-            dual_ball_sup(LinfSpace(2), [(1.0, xv(ScalarSpace(), [1]))])
+    def test_wrong_shape_rejected(self):
+        # two atoms packed in one row (reshape alone would accept it), a wrong
+        # width, a count mismatch and 2-d weights
+        cases = [
+            ([1.0, 1.0], [[1, 0, 0, 1]]),
+            ([1.0, 1.0], [[1], [1]]),
+            ([1.0, 1.0], [[1, 0]]),
+            ([[1.0]], [[1, 0]]),
+        ]
+        for weights, vecs in cases:
+            with pytest.raises(ValueError):
+                dual_ball_sup(LinfSpace(2), weights, vecs)
 
     @pytest.mark.parametrize("si", range(4))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bracket_contains_grid_value(self, si, seed):
         space = SPACES[si]
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 5))
-        atoms = [
-            (float(rng.uniform(0.1, 2)), xv(space, rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)))
-            for _ in range(m)
-        ]
-        est = dual_ball_sup(space, atoms)
-        bf = grid_dual_sup(space, atoms)
+        weights, vecs = random_atoms(space, rng, int(rng.integers(1, 5)))
+        est = dual_ball_sup(space, weights, vecs)
+        bf = grid_dual_sup(space, weights, vecs)
         assert est.lower <= est.upper + 1e-12
         assert bf <= est.upper + 1e-8
         # ascent may exceed the finite grid only by its phase resolution
@@ -147,30 +160,22 @@ class TestDualBallSup:
     @pytest.mark.parametrize("si", [0, 1])
     def test_monotone_in_atoms_exact(self, si):
         space = SPACES[si]
-        rng = np.random.default_rng(7)
-        atoms = []
+        weights, vecs = random_atoms(space, np.random.default_rng(7), 6, low=0)
         prev = 0.0
-        for _ in range(6):
-            atoms.append(
-                (float(rng.uniform(0, 2)), xv(space, rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)))
-            )
-            est = dual_ball_sup(space, atoms)
+        for k in range(1, 7):
+            est = dual_ball_sup(space, weights[:k], vecs[:k])
             assert est.lower >= prev - 1e-12
             prev = est.lower
 
     @pytest.mark.parametrize("si", [2, 3])
     def test_upper_monotone_in_atoms(self, si):
         space = SPACES[si]
-        rng = np.random.default_rng(8)
-        atoms = []
+        weights, vecs = random_atoms(space, np.random.default_rng(8), 6, low=0)
         prev = 0.0
-        for _ in range(6):
-            atoms.append(
-                (float(rng.uniform(0, 2)), xv(space, rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)))
-            )
-            est = dual_ball_sup(space, atoms)
+        for k in range(1, 7):
+            est = dual_ball_sup(space, weights[:k], vecs[:k])
             assert est.upper >= prev - 1e-12
-            assert est.lower >= norm(sum((c * v for c, v in atoms[1:]), atoms[0][0] * atoms[0][1])) - 1e-9
+            assert est.lower >= norm(xv(space, weights[:k] @ vecs[:k])) - 1e-9
             prev = est.upper
 
 
@@ -301,3 +306,31 @@ class TestNormEstimate:
         b = NormEstimate.bracket(0.5, 2.0)
         m = NormEstimate.max_of([a, b])
         assert m.lower == 1.0 and m.upper == 2.0 and not m.exact
+
+
+def scripted(values, updates):
+    """An ascent that yields ``values`` in turn and logs each update half-step."""
+    for i, v in enumerate(values):
+        yield v
+        updates.append(i)
+
+
+class TestAscend:
+    def test_stops_after_three_steps_without_gain(self):
+        updates = []
+        values = [1.0, 2.0, 2.0 + 0.5 * ASCENT_TOL, 2.0, 1.5, 9.0]
+        assert _ascend(scripted(values, updates), cap=np.inf) == 2.0 + 0.5 * ASCENT_TOL
+        assert updates == [0, 1, 2, 3]
+
+    def test_stops_at_cap(self):
+        updates = []
+        assert _ascend(scripted([1.0, 3.0 - 0.5 * ASCENT_TOL, 4.0], updates), cap=3.0) == (
+            3.0 - 0.5 * ASCENT_TOL
+        )
+        assert updates == [0]
+
+    def test_runs_out_at_iteration_cap(self):
+        # the last update still runs, as in a loop that ends at its cap
+        updates = []
+        assert _ascend(scripted([1.0, 2.0, 3.0], updates), cap=np.inf) == 3.0
+        assert updates == [0, 1, 2]
