@@ -17,7 +17,6 @@ from .convolve import (
 from .fourier import (
     FourierCoefficients,
     VectorFourierCoefficients,
-    dump_coefficients,
     ft_classical,
     ft_inverse,
     ft_measure,
@@ -38,7 +37,6 @@ from .groups import (
     dump_group_file,
     load_dual_file,
     load_group_file,
-    matrix_coefficient,
     unitary_dual,
     validate_dual,
 )
@@ -57,7 +55,6 @@ from .harness import (
 from .lpspaces import (
     MatrixFunction,
     N_norm,
-    Nw_norm,
     Pp_norm,
     ScalarFunction,
     VectorFunction,
@@ -66,12 +63,10 @@ from .lpspaces import (
     lp_nu_norm,
     pettis_integral,
     reflect,
-    translate,
 )
 from .measures import (
     GroupMap,
     InvarianceReport,
-    ScalarMeasure,
     VectorMeasure,
     check_semivariation_invariance,
     dump_measure_fixture,

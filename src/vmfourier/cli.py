@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .groups import build_group, builtin_group_specs, dump_dual_file, dump_group_file, unitary_dual
 from .harness import (
+    FAULTS,
     default_config,
     emit_report,
     load_config,
@@ -77,8 +78,6 @@ def _cmd_run(args) -> int:
                 if s not in suite_names():
                     raise ValueError(f"unknown suite {s!r}")
             cfg.suites = list(args.suite)
-        from .harness import FAULTS
-
         if args.fault is not None and args.fault not in FAULTS:
             raise ValueError(f"unknown fault {args.fault!r}")
         cfg.__post_init__()

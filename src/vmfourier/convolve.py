@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .groups import require_same_group
 from .lpspaces import ScalarFunction, VectorFunction
 from .measures import VectorMeasure, radon_nikodym
 from .spaces import ScalarSpace, XVector
@@ -25,14 +26,9 @@ __all__ = [
 ]
 
 
-def _same_group(g1, g2):
-    if g1 is not g2 and not np.array_equal(g1.cayley, g2.cayley):
-        raise ValueError("group mismatch")
-
-
 def conv_classical(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:
     """(f * g)(t) = average over s of f(t s^-1) g(s)."""
-    _same_group(f.group, g.group)
+    require_same_group(f.group, g.group)
     q = f.group.right_quotient_table()  # q[t, s] = t s^-1
     vals = (f.values[q] @ g.values) / f.group.order
     return ScalarFunction(f.group, vals)
@@ -43,7 +39,7 @@ def conv_weak(
 ) -> ScalarFunction:
     """Weak convolution at a dual functional: f convolved with g times the
     scalarized density of nu."""
-    _same_group(f.group, nu.group)
+    require_same_group(f.group, nu.group)
     h = radon_nikodym(nu, xp)
     return conv_classical(f, ScalarFunction(g.group, g.values * h))
 
@@ -56,8 +52,8 @@ def conv_vector(
     Pairing the value with any dual vector recovers the weak convolution at
     that functional.
     """
-    _same_group(f.group, g.group)
-    _same_group(f.group, nu.group)
+    require_same_group(f.group, g.group)
+    require_same_group(f.group, nu.group)
     q = f.group.right_quotient_table()
     vals = np.einsum("ts,s,sc->tc", f.values[q], g.values, nu.atoms)
     return VectorFunction(f.group, nu.space, vals)
@@ -68,7 +64,7 @@ def conv_measure_sv(mu: VectorMeasure, nu: VectorMeasure) -> VectorMeasure:
     sum_t mu({s t^-1}) x_t."""
     if not isinstance(mu.space, ScalarSpace):
         raise ValueError("left factor must be a scalar measure")
-    _same_group(mu.group, nu.group)
+    require_same_group(mu.group, nu.group)
     q = mu.group.right_quotient_table()
     atoms = np.einsum("st,tc->sc", mu.atoms[:, 0][q], nu.atoms)
     return VectorMeasure(nu.group, nu.space, atoms)
@@ -79,7 +75,7 @@ def conv_measure_vs(nu: VectorMeasure, mu: VectorMeasure) -> VectorMeasure:
     sum_t x_{s t^-1} mu({t})."""
     if not isinstance(mu.space, ScalarSpace):
         raise ValueError("right factor must be a scalar measure")
-    _same_group(mu.group, nu.group)
+    require_same_group(mu.group, nu.group)
     q = nu.group.right_quotient_table()
     atoms = np.einsum("stc,t->sc", nu.atoms[q], mu.atoms[:, 0])
     return VectorMeasure(nu.group, nu.space, atoms)
@@ -88,7 +84,7 @@ def conv_measure_vs(nu: VectorMeasure, mu: VectorMeasure) -> VectorMeasure:
 def conv_function_measure(f: ScalarFunction, nu: VectorMeasure) -> VectorFunction:
     """Density of the convolution of f (as a Haar density) with nu:
     t -> sum_s f(t s^-1) x_s; equals the vector convolution of f with 1."""
-    _same_group(f.group, nu.group)
+    require_same_group(f.group, nu.group)
     q = f.group.right_quotient_table()
     vals = np.einsum("ts,sc->tc", f.values[q], nu.atoms)
     return VectorFunction(f.group, nu.space, vals)

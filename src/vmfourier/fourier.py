@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import UnitaryDual, format_complex
+from .groups import UnitaryDual, require_same_group
 from .lpspaces import ScalarFunction
 from .measures import VectorMeasure, radon_nikodym, tensor_integrate
 from .spaces import (
@@ -39,7 +39,6 @@ __all__ = [
     "ft_weak",
     "ft_sup_norm",
     "uniqueness_rank",
-    "dump_coefficients",
 ]
 
 
@@ -96,14 +95,9 @@ class VectorFourierCoefficients:
         )
 
 
-def _check_same_group(dual: UnitaryDual, group):
-    if dual.group is not group and not np.array_equal(dual.group.cayley, group.cayley):
-        raise ValueError("dual and argument live on different groups")
-
-
 def ft_classical(f: ScalarFunction, dual: UnitaryDual) -> FourierCoefficients:
     """Block at an irrep: the Haar average of f(t) pi(t)^*, scaled by 1/d."""
-    _check_same_group(dual, f.group)
+    require_same_group(dual.group, f.group)
     n = f.group.order
     blocks = []
     for p in dual.irreps:
@@ -152,8 +146,8 @@ def ft_vector(
 ) -> VectorFourierCoefficients:
     """Transform of f against a vector measure: block entries are the X-valued
     integrals (1/d) integral of f(t) conj(pi(t)_{ji}) d nu at entry (i, j)."""
-    _check_same_group(dual, f.group)
-    _check_same_group(dual, nu.group)
+    require_same_group(dual.group, f.group)
+    require_same_group(dual.group, nu.group)
     return VectorFourierCoefficients(
         dual, nu.space, _ft_vector_blocks(f.values, nu, dual)
     )
@@ -161,7 +155,7 @@ def ft_vector(
 
 def ft_measure(nu: VectorMeasure, dual: UnitaryDual) -> VectorFourierCoefficients:
     """Transform of a vector measure: the function transform of 1 against nu."""
-    _check_same_group(dual, nu.group)
+    require_same_group(dual.group, nu.group)
     ones = np.ones(nu.group.order, dtype=complex)
     return VectorFourierCoefficients(dual, nu.space, _ft_vector_blocks(ones, nu, dual))
 
@@ -206,7 +200,7 @@ def uniqueness_rank(
     """
     rows = _coefficient_rows(dual)  # [B, order]
     if isinstance(target, VectorMeasure):
-        _check_same_group(dual, target.group)
+        require_same_group(dual.group, target.group)
         live = target.space.norm_many(target.atoms) > 0
         if not live.any():
             return 0
@@ -222,19 +216,3 @@ def uniqueness_rank(
     rank = int((s > tol * s[0]).sum())
     return mat.shape[1] - rank
 
-
-def dump_coefficients(c: FourierCoefficients | VectorFourierCoefficients) -> str:
-    """Text dump: per irrep its label and matrix level, then row-major entries
-    (complex literals, or per-entry coordinate lists for vector blocks)."""
-    lines = []
-    for p, b in zip(c.dual.irreps, c.blocks):
-        lines.append(f"irrep {p.label} level {p.dim}")
-        if isinstance(b, MatrixOverX):
-            for i in range(b.level):
-                for j in range(b.level):
-                    coords = " ".join(format_complex(z) for z in b.entries[i, j])
-                    lines.append(f"{i} {j} {coords}")
-        else:
-            for i in range(b.shape[0]):
-                lines.append(" ".join(format_complex(z) for z in b[i]))
-    return "\n".join(lines) + "\n"

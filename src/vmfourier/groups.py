@@ -26,7 +26,6 @@ __all__ = [
     "build_group",
     "unitary_dual",
     "validate_dual",
-    "matrix_coefficient",
     "builtin_group_specs",
     "load_group_file",
     "dump_group_file",
@@ -78,6 +77,12 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.label}, order={self.order})"
+
+
+def require_same_group(a: FiniteGroup, b: FiniteGroup) -> None:
+    """Raise ``ValueError("group mismatch")`` unless a and b share one Cayley table."""
+    if a is not b and not np.array_equal(a.cayley, b.cayley):
+        raise ValueError("group mismatch")
 
 
 def _check_group_axioms(g: FiniteGroup):
@@ -503,13 +508,6 @@ def validate_dual(g: FiniteGroup, dual: UnitaryDual, tol: float = 1e-10) -> Dual
             orth = max(orth, float(np.abs(gram).max()))
     comp = float(abs(sum(p.dim**2 for p in dual.irreps) - n))
     return DualValidationReport(hom, unit, irr, orth, comp, tol)
-
-
-def matrix_coefficient(pi: UnitaryIrrep, i: int, j: int) -> np.ndarray:
-    """The scalar function t -> pi(t)_{ij} (0-based indices), |values| <= 1."""
-    if not (0 <= i < pi.dim and 0 <= j < pi.dim):
-        raise IndexError(f"coefficient index ({i}, {j}) outside dim {pi.dim}")
-    return pi.matrices[:, i, j].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,13 @@ from .groups import (
 )
 from .lpspaces import (
     MatrixFunction,
+    N_norm,
     Pp_norm,
     ScalarFunction,
     function_pushforward,
     lp_norm_haar,
     lp_nu_norm,
+    pettis_integral,
     reflect,
 )
 from .measures import (
@@ -259,15 +261,25 @@ def _xp_as_level1(xp: XVector) -> MatrixOverX:
 # ---------------------------------------------------------------------------
 
 
-def grid_dual_points(space: CoefficientSpace, phases: int = 24) -> np.ndarray:
-    """Extreme points of the dual unit ball on a finite phase grid.
+def _grid_supported(space: CoefficientSpace) -> bool:
+    """Whether ``grid_dual_points`` covers the space: scalar and max-norm
+    spaces of any dim, weighted spaces of dim <= 3, matrix spaces with d <= 2."""
+    if isinstance(space, WeightedL1Space):
+        return space.dim <= 3
+    if isinstance(space, MatOpSpace):
+        return space.d <= 2
+    return isinstance(space, (ScalarSpace, LinfSpace))
 
-    Supports the calibration sizes (coordinate spaces with dim <= 3, matrix
-    spaces with d <= 2).  The grid value is always a lower bound for the true
-    dual-ball supremum of any convex objective.
+
+def grid_dual_points(space: CoefficientSpace, phases: int = 24) -> np.ndarray:
+    """Extreme points of the dual unit ball on a finite phase grid, for the
+    spaces ``_grid_supported`` accepts.  The grid value is always a lower bound
+    for the true dual-ball supremum of any convex objective.
     """
+    if not _grid_supported(space):
+        raise ValueError(f"grid oracle does not support {space!r}")
     ph = np.exp(2j * np.pi * np.arange(phases) / phases)
-    if isinstance(space, ScalarSpace):
+    if isinstance(space, ScalarSpace) or (isinstance(space, MatOpSpace) and space.d == 1):
         return ph[:, None]
     if isinstance(space, LinfSpace):
         pts = np.zeros((space.dim * phases, space.dim), dtype=complex)
@@ -275,25 +287,17 @@ def grid_dual_points(space: CoefficientSpace, phases: int = 24) -> np.ndarray:
             pts[j * phases : (j + 1) * phases, j] = ph
         return pts
     if isinstance(space, WeightedL1Space):
-        if space.dim > 3:
-            raise ValueError("grid oracle supports weighted spaces of dim <= 3 only")
         grids = np.meshgrid(*([ph] * space.dim), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=1)
         return space.weights[None, :] * pts
-    if isinstance(space, MatOpSpace):
-        if space.d == 1:
-            return ph[:, None]
-        if space.d != 2:
-            raise ValueError("grid oracle supports matrix spaces with d <= 2 only")
-        ang = np.linspace(0.0, np.pi / 2, 13)
-        us = []
-        for a in ang:
-            for w in ph:
-                us.append([np.cos(a), np.sin(a) * w])
-        us = np.asarray(us)
-        pts = np.einsum("ua,vb->uvab", us, us.conj()).reshape(-1, 4)
-        return pts
-    raise ValueError(f"grid oracle does not support {space!r}")
+    ang = np.linspace(0.0, np.pi / 2, 13)
+    us = []
+    for a in ang:
+        for w in ph:
+            us.append([np.cos(a), np.sin(a) * w])
+    us = np.asarray(us)
+    pts = np.einsum("ua,vb->uvab", us, us.conj()).reshape(-1, 4)
+    return pts
 
 
 def grid_dual_sup(space, weights, vecs, phases: int = 24) -> float:
@@ -463,7 +467,7 @@ def _suite_cb_amplification(ctx: _Ctx, trials: int) -> _Tally:
                 for r in range(len(dual.irreps))
             ]
             lhs = NormEstimate.max_of(amplified_norm(b) for b in blocks_per_irrep)
-            rhs = _n_norm_matrix(fmat, nu)
+            rhs = N_norm(fmat, nu)
             tally.compare(lhs, rhs, tol, f"cb fn {g.label} {space.label} n={n} {i}")
         else:
             nus = [
@@ -480,12 +484,6 @@ def _suite_cb_amplification(ctx: _Ctx, trials: int) -> _Tally:
             rhs = _amplified_measure_semivariation(g, space, nus, n)
             tally.compare(lhs, rhs, tol, f"cb meas {g.label} {space.label} n={n} {i}")
     return tally
-
-
-def _n_norm_matrix(fmat: MatrixFunction, nu: VectorMeasure) -> NormEstimate:
-    from .lpspaces import N_norm
-
-    return N_norm(fmat, nu)
 
 
 def _amplified_measure_semivariation(g, space, nus, n) -> NormEstimate:
@@ -624,8 +622,6 @@ def _suite_pettis_product(ctx: _Ctx, trials: int) -> _Tally:
     for i in range(trials):
         g, dual, space, rng, nu = _identity_fixture(ctx, "pettis-product", i)
         f, h = _random_function(g, rng), _random_function(g, rng)
-        from .lpspaces import pettis_integral
-
         lhs = pettis_integral(conv_vector(f, h, nu))
         rhs = complex(np.mean(f.values)) * integrate(h.values, nu)
         resid = float(np.abs(lhs.coords - rhs.coords).max())
@@ -934,7 +930,7 @@ def _suite_calibration(ctx: _Ctx, trials: int) -> _Tally:
     tol = ctx.bracket_tol()
     for i in range(trials):
         space = ctx.spaces[i % len(ctx.spaces)]
-        if space.dim > 4 or (isinstance(space, MatOpSpace) and space.d > 2):
+        if not _grid_supported(space):
             tally.skip()
             continue
         rng = _instance_rng(ctx.cfg.seed, "calibration", i)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, require_same_group
 from .measures import GroupMap, VectorMeasure
 from .spaces import CoefficientSpace, NormEstimate, XVector, dual_ball_sup, lp_dual_sup
 
@@ -24,11 +24,9 @@ __all__ = [
     "lp_norm_haar",
     "lp_nu_norm",
     "N_norm",
-    "Nw_norm",
     "Pp_norm",
     "pettis_integral",
     "function_pushforward",
-    "translate",
     "reflect",
 ]
 
@@ -62,11 +60,11 @@ class ScalarFunction:
         return ScalarFunction(group, v)
 
     def __mul__(self, other: "ScalarFunction") -> "ScalarFunction":
-        _same_group(self.group, other.group)
+        require_same_group(self.group, other.group)
         return ScalarFunction(self.group, self.values * other.values)
 
     def __add__(self, other: "ScalarFunction") -> "ScalarFunction":
-        _same_group(self.group, other.group)
+        require_same_group(self.group, other.group)
         return ScalarFunction(self.group, self.values + other.values)
 
     def __rmul__(self, z) -> "ScalarFunction":
@@ -109,11 +107,6 @@ class MatrixFunction:
         return ScalarFunction(self.group, self.values[:, i, j].copy())
 
 
-def _same_group(g1: FiniteGroup, g2: FiniteGroup):
-    if g1 is not g2 and not np.array_equal(g1.cayley, g2.cayley):
-        raise ValueError("group mismatch")
-
-
 def lp_norm_haar(f: ScalarFunction, p: float) -> float:
     """L^p norm against normalized counting measure; p = inf gives the max."""
     if p < 1:
@@ -131,7 +124,7 @@ def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0) -> NormEsti
     p = inf is the exact max of |f| over atoms where the measure is nonzero
     (atoms with x_t = 0 are null and excluded).
     """
-    _same_group(f.group, nu.group)
+    require_same_group(f.group, nu.group)
     if p < 1:
         raise ValueError("p must be >= 1")
     if np.isinf(p):
@@ -144,42 +137,11 @@ def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0) -> NormEsti
 def N_norm(F: MatrixFunction, nu: VectorMeasure) -> NormEstimate:
     """Matrix-level integrand norm: the dual-ball sup of the scalarized
     integrals of t -> ||F(t)||_op; collapses to ``lp_nu_norm`` at level 1."""
-    _same_group(F.group, nu.group)
+    require_same_group(F.group, nu.group)
     opnorms = np.linalg.svd(F.values, compute_uv=False)[:, 0] if F.n > 1 else np.abs(
         F.values[:, 0, 0]
     )
     return dual_ball_sup(nu.space, opnorms, nu.atoms)
-
-
-def Nw_norm(
-    F: MatrixFunction,
-    nu: VectorMeasure,
-    samples: int = 64,
-    seed: int = 0,
-) -> NormEstimate:
-    """Weak matrix-level norm: sup over the trace-norm unit ball of M_n of the
-    nu-norm of the compressed scalar function t -> <F(t), y'>.
-
-    Exact at level 1; otherwise lower = best sampled rank-one functional,
-    upper = the strong norm N(F) (compression is contractive).
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    _same_group(F.group, nu.group)
-    if F.n == 1:
-        return lp_nu_norm(F.entry(0, 0), nu, 1.0)
-    rng = np.random.default_rng(seed)
-    upper = N_norm(F, nu).upper
-    lower = 0.0
-    u = rng.standard_normal((samples, F.n)) + 1j * rng.standard_normal((samples, F.n))
-    v = rng.standard_normal((samples, F.n)) + 1j * rng.standard_normal((samples, F.n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    for r in range(samples):
-        compressed = np.einsum("a,tab,b->t", np.conj(u[r]), F.values, v[r])
-        est = lp_nu_norm(ScalarFunction(F.group, compressed), nu, 1.0)
-        lower = max(lower, est.lower)
-    return NormEstimate.bracket(min(lower, upper), upper)
 
 
 def Pp_norm(phi: VectorFunction, p: float) -> NormEstimate:
@@ -209,13 +171,8 @@ def pettis_integral(phi: VectorFunction, subset=None) -> XVector:
 
 def function_pushforward(f: ScalarFunction, h: GroupMap) -> ScalarFunction:
     """f_h = f composed with the inverse map: f_h(t) = f(h^{-1}(t))."""
-    _same_group(f.group, h.group)
+    require_same_group(f.group, h.group)
     return ScalarFunction(f.group, f.values[h.inverse().table])
-
-
-def translate(f: ScalarFunction, t: int) -> ScalarFunction:
-    """Right translate: (tau_t f)(s) = f(s t^{-1})."""
-    return function_pushforward(f, GroupMap.translation(f.group, t))
 
 
 def reflect(f: ScalarFunction) -> ScalarFunction:

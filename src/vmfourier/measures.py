@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import FiniteGroup, format_complex, parse_complex
+from .groups import FiniteGroup, build_group, format_complex, parse_complex, require_same_group
 from .spaces import (
     CoefficientSpace,
     MatrixOverX,
@@ -30,15 +30,8 @@ from .spaces import (
     space_from_spec,
 )
 
-# On a finite group with normalized counting measure, the classes of general,
-# regular, and absolutely continuous vector measures coincide; no separate
-# predicates are provided.
-MEASURE_CLASSES_COINCIDE = True
-
 __all__ = [
-    "MEASURE_CLASSES_COINCIDE",
     "VectorMeasure",
-    "ScalarMeasure",
     "GroupMap",
     "InvarianceReport",
     "evaluate",
@@ -108,19 +101,10 @@ class VectorMeasure:
         return VectorMeasure(self.group, self.space, complex(z) * self.atoms)
 
 
-ScalarMeasure = VectorMeasure  # a VectorMeasure over ScalarSpace
-
-
 def _require_compatible(a: VectorMeasure, b: VectorMeasure):
-    if a.group is not b.group and not np.array_equal(a.group.cayley, b.group.cayley):
-        raise ValueError("measures live on different groups")
+    require_same_group(a.group, b.group)
     if a.space != b.space:
         raise ValueError("measures take values in different spaces")
-
-
-def _require_same_group(g1: FiniteGroup, g2: FiniteGroup):
-    if g1 is not g2 and not np.array_equal(g1.cayley, g2.cayley):
-        raise ValueError("group mismatch")
 
 
 @dataclass(eq=False)
@@ -150,7 +134,7 @@ class GroupMap:
         return GroupMap(group, group.inverses.copy())
 
     def compose(self, other: "GroupMap") -> "GroupMap":
-        _require_same_group(self.group, other.group)
+        require_same_group(self.group, other.group)
         return GroupMap(self.group, self.table[other.table])
 
     def inverse(self) -> "GroupMap":
@@ -232,7 +216,7 @@ def radon_nikodym(nu: VectorMeasure, xp: XVector) -> np.ndarray:
 
 def pushforward(nu: VectorMeasure, h: GroupMap) -> VectorMeasure:
     """nu_h(A) = nu(h(A)); atomically (nu_h)({t}) = nu({h(t)})."""
-    _require_same_group(nu.group, h.group)
+    require_same_group(nu.group, h.group)
     return VectorMeasure(nu.group, nu.space, nu.atoms[h.table])
 
 
@@ -359,8 +343,6 @@ def dump_measure_fixture(nu: VectorMeasure, group_spec: str, space_spec: str) ->
 
 
 def load_measure_fixture(path: str | Path) -> VectorMeasure:
-    from .groups import build_group
-
     lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
     if len(lines) < 2 or not lines[0].startswith("group ") or not lines[1].startswith("space "):
         raise ValueError("fixture must start with 'group <spec>' and 'space <spec>' lines")

@@ -256,6 +256,11 @@ class LinfSpace(CoefficientSpace):
         a = np.abs(vecs)
         return float((np.mean(a**p, axis=0) ** (1.0 / p)).max())
 
+    def closed_amplified(self, entries):
+        # the dual ball's extreme points are phases times e_c, so the sup sits
+        # on one coordinate slice [x_ij]_c
+        return float(np.linalg.svd(entries.transpose(2, 0, 1), compute_uv=False)[:, 0].max())
+
 
 class MatOpSpace(CoefficientSpace):
     """X = M_d with the operator norm; dual is trace class via tr(B* A)."""

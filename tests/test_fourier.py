@@ -198,14 +198,3 @@ class TestUniqueness:
 
     def test_zero_measure_has_trivial_domain(self, z2, z2_dual, linf2):
         assert vf.uniqueness_rank(z2_dual, VectorMeasure.zero(z2, linf2)) == 0
-
-
-class TestCoefficientDump:
-    def test_scalar_blocks(self, z2, z2_dual):
-        text = vf.dump_coefficients(vf.ft_classical(ScalarFunction.constant(z2), z2_dual))
-        assert "irrep" in text and "level 1" in text
-
-    def test_vector_blocks(self, F3, z2_dual):
-        text = vf.dump_coefficients(vf.ft_measure(F3, z2_dual))
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("irrep") and len(lines) == 4

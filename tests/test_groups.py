@@ -131,15 +131,17 @@ class TestDuals:
 
 
 class TestMatrixCoefficients:
+    """The coefficient functions t -> pi(t)_{ij} of the built-in duals."""
+
     def test_trivial_character(self, z2, z2_dual):
-        assert np.allclose(vf.matrix_coefficient(z2_dual.irreps[0], 0, 0), [1, 1])
+        assert np.allclose(z2_dual.irreps[0].matrices[:, 0, 0], [1, 1])
 
     def test_sign_character(self, z2_dual):
-        assert np.allclose(vf.matrix_coefficient(z2_dual.irreps[1], 0, 0), [1, -1])
+        assert np.allclose(z2_dual.irreps[1].matrices[:, 0, 0], [1, -1])
 
     def test_s3_offdiagonal_mass(self, s3, s3_dual):
         two = next(p for p in s3_dual.irreps if p.dim == 2)
-        coeff = vf.matrix_coefficient(two, 0, 1)
+        coeff = two.matrices[:, 0, 1]
         # Schur orthogonality: sum of |pi_ij|^2 over the group is |G| / d
         assert np.sum(np.abs(coeff) ** 2) == pytest.approx(s3.order / 2)
 
@@ -148,11 +150,7 @@ class TestMatrixCoefficients:
             for p in d.irreps:
                 for i in range(p.dim):
                     for j in range(p.dim):
-                        assert np.abs(vf.matrix_coefficient(p, i, j)).max() <= 1 + 1e-12
-
-    def test_index_out_of_range(self, z2_dual):
-        with pytest.raises(IndexError):
-            vf.matrix_coefficient(z2_dual.irreps[0], 0, 1)
+                        assert np.abs(p.matrices[:, i, j]).max() <= 1 + 1e-12
 
 
 class TestTableFiles:

@@ -107,6 +107,12 @@ class TestRunSuite:
         rep = vf.run_suite("pairing-compat", cfg)
         assert rep.instances == 3
 
+    def test_calibration_skips_spaces_without_grid_oracle(self):
+        rep = vf.run_suite("calibration", vf.RunConfig(spaces=["weighted_l1:4"], trials=4))
+        assert (rep.instances, rep.skipped) == (0, 4)
+        rep = vf.run_suite("calibration", vf.RunConfig(spaces=["linf:8"], trials=4))
+        assert (rep.instances, rep.skipped, rep.violations) == (4, 0, 0)
+
 
 class TestFaultInjection:
     # each fault must produce a certified violation within 10 trials on a

@@ -18,7 +18,7 @@ from vmfourier import (
     norm,
     pair,
 )
-from vmfourier.harness import grid_dual_sup
+from vmfourier.harness import grid_dual_points, grid_dual_sup
 from vmfourier.spaces import ASCENT_TOL, _ascend
 
 SPACES = [ScalarSpace(), LinfSpace(2), MatOpSpace(2), WeightedL1Space.uniform(2)]
@@ -220,6 +220,18 @@ class TestAmplified:
             xp = w * np.exp(2j * np.pi * rng.random(2))
             paired = entries @ xp
             assert np.linalg.norm(paired, 2) <= value + 1e-9
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_linf_closed_form_matches_grid(self, k, n):
+        # extreme dual points are phases times e_c, all on the phase grid
+        s = LinfSpace(k)
+        rng = np.random.default_rng(10 * k + n)
+        entries = rng.standard_normal((n, n, k)) + 1j * rng.standard_normal((n, n, k))
+        est = amplified_norm(MatrixOverX(s, entries))
+        paired = s.pair_many(entries.reshape(n * n, k), grid_dual_points(s))
+        brute = np.linalg.svd(paired.reshape(-1, n, n), compute_uv=False)[:, 0].max()
+        assert est.exact and est.lower == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("si", range(4))
     @pytest.mark.parametrize("n", [1, 2, 3])
