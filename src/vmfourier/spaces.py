@@ -286,9 +286,9 @@ class MatOpSpace(CoefficientSpace):
         return np.conj(xps) @ vecs.T  # tr(xp^H v) on flat coordinates
 
     def norming_dual_many(self, ys):
-        u, _, vh = np.linalg.svd(self._mats(ys))
+        u1, _, v1 = _top_singular_pairs(self._mats(ys))
         # xp = u1 v1^H pairs to the top singular value
-        xp = u[:, :, 0][:, :, None] * vh[:, 0, :][:, None, :]
+        xp = u1[:, :, None] * np.conj(v1)[:, None, :]
         return xp.reshape(ys.shape[0], self.dim)
 
     def sample_dual(self, rng, count):
@@ -453,6 +453,47 @@ def pair(x: XVector, xp: XVector) -> complex:
     return complex(x.space.pair_many(x.coords[None, :], xp.coords[None, :])[0, 0])
 
 
+def _top_singular_pairs(mats: np.ndarray):
+    """Top singular triples (u1, s1, v1) of an [R, n, n] stack, with
+    ``mats[r] @ v1[r] = s1[r] * u1[r]`` and unit u1, v1.
+
+    For n = 2, v1 is the top eigenvector of the Hermitian M^H M in closed form
+    and s1 = ||M v1||: the value an explicit unit pair attains, so an ascent
+    built on it stays a lower bound however accurate v1 is.  Each matrix is
+    first scaled by its largest modulus so that squaring cannot overflow or
+    underflow.  A zero matrix, or one with two equal singular values, gets
+    v1 = e_1.  Other sizes go to LAPACK.
+    """
+    if mats.shape[1:] != (2, 2):
+        u, s, vh = np.linalg.svd(mats)
+        return u[:, :, 0], s[:, 0], np.conj(vh[:, 0, :])
+    scale = np.abs(mats).max(axis=(1, 2))
+    m = mats / np.where(scale > 0, scale, 1.0)[:, None, None]
+    m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    # M^H M = [[a, c], [conj(c), b]]; its top eigenvalue is (a + b) / 2 + r
+    a = (m00 * m00.conj() + m10 * m10.conj()).real
+    b = (m01 * m01.conj() + m11 * m11.conj()).real
+    c = m00.conj() * m01 + m10.conj() * m11
+    half = 0.5 * (a - b)
+    r = np.hypot(half, np.abs(c))
+    # of the two eigenvector formulas, take the one without cancellation
+    first = half >= 0
+    x = np.where(first, r + half, c)
+    y = np.where(first, c.conj(), r - half)
+    v, _ = _unit_or_e1(x, y)
+    u, norm_mv = _unit_or_e1(m00 * v[:, 0] + m01 * v[:, 1], m10 * v[:, 0] + m11 * v[:, 1])
+    return u, scale * norm_mv, v
+
+
+def _unit_or_e1(x, y):
+    """Rows (x, y) scaled to unit length (e_1 where a row is zero), and their
+    lengths."""
+    length = np.sqrt((x * x.conj() + y * y.conj()).real)
+    ok = length > 0
+    safe = np.where(ok, length, 1.0)
+    return np.stack([np.where(ok, x / safe, 1.0), np.where(ok, y / safe, 0.0)], axis=1), length
+
+
 def _ascend(values, cap: float) -> float:
     """Best value of an ascent, given as a generator of per-iteration values.
 
@@ -579,11 +620,9 @@ def _amplified_ascent(space, entries):
     xp = space.sample_dual(rng, ASCENT_RESTARTS)
     for _ in range(ASCENT_ITERS):
         a = space.pair_many(flat, xp).reshape(ASCENT_RESTARTS, n, n)
-        u, s, vh = np.linalg.svd(a)
-        yield float(s[:, 0].max())
-        u1 = np.conj(u[:, :, 0])
-        v1 = np.conj(vh[:, 0, :])
-        xp = space.norming_dual_many(np.einsum("ri,rj,ijc->rc", u1, v1, entries))
+        u1, s1, v1 = _top_singular_pairs(a)
+        yield float(s1.max())
+        xp = space.norming_dual_many(np.einsum("ri,rj,ijc->rc", np.conj(u1), v1, entries))
 
 
 def amplified_norm(m: MatrixOverX) -> NormEstimate:

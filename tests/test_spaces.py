@@ -19,7 +19,7 @@ from vmfourier import (
     pair,
 )
 from vmfourier.harness import grid_dual_points, grid_dual_sup
-from vmfourier.spaces import ASCENT_TOL, _ascend
+from vmfourier.spaces import ASCENT_TOL, _ascend, _top_singular_pairs
 
 SPACES = [ScalarSpace(), LinfSpace(2), MatOpSpace(2), WeightedL1Space.uniform(2)]
 
@@ -260,6 +260,50 @@ class TestAmplified:
         nb = amplified_norm(MatrixOverX(space, b)).lower
         nd = amplified_norm(MatrixOverX(space, big)).lower
         assert nd == pytest.approx(max(na, nb), abs=1e-10)
+
+
+def cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def two_by_two_stacks():
+    rng = np.random.default_rng(7)
+    base = cplx(rng, 20, 2, 2)
+    stacks = {
+        "random": cplx(rng, 50, 2, 2),
+        "rank-one": cplx(rng, 20, 2, 1) * cplx(rng, 20, 1, 2),
+        "zero": np.zeros((3, 2, 2), dtype=complex),
+        # equal singular values: every unit vector is a top singular vector
+        "unitary-multiple": np.linalg.qr(cplx(rng, 20, 2, 2))[0] * cplx(rng, 20, 1, 1),
+    }
+    # 1e+-170 squared leaves the double range: only the per-matrix scaling saves them
+    for scale in (1e-170, 1e-150, 1e150, 1e170):
+        stacks[f"scaled-{scale:g}"] = scale * base
+    return stacks
+
+
+class TestTopSingularPairs:
+    @pytest.mark.parametrize("kind", sorted(two_by_two_stacks()))
+    def test_closed_form_matches_lapack(self, kind):
+        mats = two_by_two_stacks()[kind]
+        u1, s1, v1 = _top_singular_pairs(mats)
+        lapack = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        assert np.allclose(s1, lapack, rtol=1e-12, atol=0)
+        assert np.allclose(np.linalg.norm(u1, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert np.allclose(np.linalg.norm(v1, axis=1), 1.0, rtol=0, atol=1e-14)
+        attained = np.abs(np.einsum("ri,rij,rj->r", np.conj(u1), mats, v1))
+        assert np.allclose(attained, s1, rtol=1e-12, atol=0)
+
+    def test_matop2_norming_rows_pair_to_norm(self):
+        s = MatOpSpace(2)
+        ys = cplx(np.random.default_rng(8), 40, 4)
+        ys[::7] = 0
+        ys[3] = [2, 0, 0, 2j]  # equal singular values
+        xps = s.norming_dual_many(ys)
+        trace_norms = np.linalg.svd(xps.reshape(-1, 2, 2), compute_uv=False).sum(axis=1)
+        assert np.all(trace_norms <= 1 + 1e-12)
+        paired = np.diag(s.pair_many(ys, xps))
+        assert np.allclose(paired, s.norm_many(ys), rtol=1e-12, atol=0)
 
 
 class TestMatrixPair:
