@@ -158,6 +158,11 @@ class CoefficientSpace:
     def closed_amplified(self, entries: np.ndarray):
         return None
 
+    def amplified_majorant(self, entries: np.ndarray):
+        """An upper bound on the matrix-level norm, used when it is below
+        n * max ||x_ij||; None when the space has none."""
+        return None
+
     # -- misc ----------------------------------------------------------------
 
     def zeros(self) -> np.ndarray:
@@ -346,6 +351,11 @@ class WeightedL1Space(CoefficientSpace):
 
     def sample_dual(self, rng, count):
         return self.weights[None, :] * np.exp(2j * np.pi * rng.random((count, self.dim)))
+
+    def amplified_majorant(self, entries):
+        # |xp_c| <= w_c on the dual ball, so ||sum_c xp_c A_c||_op <= sum_c w_c ||A_c||_op
+        slices = np.linalg.svd(entries.transpose(2, 0, 1), compute_uv=False)[:, 0]
+        return float(self.weights @ slices)
 
     def _key(self):
         return ("WeightedL1Space", tuple(self.weights.tolist()))
@@ -631,8 +641,11 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
     Exact for Scalar (operator norm), MatOp (block operator norm) and Linf
     (max over coordinates of the coordinate-slice operator norm).  For
     WeightedL1 a bracket: ascent lower bound (clamped to the entrywise max,
-    which the matrix norm always dominates) against the n * max ||x_ij||
-    upper bound.  Level 1 always collapses to the vector norm.
+    which the matrix norm always dominates) against the upper bound
+    min(n * max ||x_ij||, sum_c w_c ||A_c||_op), where A_c = [x_ij]_c is the
+    c-th coordinate slice.  Ascent steps on 2 x 2 paired matrices take the
+    top singular pair in closed form.  Level 1 always collapses to the
+    vector norm.
     """
     entries = m.entries
     n = m.level
@@ -644,9 +657,12 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
         return NormEstimate.of_exact(closed)
     entry_norms = space.norm_many(entries.reshape(n * n, space.dim))
     max_entry = float(entry_norms.max())
-    upper = n * max_entry
     if max_entry == 0.0:
         return NormEstimate.of_exact(0.0)
+    upper = n * max_entry
+    majorant = space.amplified_majorant(entries)
+    if majorant is not None:
+        upper = min(upper, majorant)
     lower = max(_ascend(_amplified_ascent(space, entries), cap=upper), max_entry)
     return NormEstimate.bracket(min(lower, upper), upper)
 

@@ -179,6 +179,10 @@ class TestDualBallSup:
             prev = est.upper
 
 
+def cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestAmplified:
     def test_level_one_collapse(self):
         for space in SPACES:
@@ -261,9 +265,27 @@ class TestAmplified:
         nd = amplified_norm(MatrixOverX(space, big)).lower
         assert nd == pytest.approx(max(na, nb), abs=1e-10)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_weighted_majorant_above_grid_and_samples(self, k, n):
+        s = WeightedL1Space(np.linspace(1.0, 2.0, k))
+        rng = np.random.default_rng(20 * k + n)
+        entries = cplx(rng, n, n, k)
+        upper = amplified_norm(MatrixOverX(s, entries)).upper
+        inside = rng.random((200, k)) * s.sample_dual(rng, 200)
+        points = np.concatenate([grid_dual_points(s), inside])
+        paired = s.pair_many(entries.reshape(n * n, k), points).reshape(-1, n, n)
+        assert np.linalg.svd(paired, compute_uv=False)[:, 0].max() <= upper * (1 + 1e-12)
 
-def cplx(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    def test_weighted_single_slice_bracket_closes(self):
+        # one nonzero coordinate slice A_c: the norm is w_c ||A_c||_op, the majorant
+        s = WeightedL1Space([0.25, 0.75])
+        entries = np.zeros((3, 3, 2), dtype=complex)
+        entries[:, :, 1] = cplx(np.random.default_rng(4), 3, 3)
+        est = amplified_norm(MatrixOverX(s, entries))
+        exact = 0.75 * np.linalg.norm(entries[:, :, 1], 2)
+        assert est.upper == pytest.approx(exact, rel=1e-12)
+        assert est.lower == pytest.approx(exact, rel=1e-9)
 
 
 def two_by_two_stacks():
