@@ -21,6 +21,7 @@ from .harness import (
     run_suite,
     suite_names,
 )
+from .spaces import space_from_spec
 
 OUT_DIR_ENV = "VMFOURIER_OUT"
 
@@ -81,6 +82,10 @@ def _cmd_run(args) -> int:
         if args.fault is not None and args.fault not in FAULTS:
             raise ValueError(f"unknown fault {args.fault!r}")
         cfg.__post_init__()
+        for spec in cfg.groups:
+            build_group(spec)
+        for spec in cfg.spaces:
+            space_from_spec(spec)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -306,6 +306,15 @@ class TestCli:
         out = run_cli("run", "--config", str(cfg))
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("line", ["spaces = matop:0", "groups = nosuch:3"])
+    def test_bad_spec_in_config_exits_2(self, tmp_path, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        out = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2
+        assert out.stderr.startswith("configuration error:")
+        assert out.stdout == ""  # rejected before any suite runs
+
     def test_unknown_suite_exits_2(self, tmp_path):
         out = run_cli("run", "--suite", "bogus", "--out", str(tmp_path / "r.json"))
         assert out.returncode == 2
