@@ -21,6 +21,7 @@ from .fourier import (
     ft_inverse,
     ft_measure,
     ft_sup_norm,
+    ft_sup_norms,
     ft_vector,
     ft_weak,
     plancherel_check,
@@ -93,9 +94,12 @@ from .spaces import (
     WeightedL1Space,
     XVector,
     amplified_norm,
+    amplified_norms,
     dual_ball_sup,
+    dual_ball_sups,
     dual_norm,
     lp_dual_sup,
+    lp_dual_sups,
     matrix_pair,
     mox_assemble,
     mox_matmul,

@@ -17,6 +17,7 @@ from .harness import (
     FAULTS,
     default_config,
     emit_report,
+    group_with_dual,
     load_config,
     run_suite,
     suite_names,
@@ -83,7 +84,7 @@ def _cmd_run(args) -> int:
             raise ValueError(f"unknown fault {args.fault!r}")
         cfg.__post_init__()
         for spec in cfg.groups:
-            build_group(spec)
+            group_with_dual(spec)
         for spec in cfg.spaces:
             space_from_spec(spec)
     except (ValueError, OSError) as exc:

@@ -12,6 +12,7 @@ violation; overlapping brackets count as near misses, never as pass or fail.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import zlib
@@ -33,7 +34,7 @@ from .fourier import (
     ft_classical,
     ft_inverse,
     ft_measure,
-    ft_sup_norm,
+    ft_sup_norms,
     ft_vector,
     ft_weak,
     plancherel_check,
@@ -83,6 +84,7 @@ from .spaces import (
     XVector,
     amplified_norm,
     dual_ball_sup,
+    dual_ball_sups,
     dual_norm,
     matrix_pair,
     mox_assemble,
@@ -101,6 +103,7 @@ __all__ = [
     "run_suite",
     "run_battery",
     "generate_fixture",
+    "group_with_dual",
     "emit_report",
     "grid_dual_points",
     "grid_dual_sup",
@@ -118,6 +121,13 @@ FAULTS = (
 )
 
 PASS, NEAR_MISS, VIOLATION = "pass", "near-miss", "violation"
+
+# the oracles evaluate dual-ball points in slices of this many
+_POINT_SLICE = 4096
+# calibration on spaces outside the grid oracle samples this many dual-ball
+# points from one fixed seed
+CALIBRATION_SAMPLES = 4096
+CALIBRATION_SEED = 0
 
 
 @dataclass
@@ -234,11 +244,25 @@ def generate_fixture(
         atoms[group.identity] = x0
         return VectorMeasure(group, space, atoms)
     if kind == "random-gaussian":
-        atoms = rng.standard_normal((n, space.dim)) + 1j * rng.standard_normal((n, space.dim))
-        nu = VectorMeasure(group, space, atoms)
-        mid = semivariation(nu).midpoint
-        return VectorMeasure(group, space, atoms / mid if mid > 0 else atoms)
+        return _random_gaussian_fixtures(group, space, [seed])[0]
     raise ValueError(f"unknown fixture kind {kind!r}")
+
+
+def _random_gaussian_fixtures(
+    group: FiniteGroup, space: CoefficientSpace, seeds: list[int]
+) -> list[VectorMeasure]:
+    """``generate_fixture("random-gaussian", group, space, seed)`` for each
+    seed, with the rescaling semivariations taken in one batched call."""
+    n = group.order
+    atoms = np.zeros((len(seeds), n, space.dim), dtype=complex)
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        atoms[b] = rng.standard_normal((n, space.dim)) + 1j * rng.standard_normal((n, space.dim))
+    semis = dual_ball_sups(space, np.ones((len(seeds), n)), atoms)
+    return [
+        VectorMeasure(group, space, a / est.midpoint if est.midpoint > 0 else a)
+        for a, est in zip(atoms, semis)
+    ]
 
 
 def _random_function(group: FiniteGroup, rng) -> ScalarFunction:
@@ -306,9 +330,17 @@ def grid_dual_sup(space, weights, vecs, phases: int = 24) -> float:
     if weights.size == 0:
         return 0.0
     vecs = np.asarray(vecs, dtype=complex)
-    pts = grid_dual_points(space, phases)
-    vals = np.abs(space.pair_many(vecs, pts)) @ weights
-    return float(vals.max())
+    return _points_dual_sup(space, weights, vecs, grid_dual_points(space, phases))
+
+
+def _points_dual_sup(space, weights, vecs, points) -> float:
+    """Max of sum_t w_t |<v_t, xp>| over the given dual-ball points: a lower
+    bound for the supremum over the whole dual ball.  Taken over slices of
+    ``_POINT_SLICE`` points, which bounds the memory of large grids."""
+    return max(
+        float((np.abs(space.pair_many(vecs, points[i : i + _POINT_SLICE])) @ weights).max())
+        for i in range(0, len(points), _POINT_SLICE)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +354,6 @@ class _Ctx:
     groups: list[tuple[FiniteGroup, UnitaryDual]]
     spaces: list[CoefficientSpace]
     fault: str | None
-
-    def exact_tol(self):
-        return self.cfg.tol_exact
-
-    def bracket_tol(self):
-        return self.cfg.tol_bracket
 
 
 class _Tally:
@@ -383,8 +409,8 @@ def _suite_dual_validation(ctx: _Ctx, trials: int) -> _Tally:
     for g, dual in ctx.groups:
         if ctx.fault == "perturb-irrep":
             dual = _perturbed_dual(dual)
-        rep = validate_dual(g, dual, ctx.exact_tol())
-        tally.residual_check(rep.max_residual, ctx.exact_tol(), f"{g.label} residuals")
+        rep = validate_dual(g, dual, ctx.cfg.tol_exact)
+        tally.residual_check(rep.max_residual, ctx.cfg.tol_exact, f"{g.label} residuals")
         comp_ok = sum(p.dim**2 for p in dual.irreps) == g.order
         tally.residual_check(0.0 if comp_ok else 1.0, 0.5, f"{g.label} completeness")
     return tally
@@ -392,7 +418,7 @@ def _suite_dual_validation(ctx: _Ctx, trials: int) -> _Tally:
 
 def _suite_plancherel(ctx: _Ctx, trials: int) -> _Tally:
     tally = _Tally()
-    tol = ctx.exact_tol()
+    tol = ctx.cfg.tol_exact
     for i in range(trials):
         g, dual = ctx.groups[i % len(ctx.groups)]
         if ctx.fault == "perturb-irrep":
@@ -421,26 +447,56 @@ def _suite_plancherel(ctx: _Ctx, trials: int) -> _Tally:
 def _suite_ft_norm_bounds(ctx: _Ctx, trials: int) -> _Tally:
     tally = _Tally()
     tol = ctx.cfg.tol_bracket
+    ng = len(ctx.groups)
     for space in ctx.spaces:
-        for i in range(trials):
-            g, dual = ctx.groups[i % len(ctx.groups)]
-            rng = _instance_rng(ctx.cfg.seed, f"ft-norm-bounds:{space.label}", i)
-            nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
-            f = _random_function(g, rng)
-            f_nu_1 = lp_nu_norm(f, nu, 1.0)
-            lhs_f = ft_sup_norm(ft_vector(f, nu, dual))
-            tally.compare(lhs_f, f_nu_1, tol, f"fn bound {g.label} {space.label} {i}")
-            xp = _random_dual(space, rng)
-            weak = ft_weak(f, nu, xp, dual)
-            lhs_w = NormEstimate.of_exact(
-                max(float(np.linalg.norm(b, 2)) for b in weak.blocks)
-            )
-            tally.compare(
-                lhs_w, f_nu_1.scaled(dual_norm(xp)), tol,
+        # ends[i, c] = (lhs.lower, lhs.upper, rhs.lower, rhs.upper) of check c
+        # of instance i: fn bound, weak bound, measure bound
+        ends = np.zeros((trials, 3, 4))
+        # each group's instances share one batched call per estimate
+        for k, (g, dual) in enumerate(ctx.groups):
+            idx = range(k, trials, ng)
+            if not idx:
+                continue
+            seeds, fs, xps = [], [], []
+            for i in idx:
+                rng = _instance_rng(ctx.cfg.seed, f"ft-norm-bounds:{space.label}", i)
+                seeds.append(int(rng.integers(2**32)))
+                fs.append(_random_function(g, rng))
+                xps.append(_random_dual(space, rng))
+            nus = _random_gaussian_fixtures(g, space, seeds)
+            atoms = np.array([nu.atoms for nu in nus])
+            # lp_nu_norm(f, nu, 1) and semivariation(nu)
+            f_nu_1s = dual_ball_sups(space, np.abs([f.values for f in fs]) ** 1.0, atoms)
+            semis = dual_ball_sups(space, np.ones((len(nus), g.order)), atoms)
+            lhs_fs = ft_sup_norms([ft_vector(f, nu, dual) for f, nu in zip(fs, nus)])
+            lhs_ms = ft_sup_norms([ft_measure(nu, dual) for nu in nus])
+            weaks = [ft_weak(f, nu, xp, dual) for f, nu, xp in zip(fs, nus, xps)]
+            # operator norm of every weak block: one stacked SVD per irrep
+            weak_ops = np.array([
+                np.linalg.svd(np.array([w.blocks[r] for w in weaks]), compute_uv=False)[:, 0]
+                for r in range(len(dual.irreps))
+            ])
+            for j, i in enumerate(idx):
+                f_nu_1 = f_nu_1s[j].rooted(1.0)
+                lhs_w = NormEstimate.of_exact(max(float(v) for v in weak_ops[:, j]))
+                pairs = (
+                    (lhs_fs[j], f_nu_1),
+                    (lhs_w, f_nu_1.scaled(dual_norm(xps[j]))),
+                    (lhs_ms[j], semis[j]),
+                )
+                ends[i] = [(a.lower, a.upper, b.lower, b.upper) for a, b in pairs]
+        for i, checks in enumerate(ends):
+            g = ctx.groups[i % ng][0]
+            notes = (
+                f"fn bound {g.label} {space.label} {i}",
                 f"weak bound {g.label} {space.label} {i}",
+                f"measure bound {g.label} {i}",
             )
-            lhs_m = ft_sup_norm(ft_measure(nu, dual))
-            tally.compare(lhs_m, semivariation(nu), tol, f"measure bound {g.label} {i}")
+            for (lhs_lo, lhs_hi, rhs_lo, rhs_hi), note in zip(checks, notes):
+                tally.compare(
+                    NormEstimate.bracket(lhs_lo, lhs_hi), NormEstimate.bracket(rhs_lo, rhs_hi),
+                    tol, note,
+                )
     return tally
 
 
@@ -524,7 +580,7 @@ def _suite_pairing_compat(ctx: _Ctx, trials: int) -> _Tally:
             float(np.abs(matrix_pair(vec.blocks[r], xpm) - weak.blocks[r]).max())
             for r in range(len(dual.irreps))
         )
-        tally.residual_check(resid, ctx.exact_tol(), f"{g.label} {space.label} {i}")
+        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
     return tally
 
 
@@ -546,7 +602,7 @@ def _suite_density_transform(ctx: _Ctx, trials: int) -> _Tally:
                 for r in range(len(dual.irreps))
             ),
         )
-        tally.residual_check(resid, ctx.exact_tol(), f"{g.label} {space.label} {i}")
+        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
     return tally
 
 
@@ -560,7 +616,7 @@ def _suite_scalarization(ctx: _Ctx, trials: int) -> _Tally:
         weak = conv_weak(f, h, nu, xp)
         paired = space.pair_many(vec.values, xp.coords[None, :])[0]
         resid = float(np.abs(paired - weak.values).max())
-        tally.residual_check(resid, ctx.exact_tol(), f"{g.label} {space.label} {i}")
+        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
     return tally
 
 
@@ -588,7 +644,7 @@ def _suite_ft_conv6(ctx: _Ctx, trials: int) -> _Tally:
         resid = _ft_conv6_residual(
             f, h, nu, xp, dual, dpi_power=dpi_power, def41_inv_dpi=inv_dpi
         )
-        tally.residual_check(resid, ctx.exact_tol(), f"{g.label} {space.label} {i}")
+        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
     return tally
 
 
@@ -613,7 +669,7 @@ def _suite_ft_conv8(ctx: _Ctx, trials: int) -> _Tally:
             g, rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
         )
         resid = _ft_conv8_residual(mu, nu, dual, dpi_power=dpi_power)
-        tally.residual_check(resid, ctx.exact_tol(), f"{g.label} {space.label} {i}")
+        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
     return tally
 
 
@@ -625,7 +681,7 @@ def _suite_pettis_product(ctx: _Ctx, trials: int) -> _Tally:
         lhs = pettis_integral(conv_vector(f, h, nu))
         rhs = complex(np.mean(f.values)) * integrate(h.values, nu)
         resid = float(np.abs(lhs.coords - rhs.coords).max())
-        tally.residual_check(resid, ctx.exact_tol(), f"{g.label} {space.label} {i}")
+        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
     return tally
 
 
@@ -641,7 +697,7 @@ def _suite_duality_66(ctx: _Ctx, trials: int) -> _Tally:
         inner = conv_classical(reflect(f), phi)
         rhs = pair(integrate(inner.values * h.values, nu), xp)
         resid = abs(lhs - rhs)
-        tally.residual_check(resid, ctx.exact_tol(), f"{g.label} {space.label} {i}")
+        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
     return tally
 
 
@@ -812,7 +868,7 @@ def _make_young_suite(thm: str):
             h = _random_function(g, rng)
             xp = _random_dual(space, rng)
             _young_check(
-                thm, combo, g, dual, space, nu, f, h, xp, ctx.bracket_tol(), tally,
+                thm, combo, g, dual, space, nu, f, h, xp, ctx.cfg.tol_bracket, tally,
                 f"{thm} {g.label} {space.label} {combo} {i}",
             )
         return tally
@@ -829,13 +885,13 @@ def _suite_embedding_413(ctx: _Ctx, trials: int) -> _Tally:
         p = ps[i % len(ps)]
         lhs = NormEstimate.of_exact(norm(integrate(f.values, nu)))
         rhs = p_semivariation(nu, p).scaled(lp_norm_haar(f, _conj(p)))
-        tally.compare(lhs, rhs, ctx.bracket_tol(), f"{g.label} {space.label} p={p} {i}")
+        tally.compare(lhs, rhs, ctx.cfg.tol_bracket, f"{g.label} {space.label} p={p} {i}")
     return tally
 
 
 def _suite_invariance(ctx: _Ctx, trials: int) -> _Tally:
     tally = _Tally()
-    tol_e, tol_b = ctx.exact_tol(), ctx.bracket_tol()
+    tol_e, tol_b = ctx.cfg.tol_exact, ctx.cfg.tol_bracket
     # part A: invariance of the measure-weighted norms under every translation
     for g, dual in ctx.groups:
         for space in ctx.spaces:
@@ -926,13 +982,18 @@ def _suite_commutativity(ctx: _Ctx, trials: int) -> _Tally:
 
 
 def _suite_calibration(ctx: _Ctx, trials: int) -> _Tally:
+    """Estimator brackets against an independent search: the phase grid where
+    ``_grid_supported`` holds (both ends checked), otherwise the best of
+    ``CALIBRATION_SAMPLES`` random dual-ball points (the upper end checked)."""
     tally = _Tally()
-    tol = ctx.bracket_tol()
+    tol = ctx.cfg.tol_bracket
+    samples = {
+        space: space.sample_dual(np.random.default_rng(CALIBRATION_SEED), CALIBRATION_SAMPLES)
+        for space in ctx.spaces
+        if not _grid_supported(space)
+    }
     for i in range(trials):
         space = ctx.spaces[i % len(ctx.spaces)]
-        if not _grid_supported(space):
-            tally.skip()
-            continue
         rng = _instance_rng(ctx.cfg.seed, "calibration", i)
         m = int(rng.integers(1, 5))
         weights = np.zeros(m)
@@ -941,6 +1002,10 @@ def _suite_calibration(ctx: _Ctx, trials: int) -> _Tally:
             weights[t] = rng.uniform(0.1, 2.0)
             vecs[t] = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         est = dual_ball_sup(space, weights, vecs)
+        if space in samples:
+            sampled = _points_dual_sup(space, weights, vecs, samples[space])
+            tally.residual_check(max(0.0, sampled - est.upper), tol, f"{space.label} m={m} {i}")
+            continue
         bf = grid_dual_sup(space, weights, vecs)
         resid = max(0.0, bf - est.upper, est.lower - 1.02 * bf)
         if space.exact_dual_sup:
@@ -994,13 +1059,18 @@ def suite_names() -> list[str]:
     return list(_SUITES)
 
 
+@functools.cache
+def group_with_dual(spec: str) -> tuple[FiniteGroup, UnitaryDual]:
+    """The group of a spec and its unitary dual, built once per process.
+    Callers share the objects and must not modify them."""
+    g = build_group(spec)
+    return g, unitary_dual(g)
+
+
 def _build_ctx(cfg: RunConfig, fault: str | None) -> _Ctx:
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}")
-    groups = []
-    for spec in cfg.groups:
-        g = build_group(spec)
-        groups.append((g, unitary_dual(g)))
+    groups = [group_with_dual(spec) for spec in cfg.groups]
     spaces = [space_from_spec(s) for s in cfg.spaces]
     return _Ctx(cfg, groups, spaces, fault)
 

@@ -35,6 +35,9 @@ ASCENT_ITERS = 100
 ASCENT_SEED = 0
 ASCENT_TOL = 1e-10
 _STALL_PATIENCE = 3
+# batched ascents run in row chunks of about this many entries per working
+# array ([rows, restarts, T, dim]), which bounds their memory
+_CHUNK_ENTRIES = 1 << 16
 
 __all__ = [
     "NormEstimate",
@@ -49,8 +52,11 @@ __all__ = [
     "dual_norm",
     "pair",
     "dual_ball_sup",
+    "dual_ball_sups",
     "lp_dual_sup",
+    "lp_dual_sups",
     "amplified_norm",
+    "amplified_norms",
     "matrix_pair",
     "mox_matmul",
     "mox_assemble",
@@ -136,7 +142,8 @@ class CoefficientSpace:
     # -- duality kernels ----------------------------------------------------
 
     def pair_many(self, vecs: np.ndarray, xps: np.ndarray) -> np.ndarray:
-        """Pairings <v_t, xp_r> as an [R, T] array."""
+        """Pairings <v_t, xp_r> of [..., T, dim] vectors and [..., R, dim]
+        functionals as an [..., R, T] array."""
         raise NotImplementedError
 
     def norming_dual_many(self, ys: np.ndarray) -> np.ndarray:
@@ -197,7 +204,7 @@ class ScalarSpace(CoefficientSpace):
         return float(abs(np.asarray(coords, dtype=complex).reshape(-1)[0]))
 
     def pair_many(self, vecs, xps):
-        return xps @ vecs.T  # bilinear z * z'
+        return xps @ vecs.swapaxes(-1, -2)  # bilinear z * z'
 
     def norming_dual_many(self, ys):
         y = ys[:, 0]
@@ -236,7 +243,7 @@ class LinfSpace(CoefficientSpace):
         return float(np.abs(np.asarray(coords, dtype=complex)).sum())
 
     def pair_many(self, vecs, xps):
-        return xps @ vecs.T
+        return xps @ vecs.swapaxes(-1, -2)
 
     def norming_dual_many(self, ys):
         j = np.argmax(np.abs(ys), axis=1)
@@ -288,7 +295,7 @@ class MatOpSpace(CoefficientSpace):
         return float(np.linalg.svd(m, compute_uv=False).sum())
 
     def pair_many(self, vecs, xps):
-        return np.conj(xps) @ vecs.T  # tr(xp^H v) on flat coordinates
+        return np.conj(xps) @ vecs.swapaxes(-1, -2)  # tr(xp^H v) on flat coordinates
 
     def norming_dual_many(self, ys):
         u1, _, v1 = _top_singular_pairs(self._mats(ys))
@@ -342,7 +349,7 @@ class WeightedL1Space(CoefficientSpace):
         return float((np.abs(c) / self.weights).max())
 
     def pair_many(self, vecs, xps):
-        return xps @ vecs.T
+        return xps @ vecs.swapaxes(-1, -2)
 
     def norming_dual_many(self, ys):
         a = np.abs(ys)
@@ -504,41 +511,115 @@ def _unit_or_e1(x, y):
     return np.stack([np.where(ok, x / safe, 1.0), np.where(ok, y / safe, 0.0)], axis=1), length
 
 
-def _ascend(values, cap: float) -> float:
-    """Best value of an ascent, given as a generator of per-iteration values.
+def _ascend(ascent, caps) -> np.ndarray:
+    """Best values of a batch of ascents run side by side, one per row.
 
-    Stops after ``_STALL_PATIENCE`` iterations in a row without a gain above
-    ``ASCENT_TOL``, once the best reaches ``cap`` (a known upper bound), or
-    when the generator runs out at its iteration cap.  Each generator does its
-    update half-step after its ``yield``, so a stop skips that update.  Every
-    yielded value is a valid lower bound, so stopping early never breaks
-    soundness.
+    ``ascent`` is a generator that yields one value per active row for each
+    iteration; it is then sent the boolean mask of the rows that go on, keeps
+    only those and does their update half-step.  A row stops after
+    ``_STALL_PATIENCE`` iterations in a row without a gain above
+    ``ASCENT_TOL``, once its best reaches its entry of ``caps`` (a known upper
+    bound), or after ``ASCENT_ITERS`` iterations; a stopped row skips its
+    pending update, and every later norming step runs on the active rows
+    only.  Every yielded value is a valid lower bound, so stopping early never
+    breaks soundness.
     """
-    best = 0.0
-    stall = 0
-    for top in values:
-        stall = 0 if top > best + ASCENT_TOL else stall + 1
-        best = max(best, top)
-        if stall >= _STALL_PATIENCE or best >= cap - ASCENT_TOL:
+    caps = np.asarray(caps, dtype=float)
+    best = np.zeros(len(caps))
+    stall = np.zeros(len(caps), dtype=int)
+    active = np.arange(len(caps))
+    top = next(ascent)
+    for it in range(1, ASCENT_ITERS + 1):
+        gain = top > best[active] + ASCENT_TOL
+        stall[active] = np.where(gain, 0, stall[active] + 1)
+        best[active] = np.where(top > best[active], top, best[active])
+        go = (stall[active] < _STALL_PATIENCE) & (best[active] < caps[active] - ASCENT_TOL)
+        active = active[go]
+        if it == ASCENT_ITERS or not active.size:
             break
+        try:
+            top = ascent.send(go)
+        except StopIteration:
+            break
+    ascent.close()
     return best
 
 
+def _ascend_rows(ascent, caps, *rows) -> np.ndarray:
+    """``_ascend(ascent(*chunk), caps)`` over chunks of the row arrays ``rows``
+    (leading axis = rows), each chunk holding about ``_CHUNK_ENTRIES`` entries
+    of the ascent's [rows, restarts, ...] working arrays."""
+    per_row = ASCENT_RESTARTS * rows[-1][0].size
+    step = max(1, _CHUNK_ENTRIES // per_row)
+    return np.concatenate([
+        _ascend(ascent(*(r[i : i + step] for r in rows)), caps[i : i + step])
+        for i in range(0, len(caps), step)
+    ])
+
+
+def _norming(space, ys):
+    """``norming_dual_many`` of a [rows, restarts, dim] stack."""
+    return space.norming_dual_many(ys.reshape(-1, space.dim)).reshape(ys.shape)
+
+
 def _phase_ascent(space, weights, vecs):
-    """Values of sum_t w_t |<v_t, xp>| along an alternating ascent: freeze
-    per-atom phases and move xp to the norming functional of the
-    phase-aligned sum, then realign phases; monotone in each half-step."""
+    """Values of sum_t w_t |<v_t, xp>| along an alternating ascent, for
+    [B, T] weights and [B, T, dim] vectors: freeze per-atom phases and move
+    xp to the norming functional of the phase-aligned sum, then realign
+    phases; monotone in each half-step."""
     rng = np.random.default_rng(ASCENT_SEED)
-    T = len(weights)
+    T = weights.shape[1]
     eps = np.ones((ASCENT_RESTARTS, T), dtype=complex)
     eps[1:] = np.exp(2j * np.pi * rng.random((ASCENT_RESTARTS - 1, T)))
-    wv = weights[:, None] * vecs
-    for _ in range(ASCENT_ITERS):
-        xp = space.norming_dual_many(eps @ wv)
+    wv = weights[:, :, None] * vecs
+    while True:
+        xp = _norming(space, eps @ wv)
         p = space.pair_many(vecs, xp)
         ap = np.abs(p)
-        yield float((ap @ weights).max())
+        go = yield (ap @ weights[:, :, None])[:, :, 0].max(axis=1)
+        weights, vecs, wv, p, ap = weights[go], vecs[go], wv[go], p[go], ap[go]
         eps = np.where(ap > 0, np.conj(p) / np.maximum(ap, 1e-300), 1.0)
+
+
+def dual_ball_sups(space: CoefficientSpace, weights, vecs) -> list[NormEstimate]:
+    """``dual_ball_sup`` of each row: ``weights`` is [B, T] and ``vecs`` is
+    [B, T, space.dim].  Equal, row by row and bit for bit, to single calls:
+    each row drops its zero-weight atoms and rows with the same number of
+    kept atoms share one vectorised ascent."""
+    weights = np.asarray(weights, dtype=float)
+    vecs = np.asarray(vecs, dtype=complex)
+    if weights.ndim != 2 or vecs.shape != weights.shape + (space.dim,):
+        raise ValueError(
+            f"expected weights (B, T) and vecs (B, T, {space.dim}), "
+            f"got {weights.shape} and {vecs.shape}"
+        )
+    if np.any(weights < 0):
+        raise ValueError("atom weights must be nonnegative")
+    out = [None] * len(weights)
+    buckets = {}  # kept atom count -> (row, weights, vecs, upper) for each ascent row
+    for b, (w, v) in enumerate(zip(weights, vecs)):
+        keep = w > 0
+        w, v = w[keep], v[keep]
+        if len(w) == 0:
+            out[b] = NormEstimate.of_exact(0.0)
+            continue
+        closed = space.closed_dual_sup(w, v)
+        if closed is not None:
+            out[b] = NormEstimate.of_exact(closed)
+            continue
+        upper = float(w @ space.norm_many(v))
+        if len(w) == 1:
+            out[b] = NormEstimate.bracket(upper, upper)
+        else:
+            buckets.setdefault(len(w), []).append((b, w, v, upper))
+    for rows in buckets.values():
+        idx, ws, vs, uppers = zip(*rows)
+        lowers = _ascend_rows(
+            lambda w, v: _phase_ascent(space, w, v), uppers, np.stack(ws), np.stack(vs)
+        )
+        for b, lower, upper in zip(idx, lowers, uppers):
+            out[b] = NormEstimate.bracket(min(lower, upper), upper)
+    return out
 
 
 def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
@@ -549,50 +630,63 @@ def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
     and ``LinfSpace``.  Otherwise returns a bracket: the lower end from phase
     ascent (which starts at the all-aligned phase configuration, so it always
     dominates ||sum w_t v_t||), the upper end from the variation bound
-    sum_t w_t ||v_t||.
+    sum_t w_t ||v_t||.  ``dual_ball_sups`` evaluates many at once.
     """
-    weights = np.asarray(weights, dtype=float)
-    vecs = np.asarray(vecs, dtype=complex)
-    if weights.ndim != 1 or vecs.shape != (len(weights), space.dim):
-        raise ValueError(
-            f"expected weights (T,) and vecs (T, {space.dim}), got {weights.shape} and {vecs.shape}"
-        )
-    if np.any(weights < 0):
-        raise ValueError("atom weights must be nonnegative")
-    keep = weights > 0
-    weights, vecs = weights[keep], vecs[keep]
-    if len(weights) == 0:
-        return NormEstimate.of_exact(0.0)
-    closed = space.closed_dual_sup(weights, vecs)
-    if closed is not None:
-        return NormEstimate.of_exact(closed)
-    upper = float(weights @ space.norm_many(vecs))
-    if len(weights) == 1:
-        return NormEstimate.bracket(upper, upper)
-    lower = _ascend(_phase_ascent(space, weights, vecs), cap=upper)
-    return NormEstimate.bracket(min(lower, upper), upper)
+    return dual_ball_sups(space, np.asarray(weights, dtype=float)[None], np.asarray(vecs)[None])[0]
 
 
 def _lp_ascent(space, vecs, p):
     """Values of || t -> <v_t, xp> ||_{L^p(mean)} along an alternating ascent
     between the xp-ball and the L^{p'} ball of test densities
-    (Hoelder-optimal in each half-step)."""
+    (Hoelder-optimal in each half-step), for [B, T, dim] vectors."""
     rng = np.random.default_rng(ASCENT_SEED)
-    T = vecs.shape[0]
+    T = vecs.shape[1]
     beta = np.ones((ASCENT_RESTARTS, T), dtype=complex)
     shape = (ASCENT_RESTARTS - 1, T)
     beta[1:] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q = p / (p - 1.0)
     nrm = np.mean(np.abs(beta) ** q, axis=1) ** (1.0 / q)
     beta /= np.maximum(nrm, 1e-300)[:, None]
-    for _ in range(ASCENT_ITERS):
-        xp = space.norming_dual_many((beta @ vecs) / T)
+    while True:
+        xp = _norming(space, (beta @ vecs) / T)
         h = space.pair_many(vecs, xp)
         ah = np.abs(h)
-        val = np.mean(ah**p, axis=1) ** (1.0 / p)
-        yield float(val.max())
+        val = np.mean(ah**p, axis=2) ** (1.0 / p)
+        go = yield val.max(axis=1)
+        vecs, h, ah, val = vecs[go], h[go], ah[go], val[go]
         sgn = np.where(ah > 0, np.conj(h) / np.maximum(ah, 1e-300), 0.0)
-        beta = sgn * ah ** (p - 1.0) / np.maximum(val, 1e-300)[:, None] ** (p - 1.0)
+        beta = sgn * ah ** (p - 1.0) / np.maximum(val, 1e-300)[:, :, None] ** (p - 1.0)
+
+
+def lp_dual_sups(space: CoefficientSpace, vecs, p: float) -> list[NormEstimate]:
+    """``lp_dual_sup`` of each row of a [B, T, space.dim] stack, equal bit for
+    bit to single calls; the ascent rows run vectorised."""
+    vecs = np.asarray(vecs, dtype=complex)
+    if vecs.ndim != 3 or vecs.shape[2] != space.dim:
+        raise ValueError(f"expected vecs (B, T, {space.dim}), got {vecs.shape}")
+    B, T = vecs.shape[:2]
+    if T == 0:
+        return [NormEstimate.of_exact(0.0)] * B
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if np.isinf(p):
+        return [NormEstimate.of_exact(float(space.norm_many(v).max())) for v in vecs]
+    if p == 1:
+        return dual_ball_sups(space, np.full((B, T), 1.0 / T), vecs)
+    out = [None] * B
+    rows, uppers = [], []
+    for b, v in enumerate(vecs):
+        closed = space.closed_lp_sup(v, p)
+        if closed is not None:
+            out[b] = NormEstimate.of_exact(closed)
+        else:
+            rows.append(b)
+            uppers.append(float(np.mean(space.norm_many(v) ** p) ** (1.0 / p)))
+    if rows:
+        lowers = _ascend_rows(lambda v: _lp_ascent(space, v, p), uppers, vecs[rows])
+        for b, lower, upper in zip(rows, lowers, uppers):
+            out[b] = NormEstimate.bracket(min(lower, upper), upper)
+    return out
 
 
 def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEstimate:
@@ -601,38 +695,63 @@ def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEsti
 
     p = 1 reduces to ``dual_ball_sup`` with weights 1/T; p = inf is the exact
     max of ||v_t||.  The upper end for brackets is the L^p norm of t -> ||v_t||.
+    ``lp_dual_sups`` evaluates many at once.
     """
-    vecs = np.asarray(vecs, dtype=complex)
-    T = vecs.shape[0]
-    if T == 0:
-        return NormEstimate.of_exact(0.0)
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if np.isinf(p):
-        return NormEstimate.of_exact(float(space.norm_many(vecs).max()))
-    if p == 1:
-        return dual_ball_sup(space, np.full(T, 1.0 / T), vecs)
-    closed = space.closed_lp_sup(vecs, p)
-    if closed is not None:
-        return NormEstimate.of_exact(closed)
-    upper = float(np.mean(space.norm_many(vecs) ** p) ** (1.0 / p))
-    lower = _ascend(_lp_ascent(space, vecs, p), cap=upper)
-    return NormEstimate.bracket(min(lower, upper), upper)
+    return lp_dual_sups(space, np.asarray(vecs)[None], p)[0]
 
 
 def _amplified_ascent(space, entries):
     """Values of || [<x_ij, xp>] ||_op along an alternating ascent between
     the top singular pair of the paired matrix and the norming point of the
-    (u, v)-compressed entry vector."""
+    (u, v)-compressed entry vector, for a [B, n, n, dim] stack."""
     rng = np.random.default_rng(ASCENT_SEED)
-    n = entries.shape[0]
-    flat = entries.reshape(n * n, space.dim)
+    n = entries.shape[1]
     xp = space.sample_dual(rng, ASCENT_RESTARTS)
-    for _ in range(ASCENT_ITERS):
-        a = space.pair_many(flat, xp).reshape(ASCENT_RESTARTS, n, n)
+    while True:
+        flat = entries.reshape(len(entries), n * n, space.dim)
+        a = space.pair_many(flat, xp).reshape(-1, n, n)
         u1, s1, v1 = _top_singular_pairs(a)
-        yield float(s1.max())
-        xp = space.norming_dual_many(np.einsum("ri,rj,ijc->rc", np.conj(u1), v1, entries))
+        go = yield s1.reshape(len(entries), ASCENT_RESTARTS).max(axis=1)
+        entries = entries[go]
+        u1 = u1.reshape(-1, ASCENT_RESTARTS, n)[go]
+        v1 = v1.reshape(-1, ASCENT_RESTARTS, n)[go]
+        xp = _norming(space, np.einsum("bri,brj,bijc->brc", np.conj(u1), v1, entries))
+
+
+def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
+    """``amplified_norm`` of each n x n matrix over ``space`` in a
+    [B, n, n, space.dim] stack, equal bit for bit to single calls; the ascent
+    rows run vectorised."""
+    entries = np.asarray(entries, dtype=complex)
+    if entries.ndim != 4 or entries.shape[1] != entries.shape[2] or entries.shape[3] != space.dim:
+        raise ValueError(f"expected entries (B, n, n, {space.dim}), got {entries.shape}")
+    n = entries.shape[1]
+    if n == 1:
+        return [NormEstimate.of_exact(space.norm_of(e[0, 0])) for e in entries]
+    out = [None] * len(entries)
+    rows, uppers, floors = [], [], []
+    for b, e in enumerate(entries):
+        closed = space.closed_amplified(e)
+        if closed is not None:
+            out[b] = NormEstimate.of_exact(closed)
+            continue
+        max_entry = float(space.norm_many(e.reshape(n * n, space.dim)).max())
+        if max_entry == 0.0:
+            out[b] = NormEstimate.of_exact(0.0)
+            continue
+        upper = n * max_entry
+        majorant = space.amplified_majorant(e)
+        if majorant is not None:
+            upper = min(upper, majorant)
+        rows.append(b)
+        uppers.append(upper)
+        floors.append(max_entry)
+    if rows:
+        lowers = _ascend_rows(lambda e: _amplified_ascent(space, e), uppers, entries[rows])
+        for b, lower, upper, floor in zip(rows, lowers, uppers, floors):
+            lower = max(lower, floor)
+            out[b] = NormEstimate.bracket(min(lower, upper), upper)
+    return out
 
 
 def amplified_norm(m: MatrixOverX) -> NormEstimate:
@@ -645,26 +764,9 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
     min(n * max ||x_ij||, sum_c w_c ||A_c||_op), where A_c = [x_ij]_c is the
     c-th coordinate slice.  Ascent steps on 2 x 2 paired matrices take the
     top singular pair in closed form.  Level 1 always collapses to the
-    vector norm.
+    vector norm.  ``amplified_norms`` evaluates many at once.
     """
-    entries = m.entries
-    n = m.level
-    space = m.space
-    if n == 1:
-        return NormEstimate.of_exact(space.norm_of(entries[0, 0]))
-    closed = space.closed_amplified(entries)
-    if closed is not None:
-        return NormEstimate.of_exact(closed)
-    entry_norms = space.norm_many(entries.reshape(n * n, space.dim))
-    max_entry = float(entry_norms.max())
-    if max_entry == 0.0:
-        return NormEstimate.of_exact(0.0)
-    upper = n * max_entry
-    majorant = space.amplified_majorant(entries)
-    if majorant is not None:
-        upper = min(upper, majorant)
-    lower = max(_ascend(_amplified_ascent(space, entries), cap=upper), max_entry)
-    return NormEstimate.bracket(min(lower, upper), upper)
+    return amplified_norms(m.space, m.entries[None])[0]
 
 
 def matrix_pair(m: MatrixOverX, mp: MatrixOverX) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import vmfourier as vf
-from vmfourier import GroupMap, RunConfig
+from vmfourier import GroupMap, RunConfig, harness
 from vmfourier.harness import classify, grid_dual_sup
 
 
@@ -107,9 +107,23 @@ class TestRunSuite:
         rep = vf.run_suite("pairing-compat", cfg)
         assert rep.instances == 3
 
-    def test_calibration_skips_spaces_without_grid_oracle(self):
-        rep = vf.run_suite("calibration", vf.RunConfig(spaces=["weighted_l1:4"], trials=4))
-        assert (rep.instances, rep.skipped) == (0, 4)
+    def test_groups_built_once_per_process(self, monkeypatch):
+        built = []
+        build = harness.build_group
+        monkeypatch.setattr(harness, "build_group", lambda spec: built.append(spec) or build(spec))
+        harness.group_with_dual.cache_clear()
+        cfg = small_config(trials=2)
+        vf.run_suite("pairing-compat", cfg)
+        vf.run_suite("ft-conv-6", cfg)
+        assert built == cfg.groups
+        assert harness.group_with_dual("cyclic:2") is harness.group_with_dual("cyclic:2")
+
+    def test_calibration_samples_spaces_without_grid_oracle(self):
+        # outside the grid oracle the upper end is checked against sampled
+        # dual-ball points; an upper end scaled by 0.5 fails here
+        cfg = vf.RunConfig(spaces=["matop:3", "weighted_l1:4"], trials=40)
+        rep = vf.run_suite("calibration", cfg)
+        assert (rep.instances, rep.skipped, rep.violations) == (40, 0, 0)
         rep = vf.run_suite("calibration", vf.RunConfig(spaces=["linf:8"], trials=4))
         assert (rep.instances, rep.skipped, rep.violations) == (4, 0, 0)
 
@@ -250,6 +264,18 @@ class TestGridOracle:
         pts = vf.harness.grid_dual_points(s)
         for p in pts[:50]:
             assert s.dual_norm_of(p) <= 1 + 1e-9
+
+    @pytest.mark.parametrize("spec", ["matop:2", "weighted_l1:3"])
+    def test_sliced_grid_equals_one_pass(self, spec):
+        # the oracle walks the grid in slices; its value is the one-pass max
+        s = vf.space_from_spec(spec)
+        pts = vf.harness.grid_dual_points(s)
+        assert len(pts) > harness._POINT_SLICE
+        rng = np.random.default_rng(3)
+        weights = rng.uniform(0.1, 2.0, 4)
+        vecs = rng.standard_normal((4, s.dim)) + 1j * rng.standard_normal((4, s.dim))
+        one_pass = float((np.abs(s.pair_many(vecs, pts)) @ weights).max())
+        assert vf.harness.grid_dual_sup(s, weights, vecs) == one_pass
 
     def test_grid_value_below_exact(self, linf2):
         rng = np.random.default_rng(0)

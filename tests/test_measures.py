@@ -206,6 +206,36 @@ class TestInvarianceChecker:
         assert rep.max_discrepancy >= 1.0 - 1e-9
 
 
+    @staticmethod
+    def per_density_loop(nu, h, trials, seed):
+        """The checker as one semivariation call per density and side."""
+        rng = np.random.default_rng(seed)
+        n = nu.group.order
+        densities = [np.eye(n)[t] for t in range(n)]
+        densities += [rng.integers(0, 2, size=n).astype(float) for _ in range(min(trials, 4))]
+        densities += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(trials)]
+        gaps = []
+        for phi in densities:
+            a = vf.semivariation(vf.measure_from_density(nu, phi))
+            b = vf.semivariation(vf.measure_from_density(vf.pushforward(nu, h), phi))
+            gaps.append(max(0.0, a.lower - b.upper, b.lower - a.upper))
+        return vf.InvarianceReport(max(gaps) > 0, max(gaps), len(densities))
+
+    @pytest.mark.parametrize("space_spec", ["matop:2", "weighted_l1:2", "linf:2"])
+    def test_batched_equals_per_density_loop(self, space_spec):
+        # the invariance-5 fixtures (haar-like, trials=2) and a random measure
+        # whose translates are not all alike
+        space = vf.space_from_spec(space_spec)
+        for spec in ("cyclic:4", "symmetric:3"):
+            g = vf.build_group(spec)
+            maps = [GroupMap.translation(g, t) for t in range(g.order)] + [GroupMap.inversion(g)]
+            for kind in ("haar-like", "random-gaussian"):
+                nu = vf.generate_fixture(kind, g, space, seed=5)
+                for h in maps:
+                    rep = vf.check_semivariation_invariance(nu, h, trials=2, seed=0)
+                    assert rep == self.per_density_loop(nu, h, 2, 0)
+
+
 class TestDensitiesAndIntegrals:
     def test_density_one_is_identity(self, F3):
         out = vf.measure_from_density(F3, np.ones(2))

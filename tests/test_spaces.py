@@ -18,8 +18,20 @@ from vmfourier import (
     norm,
     pair,
 )
+from vmfourier import spaces
 from vmfourier.harness import grid_dual_points, grid_dual_sup
-from vmfourier.spaces import ASCENT_TOL, _ascend, _top_singular_pairs
+from vmfourier.spaces import (
+    ASCENT_ITERS,
+    ASCENT_RESTARTS,
+    ASCENT_TOL,
+    _ascend,
+    _top_singular_pairs,
+    amplified_norms,
+    dual_ball_sups,
+    lp_dual_sup,
+    lp_dual_sups,
+    space_from_spec,
+)
 
 SPACES = [ScalarSpace(), LinfSpace(2), MatOpSpace(2), WeightedL1Space.uniform(2)]
 
@@ -386,29 +398,135 @@ class TestNormEstimate:
         assert m.lower == 1.0 and m.upper == 2.0 and not m.exact
 
 
-def scripted(values, updates):
-    """An ascent that yields ``values`` in turn and logs each update half-step."""
-    for i, v in enumerate(values):
-        yield v
-        updates.append(i)
+def scripted(table, updates):
+    """A batched ascent whose row r yields ``table[r][k]`` at iteration k while
+    it is active; logs each update half-step as (row, k)."""
+    table = np.asarray(table, dtype=float)
+    rows = np.arange(len(table))
+    for k in range(table.shape[1]):
+        go = yield table[rows, k]
+        rows = rows[go]
+        updates.extend((int(r), k) for r in rows)
 
 
 class TestAscend:
     def test_stops_after_three_steps_without_gain(self):
         updates = []
         values = [1.0, 2.0, 2.0 + 0.5 * ASCENT_TOL, 2.0, 1.5, 9.0]
-        assert _ascend(scripted(values, updates), cap=np.inf) == 2.0 + 0.5 * ASCENT_TOL
-        assert updates == [0, 1, 2, 3]
+        assert _ascend(scripted([values], updates), [np.inf]) == [2.0 + 0.5 * ASCENT_TOL]
+        assert updates == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
     def test_stops_at_cap(self):
         updates = []
-        assert _ascend(scripted([1.0, 3.0 - 0.5 * ASCENT_TOL, 4.0], updates), cap=3.0) == (
-            3.0 - 0.5 * ASCENT_TOL
-        )
-        assert updates == [0]
+        best = _ascend(scripted([[1.0, 3.0 - 0.5 * ASCENT_TOL, 4.0]], updates), [3.0])
+        assert best == [3.0 - 0.5 * ASCENT_TOL]
+        assert updates == [(0, 0)]
 
     def test_runs_out_at_iteration_cap(self):
-        # the last update still runs, as in a loop that ends at its cap
+        # a generator that ends does its last update; a row that reaches
+        # ASCENT_ITERS stops before its pending update
         updates = []
-        assert _ascend(scripted([1.0, 2.0, 3.0], updates), cap=np.inf) == 3.0
-        assert updates == [0, 1, 2]
+        assert _ascend(scripted([[1.0, 2.0, 3.0]], updates), [np.inf]) == [3.0]
+        assert updates == [(0, 0), (0, 1), (0, 2)]
+        updates = []
+        rising = np.arange(1.0, ASCENT_ITERS + 6)
+        assert _ascend(scripted([rising], updates), [np.inf]) == [float(ASCENT_ITERS)]
+        assert updates == [(0, k) for k in range(ASCENT_ITERS - 1)]
+
+    def test_rows_stop_independently(self):
+        # row 0 stalls after iteration 3, row 1 reaches its cap at iteration 1,
+        # row 2 rises until ASCENT_ITERS; each row sees only its own values
+        width = ASCENT_ITERS + 2
+        stalled = [1.0, 2.0, 2.0, 2.0, 2.0] + [50.0] * (width - 5)
+        capped = [1.0, 5.0] + [60.0] * (width - 2)
+        rising = np.arange(1.0, width + 1)
+        updates = []
+        best = _ascend(scripted([stalled, capped, rising], updates), [np.inf, 5.0, np.inf])
+        assert list(best) == [2.0, 5.0, float(ASCENT_ITERS)]
+        per_row = [[k for r, k in updates if r == row] for row in range(3)]
+        assert per_row == [[0, 1, 2, 3], [0], list(range(ASCENT_ITERS - 1))]
+
+
+BATCH_SPECS = ["scalar", "linf:2", "matop:2", "matop:3", "weighted_l1:2", "weighted_l1:4"]
+
+
+def bits(est):
+    return (est.lower.hex(), est.upper.hex(), est.exact)
+
+
+def scaled_rows(rng, space, B, *shape):
+    """B random stacks of the given shape, row b scaled by 10**u, u in [-3, 3]."""
+    scales = 10.0 ** rng.uniform(-3, 3, B)
+    return scales.reshape((B,) + (1,) * (len(shape) + 1)) * cplx(rng, B, *shape, space.dim)
+
+
+def record_norming(monkeypatch, space):
+    """Row counts of every norming step the space takes from now on."""
+    sizes = []
+    method = type(space).norming_dual_many
+
+    def counted(self, ys):
+        sizes.append(len(ys))
+        return method(self, ys)
+
+    monkeypatch.setattr(type(space), "norming_dual_many", counted)
+    return sizes
+
+
+class TestBatched:
+    """The batched estimators against a Python loop of single calls, bit for bit."""
+
+    @pytest.mark.parametrize("spec", BATCH_SPECS)
+    def test_dual_ball_sups_equal_single_calls(self, spec, monkeypatch):
+        space = space_from_spec(spec)
+        rng = np.random.default_rng(11)
+        B, T = 56, 12
+        vecs = scaled_rows(rng, space, B, T)
+        weights = rng.uniform(0.1, 2.0, (B, T))
+        weights[0] = 0  # all-zero row
+        weights[1, 1:] = 0  # one kept atom
+        for b in range(2, 8):  # mixed kept atom counts
+            weights[b, rng.random(T) < 0.4] = 0
+        sizes = record_norming(monkeypatch, space)
+        batched = dual_ball_sups(space, weights, vecs)
+        singles = [dual_ball_sup(space, w, v) for w, v in zip(weights, vecs)]
+        assert [bits(e) for e in batched] == [bits(e) for e in singles]
+        assert batched[0].exact and batched[0].upper == 0.0
+        if not space.exact_dual_sup:
+            # the full-T bucket spans more than one chunk, and its rows leave
+            # the active set at different iterations
+            assert B - 8 > spaces._CHUNK_ENTRIES // (ASCENT_RESTARTS * T * space.dim)
+            assert len(set(sizes)) > 3
+
+    @pytest.mark.parametrize("spec", BATCH_SPECS)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    def test_lp_dual_sups_equal_single_calls(self, spec, p):
+        space = space_from_spec(spec)
+        rng = np.random.default_rng(12)
+        for T in (1, 7):
+            vecs = scaled_rows(rng, space, 30, T)
+            vecs[0] = 0
+            batched = lp_dual_sups(space, vecs, p)
+            singles = [lp_dual_sup(space, v, p) for v in vecs]
+            assert [bits(e) for e in batched] == [bits(e) for e in singles]
+
+    @pytest.mark.parametrize("spec", BATCH_SPECS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_amplified_norms_equal_single_calls(self, spec, n):
+        space = space_from_spec(spec)
+        rng = np.random.default_rng(13)
+        entries = scaled_rows(rng, space, 40, n, n)
+        entries[0] = 0
+        entries[1:5, :, :, 1:] = 0  # a single nonzero coordinate slice
+        batched = amplified_norms(space, entries)
+        singles = [amplified_norm(MatrixOverX(space, e)) for e in entries]
+        assert [bits(e) for e in batched] == [bits(e) for e in singles]
+
+    def test_batched_shapes_rejected(self):
+        s = MatOpSpace(2)
+        with pytest.raises(ValueError):
+            dual_ball_sups(s, np.ones(3), np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            lp_dual_sups(s, np.zeros((3, 4)), 2.0)
+        with pytest.raises(ValueError):
+            amplified_norms(s, np.zeros((3, 2, 3, 4)))
