@@ -225,7 +225,9 @@ def generate_fixture(
     construction, with nu(G) = x0 != 0.  ``translation-invariant``: the same
     construction with a random direction x0.  ``point-mass``: x0 at the
     identity.  ``random-gaussian``: independent complex Gaussian atoms,
-    rescaled so the semivariation bracket midpoint is 1.
+    divided by their variation |nu|(G) = sum_t ||x_t||, which is exact and
+    dominates the semivariation, so |nu|(G) = 1 and ||nu||(G) <= 1 without
+    running an estimator (all-zero atoms are left as they are).
     """
     rng = np.random.default_rng(seed)
     n = group.order
@@ -244,25 +246,10 @@ def generate_fixture(
         atoms[group.identity] = x0
         return VectorMeasure(group, space, atoms)
     if kind == "random-gaussian":
-        return _random_gaussian_fixtures(group, space, [seed])[0]
+        atoms = rng.standard_normal((n, space.dim)) + 1j * rng.standard_normal((n, space.dim))
+        total = float(space.norm_many(atoms).sum())
+        return VectorMeasure(group, space, atoms / total if total > 0 else atoms)
     raise ValueError(f"unknown fixture kind {kind!r}")
-
-
-def _random_gaussian_fixtures(
-    group: FiniteGroup, space: CoefficientSpace, seeds: list[int]
-) -> list[VectorMeasure]:
-    """``generate_fixture("random-gaussian", group, space, seed)`` for each
-    seed, with the rescaling semivariations taken in one batched call."""
-    n = group.order
-    atoms = np.zeros((len(seeds), n, space.dim), dtype=complex)
-    for b, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        atoms[b] = rng.standard_normal((n, space.dim)) + 1j * rng.standard_normal((n, space.dim))
-    semis = dual_ball_sups(space, np.ones((len(seeds), n)), atoms)
-    return [
-        VectorMeasure(group, space, a / est.midpoint if est.midpoint > 0 else a)
-        for a, est in zip(atoms, semis)
-    ]
 
 
 def _random_function(group: FiniteGroup, rng) -> ScalarFunction:
@@ -457,13 +444,13 @@ def _suite_ft_norm_bounds(ctx: _Ctx, trials: int) -> _Tally:
             idx = range(k, trials, ng)
             if not idx:
                 continue
-            seeds, fs, xps = [], [], []
+            nus, fs, xps = [], [], []
             for i in idx:
                 rng = _instance_rng(ctx.cfg.seed, f"ft-norm-bounds:{space.label}", i)
-                seeds.append(int(rng.integers(2**32)))
+                seed = int(rng.integers(2**32))
+                nus.append(generate_fixture("random-gaussian", g, space, seed=seed))
                 fs.append(_random_function(g, rng))
                 xps.append(_random_dual(space, rng))
-            nus = _random_gaussian_fixtures(g, space, seeds)
             atoms = np.array([nu.atoms for nu in nus])
             # lp_nu_norm(f, nu, 1) and semivariation(nu)
             f_nu_1s = dual_ball_sups(space, np.abs([f.values for f in fs]) ** 1.0, atoms)

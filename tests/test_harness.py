@@ -40,9 +40,29 @@ class TestFixtures:
         c = vf.generate_fixture("random-gaussian", s3, linf2, seed=43)
         assert not np.allclose(a.atoms, c.atoms)
 
-    def test_random_gaussian_normalized(self, s3, linf2):
-        nu = vf.generate_fixture("random-gaussian", s3, linf2, seed=4)
-        assert vf.semivariation(nu).midpoint == pytest.approx(1.0, rel=1e-6)
+    @pytest.mark.parametrize("spec", ["scalar", "linf:2", "matop:2", "weighted_l1:2"])
+    def test_random_gaussian_unit_variation(self, s3, spec):
+        nu = vf.generate_fixture("random-gaussian", s3, vf.space_from_spec(spec), seed=4)
+        assert vf.variation(nu) == pytest.approx(1.0, rel=0, abs=1e-12)
+        # the variation dominates the semivariation
+        assert vf.semivariation(nu).upper <= 1 + 1e-12
+
+    def test_random_gaussian_runs_no_estimator(self, s3, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("fixture ran an estimator")
+
+        monkeypatch.setattr(vf.spaces, "_ascend", boom)
+        for spec in ("matop:2", "weighted_l1:2"):
+            space = vf.space_from_spec(spec)
+            monkeypatch.setattr(type(space), "norming_dual_many", boom)
+            for kind in ("haar-like", "translation-invariant", "point-mass", "random-gaussian"):
+                vf.generate_fixture(kind, s3, space, seed=9)
+            nu = vf.generate_fixture("random-gaussian", s3, space, seed=9)
+            rng = np.random.default_rng(9)
+            atoms = rng.standard_normal((s3.order, space.dim)) + 1j * rng.standard_normal(
+                (s3.order, space.dim)
+            )
+            assert np.array_equal(nu.atoms, atoms / space.norm_many(atoms).sum())
 
     def test_translation_invariant_passes_checker(self, s3, linf2):
         nu = vf.generate_fixture("translation-invariant", s3, linf2, seed=5)
