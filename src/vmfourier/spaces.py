@@ -38,6 +38,9 @@ _STALL_PATIENCE = 3
 # batched ascents run in row chunks of about this many entries per working
 # array ([rows, restarts, T, dim]), which bounds their memory
 _CHUNK_ENTRIES = 1 << 16
+# 3 x 3 top singular pairs whose top two eigenvalues of M^H M are closer than
+# this (relative) go to LAPACK: there the trigonometric formula loses digits
+_TRIG_MIN_GAP = 1e-4
 
 __all__ = [
     "NormEstimate",
@@ -474,18 +477,39 @@ def _top_singular_pairs(mats: np.ndarray):
     """Top singular triples (u1, s1, v1) of an [R, n, n] stack, with
     ``mats[r] @ v1[r] = s1[r] * u1[r]`` and unit u1, v1.
 
-    For n = 2, v1 is the top eigenvector of the Hermitian M^H M in closed form
-    and s1 = ||M v1||: the value an explicit unit pair attains, so an ascent
-    built on it stays a lower bound however accurate v1 is.  Each matrix is
-    first scaled by its largest modulus so that squaring cannot overflow or
-    underflow.  A zero matrix, or one with two equal singular values, gets
-    v1 = e_1.  Other sizes go to LAPACK.
+    For n = 2 and n = 3, v1 is the top eigenvector of the Hermitian M^H M in
+    closed form and s1 = ||M v1||: the value an explicit unit pair attains, so
+    an ascent built on it stays a lower bound however accurate v1 is.  Each
+    matrix is first scaled by its largest modulus so that squaring cannot
+    overflow or underflow.  For n = 2 a zero matrix, or one with two equal
+    singular values, gets v1 = e_1.  For n = 3, matrices whose top two
+    eigenvalues of M^H M lie within a relative ``_TRIG_MIN_GAP`` (zero and
+    unitary-like ones among them), where the trigonometric formula loses
+    accuracy, go to LAPACK, as do all other sizes.
     """
-    if mats.shape[1:] != (2, 2):
-        u, s, vh = np.linalg.svd(mats)
-        return u[:, :, 0], s[:, 0], np.conj(vh[:, 0, :])
+    n = mats.shape[1]
+    if n not in (2, 3):
+        return _lapack_top_pairs(mats)
     scale = np.abs(mats).max(axis=(1, 2))
     m = mats / np.where(scale > 0, scale, 1.0)[:, None, None]
+    if n == 2:
+        v = _top_eigvec2(m)
+    else:
+        v, close = _top_eigvec3(m)
+    u, norm_mv = _unit_or_e1((m @ v[:, :, None])[:, :, 0])
+    s = scale * norm_mv
+    if n == 3 and close.any():
+        u[close], s[close], v[close] = _lapack_top_pairs(mats[close])
+    return u, s, v
+
+
+def _lapack_top_pairs(mats):
+    u, s, vh = np.linalg.svd(mats)
+    return u[:, :, 0], s[:, 0], np.conj(vh[:, 0, :])
+
+
+def _top_eigvec2(m):
+    """Unit top eigenvector of M^H M for a scaled [R, 2, 2] stack."""
     m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     # M^H M = [[a, c], [conj(c), b]]; its top eigenvalue is (a + b) / 2 + r
     a = (m00 * m00.conj() + m10 * m10.conj()).real
@@ -497,18 +521,68 @@ def _top_singular_pairs(mats: np.ndarray):
     first = half >= 0
     x = np.where(first, r + half, c)
     y = np.where(first, c.conj(), r - half)
-    v, _ = _unit_or_e1(x, y)
-    u, norm_mv = _unit_or_e1(m00 * v[:, 0] + m01 * v[:, 1], m10 * v[:, 0] + m11 * v[:, 1])
-    return u, scale * norm_mv, v
+    return _unit_or_e1(np.stack([x, y], axis=1))[0]
 
 
-def _unit_or_e1(x, y):
-    """Rows (x, y) scaled to unit length (e_1 where a row is zero), and their
-    lengths."""
-    length = np.sqrt((x * x.conj() + y * y.conj()).real)
+def _top_eigvec3(m):
+    """Unit top eigenvectors of M^H M for a scaled [R, 3, 3] stack, and the
+    mask of rows whose top two eigenvalues lie within a relative
+    ``_TRIG_MIN_GAP``.
+
+    The top eigenvalue comes from the trigonometric formula for the roots of
+    the characteristic cubic (Smith 1961, CACM 4), the eigenvector from the
+    largest cross product of two rows of M^H M - lambda_1 I, which span its
+    orthogonal complement when lambda_1 is simple.  The work is done on
+    [R] component arrays, which keeps the temporaries small.
+    """
+    def gram(i, j):  # (M^H M)_ij
+        return sum(m[:, k, i].conj() * m[:, k, j] for k in range(3))
+
+    h00, h11, h22 = (gram(i, i).real for i in range(3))
+    h01, h02, h12 = gram(0, 1), gram(0, 2), gram(1, 2)
+    q = (h00 + h11 + h22) / 3
+    d0, d1, d2 = h00 - q, h11 - q, h22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2 * (_abs2(h01) + _abs2(h02) + _abs2(h12))) / 6)
+    # B = (M^H M - qI) / p has its eigenvalues at 2 cos(phi + 2 pi k / 3)
+    ps = np.where(p > 0, p, 1.0)
+    b00, b11, b22, b01, b02, b12 = d0 / ps, d1 / ps, d2 / ps, h01 / ps, h02 / ps, h12 / ps
+    det = (b00 * b11 * b22 + 2 * (b01 * b12 * b02.conj()).real
+           - b00 * _abs2(b12) - b11 * _abs2(b02) - b22 * _abs2(b01))
+    phi = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3
+    lam = q + 2 * p * np.cos(phi)
+    # lambda_1 - lambda_2 = 2 sqrt(3) p sin(pi / 3 - phi)
+    close = 2 * np.sqrt(3) * p * np.sin(np.pi / 3 - phi) <= _TRIG_MIN_GAP * lam
+    rows = (
+        (h00 - lam, h01, h02),
+        (h01.conj(), h11 - lam, h12),
+        (h02.conj(), h12.conj(), h22 - lam),
+    )
+    best = best_norm = None
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        (x0, x1, x2), (y0, y1, y2) = rows[i], rows[j]
+        cross = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+        norm = _abs2(cross[0]) + _abs2(cross[1]) + _abs2(cross[2])
+        if best is None:
+            best, best_norm = cross, norm
+            continue
+        larger = norm > best_norm
+        best = tuple(np.where(larger, c, b) for c, b in zip(cross, best))
+        best_norm = np.where(larger, norm, best_norm)
+    return _unit_or_e1(np.stack(best, axis=1))[0], close
+
+
+def _abs2(z):
+    return (z * z.conj()).real
+
+
+def _unit_or_e1(x):
+    """Rows of an [R, n] array scaled to unit length (e_1 where a row is
+    zero), and their lengths."""
+    length = np.sqrt(_abs2(x).sum(axis=1))
     ok = length > 0
-    safe = np.where(ok, length, 1.0)
-    return np.stack([np.where(ok, x / safe, 1.0), np.where(ok, y / safe, 0.0)], axis=1), length
+    e1 = np.zeros_like(x)
+    e1[:, 0] = 1.0
+    return np.where(ok[:, None], x / np.where(ok, length, 1.0)[:, None], e1), length
 
 
 def _ascend(ascent, caps) -> np.ndarray:

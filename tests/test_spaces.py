@@ -300,44 +300,82 @@ class TestAmplified:
         assert est.lower == pytest.approx(exact, rel=1e-9)
 
 
-def two_by_two_stacks():
+def singular_stacks(n):
     rng = np.random.default_rng(7)
-    base = cplx(rng, 20, 2, 2)
+    base = cplx(rng, 20, n, n)
     stacks = {
-        "random": cplx(rng, 50, 2, 2),
-        "rank-one": cplx(rng, 20, 2, 1) * cplx(rng, 20, 1, 2),
-        "zero": np.zeros((3, 2, 2), dtype=complex),
+        "random": cplx(rng, 50, n, n),
+        "rank-one": cplx(rng, 20, n, 1) * cplx(rng, 20, 1, n),
+        "zero": np.zeros((3, n, n), dtype=complex),
         # equal singular values: every unit vector is a top singular vector
-        "unitary-multiple": np.linalg.qr(cplx(rng, 20, 2, 2))[0] * cplx(rng, 20, 1, 1),
+        "unitary-multiple": np.linalg.qr(cplx(rng, 20, n, n))[0] * cplx(rng, 20, 1, 1),
     }
     # 1e+-170 squared leaves the double range: only the per-matrix scaling saves them
     for scale in (1e-170, 1e-150, 1e150, 1e170):
         stacks[f"scaled-{scale:g}"] = scale * base
+    if n == 3:
+        stacks["identity"] = np.tile(np.eye(3, dtype=complex), (3, 1, 1))
+        stacks["diag-1-1-0.5"] = np.tile(np.diag([1, 1, 0.5]).astype(complex), (3, 1, 1))
+        # distinct values, where two of the three row cross products vanish
+        stacks["diag-0.5-1-0.25"] = np.tile(np.diag([0.5, 1, 0.25]).astype(complex), (3, 1, 1))
+        # a top singular value repeated, split within the LAPACK band, and split outside it
+        u = np.linalg.qr(cplx(rng, 20, 3, 3))[0]
+        wh = np.conj(np.linalg.qr(cplx(rng, 20, 3, 3))[0].swapaxes(1, 2))
+        for gap in (0.0, 1e-7, 1e-3):
+            stacks[f"rotated-diag-gap-{gap:g}"] = u @ (np.array([1, 1 - gap, 0.5])[:, None] * wh)
     return stacks
 
 
+def assert_top_pairs_match_lapack(mats):
+    u1, s1, v1 = _top_singular_pairs(mats)
+    lapack = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    assert np.allclose(s1, lapack, rtol=1e-12, atol=0)
+    assert np.allclose(np.linalg.norm(u1, axis=1), 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(np.linalg.norm(v1, axis=1), 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(np.einsum("rij,rj->ri", mats, v1), s1[:, None] * u1,
+                       rtol=0, atol=1e-13 * lapack.max())
+    attained = np.abs(np.einsum("ri,rij,rj->r", np.conj(u1), mats, v1))
+    assert np.allclose(attained, s1, rtol=1e-12, atol=0)
+
+
 class TestTopSingularPairs:
-    @pytest.mark.parametrize("kind", sorted(two_by_two_stacks()))
+    @pytest.mark.parametrize("kind", sorted(singular_stacks(2)))
     def test_closed_form_matches_lapack(self, kind):
-        mats = two_by_two_stacks()[kind]
-        u1, s1, v1 = _top_singular_pairs(mats)
-        lapack = np.linalg.svd(mats, compute_uv=False)[:, 0]
-        assert np.allclose(s1, lapack, rtol=1e-12, atol=0)
-        assert np.allclose(np.linalg.norm(u1, axis=1), 1.0, rtol=0, atol=1e-14)
-        assert np.allclose(np.linalg.norm(v1, axis=1), 1.0, rtol=0, atol=1e-14)
-        attained = np.abs(np.einsum("ri,rij,rj->r", np.conj(u1), mats, v1))
-        assert np.allclose(attained, s1, rtol=1e-12, atol=0)
+        assert_top_pairs_match_lapack(singular_stacks(2)[kind])
+
+    @pytest.mark.parametrize("kind", sorted(singular_stacks(3)))
+    def test_closed_form_3x3_matches_lapack(self, kind):
+        assert_top_pairs_match_lapack(singular_stacks(3)[kind])
+
+    def test_3x3_closed_form_serves_separated_values(self):
+        # only a near-repeated top singular value falls back to LAPACK
+        stacks = singular_stacks(3)
+        for kind, expect in (("random", False), ("rank-one", False),
+                             ("rotated-diag-gap-0.001", False), ("rotated-diag-gap-1e-07", True)):
+            m = stacks[kind]
+            _, close = spaces._top_eigvec3(m)
+            assert np.all(close == expect), kind
 
     def test_matop2_norming_rows_pair_to_norm(self):
-        s = MatOpSpace(2)
         ys = cplx(np.random.default_rng(8), 40, 4)
         ys[::7] = 0
         ys[3] = [2, 0, 0, 2j]  # equal singular values
-        xps = s.norming_dual_many(ys)
-        trace_norms = np.linalg.svd(xps.reshape(-1, 2, 2), compute_uv=False).sum(axis=1)
-        assert np.all(trace_norms <= 1 + 1e-12)
-        paired = np.diag(s.pair_many(ys, xps))
-        assert np.allclose(paired, s.norm_many(ys), rtol=1e-12, atol=0)
+        assert_norming_rows_pair_to_norm(MatOpSpace(2), ys)
+
+    def test_matop3_norming_rows_pair_to_norm(self):
+        ys = cplx(np.random.default_rng(8), 40, 9)
+        ys[::7] = 0
+        ys[3] = 2j * np.eye(3).ravel()  # equal singular values
+        ys[5] = np.diag([2, 2j, 0.5]).ravel()  # a repeated top singular value
+        assert_norming_rows_pair_to_norm(MatOpSpace(3), ys)
+
+
+def assert_norming_rows_pair_to_norm(s, ys):
+    xps = s.norming_dual_many(ys)
+    trace_norms = np.linalg.svd(xps.reshape(-1, s.d, s.d), compute_uv=False).sum(axis=1)
+    assert np.all(trace_norms <= 1 + 1e-12)
+    paired = np.diag(s.pair_many(ys, xps))
+    assert np.allclose(paired, s.norm_many(ys), rtol=1e-12, atol=0)
 
 
 class TestMatrixPair:
