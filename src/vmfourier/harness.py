@@ -546,146 +546,101 @@ def _amplified_measure_semivariation(g, space, nus, n) -> NormEstimate:
     return NormEstimate.bracket(min(lower, upper), upper)
 
 
-def _identity_fixture(ctx: _Ctx, suite: str, i: int):
-    g, dual = ctx.groups[i % len(ctx.groups)]
-    space = ctx.spaces[(i // len(ctx.groups)) % len(ctx.spaces)]
-    rng = _instance_rng(ctx.cfg.seed, suite, i)
-    nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
-    return g, dual, space, rng, nu
-
-
-def _suite_pairing_compat(ctx: _Ctx, trials: int) -> _Tally:
+def _identity_suite(name: str, residual, ctx: _Ctx, trials: int) -> _Tally:
+    """An exact identity checked on random-gaussian measures: instance i draws
+    its measure on its (group, space) and ``residual(nu, dual, rng, fault)``
+    draws the rest of the instance and returns the identity's residual."""
     tally = _Tally()
     for i in range(trials):
-        g, dual, space, rng, nu = _identity_fixture(ctx, "pairing-compat", i)
-        f = _random_function(g, rng)
-        xp = _random_dual(space, rng)
-        vec = ft_vector(f, nu, dual)
-        weak = ft_weak(f, nu, xp, dual)
-        xpm = _xp_as_level1(xp)
-        resid = max(
-            float(np.abs(matrix_pair(vec.blocks[r], xpm) - weak.blocks[r]).max())
-            for r in range(len(dual.irreps))
-        )
+        g, dual = ctx.groups[i % len(ctx.groups)]
+        space = ctx.spaces[(i // len(ctx.groups)) % len(ctx.spaces)]
+        rng = _instance_rng(ctx.cfg.seed, name, i)
+        nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
+        resid = residual(nu, dual, rng, ctx.fault)
         tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
     return tally
 
 
-def _suite_density_transform(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
-    for i in range(trials):
-        g, dual, space, rng, nu = _identity_fixture(ctx, "density-transform", i)
-        f = _random_function(g, rng)
-        lhs = ft_vector(f, nu, dual)
-        rhs = ft_measure(measure_from_density(nu, f.values), dual)
-        resid = lhs.max_abs_diff(rhs)
-        xp = _random_dual(space, rng)
-        weak = ft_weak(f, nu, xp, dual)
-        xpm = _xp_as_level1(xp)
-        resid = max(
-            resid,
-            max(
-                float(np.abs(matrix_pair(rhs.blocks[r], xpm) - weak.blocks[r]).max())
-                for r in range(len(dual.irreps))
-            ),
-        )
-        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
-    return tally
+def _weak_block_gap(hat, weak, xp: XVector) -> float:
+    """Largest entry of <hat, xp> - weak over the irrep blocks."""
+    xpm = _xp_as_level1(xp)
+    return max(
+        float(np.abs(matrix_pair(b, xpm) - w).max()) for b, w in zip(hat.blocks, weak.blocks)
+    )
 
 
-def _suite_scalarization(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
-    for i in range(trials):
-        g, dual, space, rng, nu = _identity_fixture(ctx, "scalarization", i)
-        f, h = _random_function(g, rng), _random_function(g, rng)
-        xp = _random_dual(space, rng)
-        vec = conv_vector(f, h, nu)
-        weak = conv_weak(f, h, nu, xp)
-        paired = space.pair_many(vec.values, xp.coords[None, :])[0]
-        resid = float(np.abs(paired - weak.values).max())
-        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
-    return tally
+def _pairing_residual(nu, dual, rng, fault) -> float:
+    f = _random_function(nu.group, rng)
+    xp = _random_dual(nu.space, rng)
+    return _weak_block_gap(ft_vector(f, nu, dual), ft_weak(f, nu, xp, dual), xp)
 
 
-def _ft_conv6_residual(f, g_fn, nu, xp, dual, *, dpi_power=1, def41_inv_dpi=True) -> float:
+def _density_residual(nu, dual, rng, fault) -> float:
+    f = _random_function(nu.group, rng)
+    lhs = ft_vector(f, nu, dual)
+    rhs = ft_measure(measure_from_density(nu, f.values), dual)
+    xp = _random_dual(nu.space, rng)
+    return max(lhs.max_abs_diff(rhs), _weak_block_gap(rhs, ft_weak(f, nu, xp, dual), xp))
+
+
+def _scalarization_residual(nu, dual, rng, fault) -> float:
+    f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
+    xp = _random_dual(nu.space, rng)
+    vec = conv_vector(f, h, nu)
+    paired = nu.space.pair_many(vec.values, xp.coords[None, :])[0]
+    return float(np.abs(paired - conv_weak(f, h, nu, xp).values).max())
+
+
+def _ft_conv6_residual(f, g_fn, nu, xp, dual, fault=None) -> float:
     lhs = ft_classical(conv_weak(f, g_fn, nu, xp), dual)
-    ghat = _ft_vector_blocks(g_fn.values, nu, dual, inv_block_dim=def41_inv_dpi)
+    ghat = _ft_vector_blocks(g_fn.values, nu, dual, inv_block_dim=fault != "drop-inv-dpi-def41")
     fhat = ft_classical(f, dual)
     xpm = _xp_as_level1(xp)
     resid = 0.0
     for r, p in enumerate(dual.irreps):
         prod = mox_matmul(ghat[r], fhat.blocks[r])
-        rhs = (p.dim**dpi_power) * matrix_pair(prod, xpm)
+        rhs = (1 if fault == "drop-dpi-conv6" else p.dim) * matrix_pair(prod, xpm)
         resid = max(resid, float(np.abs(lhs.blocks[r] - rhs).max()))
     return resid
 
 
-def _suite_ft_conv6(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
-    dpi_power = 0 if ctx.fault == "drop-dpi-conv6" else 1
-    inv_dpi = ctx.fault != "drop-inv-dpi-def41"
-    for i in range(trials):
-        g, dual, space, rng, nu = _identity_fixture(ctx, "ft-conv-6", i)
-        f, h = _random_function(g, rng), _random_function(g, rng)
-        xp = _random_dual(space, rng)
-        resid = _ft_conv6_residual(
-            f, h, nu, xp, dual, dpi_power=dpi_power, def41_inv_dpi=inv_dpi
-        )
-        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
-    return tally
+def _ft_conv6_instance(nu, dual, rng, fault) -> float:
+    f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
+    return _ft_conv6_residual(f, h, nu, _random_dual(nu.space, rng), dual, fault)
 
 
-def _ft_conv8_residual(mu, nu, dual, *, dpi_power=1) -> float:
+def _ft_conv8_residual(mu, nu, dual, fault=None) -> float:
     lhs = ft_measure(conv_measure_sv(mu, nu), dual)
     nuhat = ft_measure(nu, dual)
     muhat = ft_measure(mu, dual)
     resid = 0.0
     for r, p in enumerate(dual.irreps):
         mu_block = muhat.blocks[r].entries[:, :, 0]
-        rhs = mox_matmul(nuhat.blocks[r], (p.dim**dpi_power) * mu_block)
+        rhs = mox_matmul(nuhat.blocks[r], (1 if fault == "drop-dpi-conv8" else p.dim) * mu_block)
         resid = max(resid, float(np.abs(lhs.blocks[r].entries - rhs.entries).max()))
     return resid
 
 
-def _suite_ft_conv8(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
-    dpi_power = 0 if ctx.fault == "drop-dpi-conv8" else 1
-    for i in range(trials):
-        g, dual, space, rng, nu = _identity_fixture(ctx, "ft-conv-8", i)
-        mu = VectorMeasure.scalar(
-            g, rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
-        )
-        resid = _ft_conv8_residual(mu, nu, dual, dpi_power=dpi_power)
-        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
-    return tally
+def _ft_conv8_instance(nu, dual, rng, fault) -> float:
+    n = nu.group.order
+    mu = VectorMeasure.scalar(nu.group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return _ft_conv8_residual(mu, nu, dual, fault)
 
 
-def _suite_pettis_product(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
-    for i in range(trials):
-        g, dual, space, rng, nu = _identity_fixture(ctx, "pettis-product", i)
-        f, h = _random_function(g, rng), _random_function(g, rng)
-        lhs = pettis_integral(conv_vector(f, h, nu))
-        rhs = complex(np.mean(f.values)) * integrate(h.values, nu)
-        resid = float(np.abs(lhs.coords - rhs.coords).max())
-        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
-    return tally
+def _pettis_residual(nu, dual, rng, fault) -> float:
+    f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
+    lhs = pettis_integral(conv_vector(f, h, nu))
+    rhs = complex(np.mean(f.values)) * integrate(h.values, nu)
+    return float(np.abs(lhs.coords - rhs.coords).max())
 
 
-def _suite_duality_66(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
-    for i in range(trials):
-        g, dual, space, rng, nu = _identity_fixture(ctx, "duality-6.6", i)
-        f, h = _random_function(g, rng), _random_function(g, rng)
-        phi = _random_function(g, rng)
-        xp = _random_dual(space, rng)
-        weak = conv_weak(f, h, nu, xp)
-        lhs = complex(np.mean(weak.values * phi.values))
-        inner = conv_classical(reflect(f), phi)
-        rhs = pair(integrate(inner.values * h.values, nu), xp)
-        resid = abs(lhs - rhs)
-        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
-    return tally
+def _duality_residual(nu, dual, rng, fault) -> float:
+    f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
+    phi = _random_function(nu.group, rng)
+    xp = _random_dual(nu.space, rng)
+    lhs = complex(np.mean(conv_weak(f, h, nu, xp).values * phi.values))
+    inner = conv_classical(reflect(f), phi)
+    return abs(lhs - pair(integrate(inner.values * h.values, nu), xp))
 
 
 def _suite_uniqueness(ctx: _Ctx, trials: int) -> _Tally:
@@ -710,164 +665,131 @@ def _suite_uniqueness(ctx: _Ctx, trials: int) -> _Tally:
 
 
 # -- Young-type inequalities -------------------------------------------------
+#
+# A claim maps one instance (combo, nu, f, h, xp) to the (lhs, rhs) brackets
+# of lhs <= rhs.  Claims call the estimators by their module-level names, so
+# a caller that rebinds those names sees every call.
 
 
-def _young_combos(thm: str) -> list[tuple]:
-    grid = EXPONENT_GRID
-    if thm in ("young-6.2", "young-6.4", "young-6.10"):
-        return [(p,) for p in grid]
-    if thm in ("young-6.5", "young-6.11"):
-        return [(p, q) for p in grid for q in grid if q <= _conj(p) + 1e-12]
-    if thm == "young-9.1":
-        combos = [("i", p) for p in grid]
-        combos += [
-            ("ii", p, q)
-            for p in grid
-            if p > 1
-            for q in grid
-            if q < _conj(p) - 1e-12
-        ]
-        return combos
-    if thm == "young-9.2":
-        return [
-            (p, q)
-            for p in grid
-            if p > 1
-            for q in grid
-            if q >= _conj(p) - 1e-12
-        ]
-    if thm == "young-9.3":
-        combos = [("i", p) for p in grid]
-        for p1 in grid:
-            for p2 in grid:
-                s = _inv(p1) + _inv(p2)
-                if not 0 < s < 1:
-                    continue
-                for p3 in grid:
-                    if s + _inv(p3) > 1:
-                        combos.append(("ii", p1, p2, p3))
-        return combos
-    if thm == "young-9.4":
-        return [(part, p) for part in ("i", "ii") for p in grid]
-    raise ValueError(f"unknown young suite {thm!r}")
+def _young_r(*ps: float) -> float:
+    """The exponent r with 1/r = sum 1/p - 1; inf when the sum is 1."""
+    s = sum(_inv(p) for p in ps)
+    return 1.0 / (s - 1.0) if s > 1.0 + 1e-12 else np.inf
 
 
-def _young_check(thm, combo, g, dual, space, nu, f, h, xp, tol, tally, note):
-    nu_total = norm(evaluate(nu))
-    if thm == "young-6.2":
-        (p,) = combo
-        lhs = NormEstimate.of_exact(lp_norm_haar(conv_weak(f, h, nu, xp), p))
-        rhs = lp_nu_norm(h, nu, 1.0).scaled(lp_norm_haar(f, p) * dual_norm(xp))
-        tally.compare(lhs, rhs, tol, note)
-    elif thm == "young-6.4":
-        (p,) = combo
-        lhs = lp_nu_norm(conv_weak(f, h, nu, xp), nu, p)
-        rhs = lp_nu_norm(f, nu, p).times(lp_nu_norm(h, nu, 1.0)).scaled(dual_norm(xp))
-        tally.compare(lhs, rhs, tol, note)
-    elif thm == "young-6.5":
-        p, q = combo
-        r = 1.0 / (_inv(p) + _inv(q) - 1.0) if _inv(p) + _inv(q) > 1.0 + 1e-12 else np.inf
-        lhs = lp_nu_norm(conv_weak(f, h, nu, xp), nu, r)
-        rhs = lp_nu_norm(f, nu, p).times(lp_nu_norm(h, nu, q)).scaled(dual_norm(xp))
-        tally.compare(lhs, rhs, tol, note)
-    elif thm == "young-6.10":
-        (p,) = combo
-        lhs = Pp_norm(conv_vector(f, h, nu), p)
-        rhs = (
-            lp_nu_norm(f, nu, p)
-            .times(lp_nu_norm(h, nu, 1.0))
-            .scaled(nu_total ** (-_inv(p)))
-        )
-        tally.compare(lhs, rhs, tol, note)
-    elif thm == "young-6.11":
-        p, q = combo
-        r = 1.0 / (_inv(p) + _inv(q) - 1.0) if _inv(p) + _inv(q) > 1.0 + 1e-12 else np.inf
-        lhs = Pp_norm(conv_vector(f, h, nu), r)
-        rhs = (
-            lp_nu_norm(f, nu, p)
-            .times(lp_nu_norm(h, nu, q))
-            .scaled(nu_total ** (-_inv(r)))
-        )
-        tally.compare(lhs, rhs, tol, note)
-    elif thm == "young-9.1":
-        if combo[0] == "i":
-            p = combo[1]
-            lhs = Pp_norm(conv_function_measure(f, nu), p)
-            rhs = semivariation(nu).scaled(lp_norm_haar(f, p))
-            tally.compare(lhs, rhs, tol, note)
-        else:
-            _, p, q = combo
-            r = 1.0 / (_inv(p) + _inv(q) - 1.0)
-            lhs = Pp_norm(conv_function_measure(f, nu), r)
-            rhs = p_semivariation(nu, p).scaled(lp_norm_haar(f, q))
-            tally.compare(lhs, rhs, tol, note)
-    elif thm == "young-9.2":
-        p, q = combo
-        rinv = _inv(p) + _inv(q)
-        nf = measure_from_density(nu, f.values)
-        lhs = semivariation(nf) if abs(rinv - 1.0) < 1e-12 else p_semivariation(nf, 1.0 / rinv)
-        rhs = p_semivariation(nu, p).scaled(lp_norm_haar(f, q))
-        tally.compare(lhs, rhs, tol, note)
-    elif thm == "young-9.3":
-        if combo[0] == "i":
-            p = combo[1]
-            lhs = Pp_norm(conv_vector(f, h, nu), p)
-            rhs = lp_nu_norm(h, nu, 1.0).scaled(lp_norm_haar(f, p))
-            tally.compare(lhs, rhs, tol, note)
-        else:
-            _, p1, p2, p3 = combo
-            r = 1.0 / (_inv(p1) + _inv(p2) + _inv(p3) - 1.0)
-            lhs = Pp_norm(conv_vector(f, h, nu), r)
-            rhs = p_semivariation(nu, p1).scaled(
-                lp_norm_haar(h, p2) * lp_norm_haar(f, p3)
-            )
-            tally.compare(lhs, rhs, tol, note)
-    elif thm == "young-9.4":
-        part, p = combo
-        fg = conv_classical(f, h)
-        if part == "i":
-            lhs = lp_nu_norm(fg, nu, p)
-            rhs = (
-                lp_nu_norm(f, nu, 1.0)
-                .scaled(lp_norm_haar(h, p) * nu_total ** (-_inv(_conj(p))))
-            )
-        else:
-            lhs = lp_nu_norm(fg, nu, p)
-            rhs = lp_nu_norm(f, nu, p).scaled(lp_norm_haar(h, 1.0))
-        tally.compare(lhs, rhs, tol, note)
-    else:  # pragma: no cover
-        raise ValueError(thm)
+def _weak_young(p, q, r, nu, f, h, xp):
+    """6.4 (q = 1, r = p) and 6.5: ||f *_xp h||_{L^r(nu)} against
+    ||f||_{L^p(nu)} ||h||_{L^q(nu)} ||xp||."""
+    lhs = lp_nu_norm(conv_weak(f, h, nu, xp), nu, r)
+    return lhs, lp_nu_norm(f, nu, p).times(lp_nu_norm(h, nu, q)).scaled(dual_norm(xp))
 
 
-def _make_young_suite(thm: str):
-    def run(ctx: _Ctx, trials: int) -> _Tally:
-        tally = _Tally()
-        combos = _young_combos(thm)
-        fixtures = [(g, d, s) for (g, d) in ctx.groups for s in ctx.spaces]
-        for i in range(trials):
-            g, dual, space = fixtures[i % len(fixtures)]
-            combo = combos[i % len(combos)]
-            rng = _instance_rng(ctx.cfg.seed, thm, i)
-            nu = generate_fixture(
-                "translation-invariant", g, space, seed=int(rng.integers(2**32))
-            )
-            f = _random_function(g, rng)
-            h = _random_function(g, rng)
-            xp = _random_dual(space, rng)
-            _young_check(
-                thm, combo, g, dual, space, nu, f, h, xp, ctx.cfg.tol_bracket, tally,
-                f"{thm} {g.label} {space.label} {combo} {i}",
-            )
-        return tally
+def _vector_young(p, q, r, nu, f, h):
+    """6.10 (q = 1, r = p) and 6.11: ||f * h||_{P^r} against
+    ||f||_{L^p(nu)} ||h||_{L^q(nu)} ||nu(G)||^(-1/r)."""
+    lhs = Pp_norm(conv_vector(f, h, nu), r)
+    rhs = lp_nu_norm(f, nu, p).times(lp_nu_norm(h, nu, q))
+    return lhs, rhs.scaled(norm(evaluate(nu)) ** (-_inv(r)))
 
-    return run
+
+def _young_62(combo, nu, f, h, xp):
+    (p,) = combo
+    lhs = NormEstimate.of_exact(lp_norm_haar(conv_weak(f, h, nu, xp), p))
+    return lhs, lp_nu_norm(h, nu, 1.0).scaled(lp_norm_haar(f, p) * dual_norm(xp))
+
+
+def _young_91(combo, nu, f, h, xp):
+    if combo[0] == "i":
+        lhs = Pp_norm(conv_function_measure(f, nu), combo[1])
+        return lhs, semivariation(nu).scaled(lp_norm_haar(f, combo[1]))
+    _, p, q = combo
+    lhs = Pp_norm(conv_function_measure(f, nu), _young_r(p, q))
+    return lhs, p_semivariation(nu, p).scaled(lp_norm_haar(f, q))
+
+
+def _young_92(combo, nu, f, h, xp):
+    p, q = combo
+    rinv = _inv(p) + _inv(q)
+    nf = measure_from_density(nu, f.values)
+    lhs = semivariation(nf) if abs(rinv - 1.0) < 1e-12 else p_semivariation(nf, 1.0 / rinv)
+    return lhs, p_semivariation(nu, p).scaled(lp_norm_haar(f, q))
+
+
+def _young_93(combo, nu, f, h, xp):
+    if combo[0] == "i":
+        lhs = Pp_norm(conv_vector(f, h, nu), combo[1])
+        return lhs, lp_nu_norm(h, nu, 1.0).scaled(lp_norm_haar(f, combo[1]))
+    _, p1, p2, p3 = combo
+    lhs = Pp_norm(conv_vector(f, h, nu), _young_r(p1, p2, p3))
+    return lhs, p_semivariation(nu, p1).scaled(lp_norm_haar(h, p2) * lp_norm_haar(f, p3))
+
+
+def _young_94(combo, nu, f, h, xp):
+    part, p = combo
+    lhs = lp_nu_norm(conv_classical(f, h), nu, p)
+    if part == "i":
+        scale = lp_norm_haar(h, p) * norm(evaluate(nu)) ** (-_inv(_conj(p)))
+        return lhs, lp_nu_norm(f, nu, 1.0).scaled(scale)
+    return lhs, lp_nu_norm(f, nu, p).scaled(lp_norm_haar(h, 1.0))
+
+
+_P = EXPONENT_GRID
+_ONE_P = [(p,) for p in _P]
+_P_Q = [(p, q) for p in _P for q in _P if q <= _conj(p) + 1e-12]  # 1/p + 1/q >= 1
+# suite -> (exponent combos, claim); instance i checks combo i % len(combos)
+_YOUNG = {
+    "young-6.2": (_ONE_P, _young_62),
+    "young-6.4": (_ONE_P, lambda c, nu, f, h, xp: _weak_young(*c, 1.0, *c, nu, f, h, xp)),
+    "young-6.5": (_P_Q, lambda c, nu, f, h, xp: _weak_young(*c, _young_r(*c), nu, f, h, xp)),
+    "young-6.10": (_ONE_P, lambda c, nu, f, h, xp: _vector_young(*c, 1.0, *c, nu, f, h)),
+    "young-6.11": (_P_Q, lambda c, nu, f, h, xp: _vector_young(*c, _young_r(*c), nu, f, h)),
+    "young-9.1": (
+        [("i", p) for p in _P]
+        + [("ii", p, q) for p in _P if p > 1 for q in _P if q < _conj(p) - 1e-12],
+        _young_91,
+    ),
+    "young-9.2": ([(p, q) for p in _P if p > 1 for q in _P if q >= _conj(p) - 1e-12], _young_92),
+    "young-9.3": (
+        [("i", p) for p in _P]
+        + [
+            ("ii", p1, p2, p3)
+            for p1 in _P
+            for p2 in _P
+            if 0 < _inv(p1) + _inv(p2) < 1
+            for p3 in _P
+            if _inv(p1) + _inv(p2) + _inv(p3) > 1
+        ],
+        _young_93,
+    ),
+    "young-9.4": ([(part, p) for part in ("i", "ii") for p in _P], _young_94),
+}
+
+
+def _young_suite(thm: str, ctx: _Ctx, trials: int) -> _Tally:
+    combos, claim = _YOUNG[thm]
+    tally = _Tally()
+    fixtures = [(g, s) for (g, _) in ctx.groups for s in ctx.spaces]
+    for i in range(trials):
+        g, space = fixtures[i % len(fixtures)]
+        combo = combos[i % len(combos)]
+        rng = _instance_rng(ctx.cfg.seed, thm, i)
+        nu = generate_fixture("translation-invariant", g, space, seed=int(rng.integers(2**32)))
+        f, h = _random_function(g, rng), _random_function(g, rng)
+        xp = _random_dual(space, rng)
+        lhs, rhs = claim(combo, nu, f, h, xp)
+        note = f"{thm} {g.label} {space.label} {combo} {i}"
+        tally.compare(lhs, rhs, ctx.cfg.tol_bracket, note)
+    return tally
 
 
 def _suite_embedding_413(ctx: _Ctx, trials: int) -> _Tally:
     tally = _Tally()
     ps = [p for p in EXPONENT_GRID if p > 1]
     for i in range(trials):
-        g, dual, space, rng, nu = _identity_fixture(ctx, "embedding-4.13", i)
+        g, _ = ctx.groups[i % len(ctx.groups)]
+        space = ctx.spaces[(i // len(ctx.groups)) % len(ctx.spaces)]
+        rng = _instance_rng(ctx.cfg.seed, "embedding-4.13", i)
+        nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
         f = _random_function(g, rng)
         p = ps[i % len(ps)]
         lhs = NormEstimate.of_exact(norm(integrate(f.values, nu)))
@@ -1013,28 +935,27 @@ class _SuiteSpec:
     runner: object
 
 
+def _identity(name: str, residual):
+    return functools.partial(_identity_suite, name, residual)
+
+
 _SUITES: dict[str, _SuiteSpec] = {
     "dual-validation": _SuiteSpec("duals", 1, _suite_dual_validation),
     "plancherel": _SuiteSpec("2.1", 1000, _suite_plancherel),
     "ft-norm-bounds": _SuiteSpec("4.4i/4.8i/7", 1000, _suite_ft_norm_bounds),
     "cb-amplification": _SuiteSpec("4.4ii/3.6iii", 200, _suite_cb_amplification),
-    "pairing-compat": _SuiteSpec("4.9", 200, _suite_pairing_compat),
-    "density-transform": _SuiteSpec("7.3", 200, _suite_density_transform),
-    "scalarization": _SuiteSpec("6.8", 200, _suite_scalarization),
-    "ft-conv-6": _SuiteSpec("6-ft-conv", 200, _suite_ft_conv6),
-    "ft-conv-8": _SuiteSpec("8-ft-conv", 200, _suite_ft_conv8),
-    "pettis-product": _SuiteSpec("6.9", 200, _suite_pettis_product),
-    "duality-6.6": _SuiteSpec("6.6", 200, _suite_duality_66),
+    "pairing-compat": _SuiteSpec("4.9", 200, _identity("pairing-compat", _pairing_residual)),
+    "density-transform": _SuiteSpec("7.3", 200, _identity("density-transform", _density_residual)),
+    "scalarization": _SuiteSpec("6.8", 200, _identity("scalarization", _scalarization_residual)),
+    "ft-conv-6": _SuiteSpec("6-ft-conv", 200, _identity("ft-conv-6", _ft_conv6_instance)),
+    "ft-conv-8": _SuiteSpec("8-ft-conv", 200, _identity("ft-conv-8", _ft_conv8_instance)),
+    "pettis-product": _SuiteSpec("6.9", 200, _identity("pettis-product", _pettis_residual)),
+    "duality-6.6": _SuiteSpec("6.6", 200, _identity("duality-6.6", _duality_residual)),
     "uniqueness": _SuiteSpec("4.10/7.5", 1, _suite_uniqueness),
-    "young-6.2": _SuiteSpec("6.2", 1000, _make_young_suite("young-6.2")),
-    "young-6.4": _SuiteSpec("6.4", 1000, _make_young_suite("young-6.4")),
-    "young-6.5": _SuiteSpec("6.5", 1000, _make_young_suite("young-6.5")),
-    "young-6.10": _SuiteSpec("6.10", 1000, _make_young_suite("young-6.10")),
-    "young-6.11": _SuiteSpec("6.11", 1000, _make_young_suite("young-6.11")),
-    "young-9.1": _SuiteSpec("9.1", 1000, _make_young_suite("young-9.1")),
-    "young-9.2": _SuiteSpec("9.2", 1000, _make_young_suite("young-9.2")),
-    "young-9.3": _SuiteSpec("9.3", 1000, _make_young_suite("young-9.3")),
-    "young-9.4": _SuiteSpec("9.4", 1000, _make_young_suite("young-9.4")),
+    **{
+        thm: _SuiteSpec(thm.removeprefix("young-"), 1000, functools.partial(_young_suite, thm))
+        for thm in _YOUNG
+    },
     "embedding-4.13": _SuiteSpec("4.13", 200, _suite_embedding_413),
     "invariance-5": _SuiteSpec("5.2/5.4/5.5", 500, _suite_invariance),
     "commutativity-8.5": _SuiteSpec("8.5", 200, _suite_commutativity),
