@@ -645,9 +645,10 @@ def _duality_residual(nu, dual, rng, fault) -> float:
 
 def _suite_uniqueness(ctx: _Ctx, trials: int) -> _Tally:
     tally = _Tally()
-    for g, dual in ctx.groups:
-        for space in ctx.spaces:
-            rng = _instance_rng(ctx.cfg.seed, "uniqueness", g.order * 100 + space.dim)
+    for k, (g, dual) in enumerate(ctx.groups):
+        for j, space in enumerate(ctx.spaces):
+            # one stream per (group, space) pair, keyed by its place in the config
+            rng = _instance_rng(ctx.cfg.seed, "uniqueness", k * len(ctx.spaces) + j)
             kdim = uniqueness_rank(dual, space)
             tally.residual_check(float(kdim), 0.5, f"measure kernel {g.label} {space.label}")
             nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
@@ -802,10 +803,10 @@ def _suite_invariance(ctx: _Ctx, trials: int) -> _Tally:
     tally = _Tally()
     tol_e, tol_b = ctx.cfg.tol_exact, ctx.cfg.tol_bracket
     # part A: invariance of the measure-weighted norms under every translation
-    for g, dual in ctx.groups:
-        for space in ctx.spaces:
+    for k, (g, dual) in enumerate(ctx.groups):
+        for j, space in enumerate(ctx.spaces):
             nu = generate_fixture("haar-like", g, space)
-            rng = _instance_rng(ctx.cfg.seed, "invariance-5", g.order + space.dim)
+            rng = _instance_rng(ctx.cfg.seed, "invariance-5", k * len(ctx.spaces) + j)
             maps = [GroupMap.translation(g, t) for t in range(g.order)]
             maps.append(GroupMap.inversion(g))
             phis = [_random_function(g, rng) for _ in range(3)]

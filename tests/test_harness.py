@@ -116,6 +116,19 @@ class TestRunSuite:
             b.instances, b.violations, b.near_misses, b.max_residual
         )
 
+    def test_instance_streams_are_distinct(self, monkeypatch):
+        # no two instances of a suite draw from one rng stream
+        keys = []
+        rng = harness._instance_rng
+        monkeypatch.setattr(
+            harness, "_instance_rng",
+            lambda seed, suite, index: keys.append((suite, index)) or rng(seed, suite, index),
+        )
+        for name in vf.suite_names():
+            vf.run_suite(name, small_config())
+        repeats = {key for key in keys if keys.count(key) > 1}
+        assert not repeats
+
     def test_commutativity_finds_witness(self):
         cfg = small_config(groups=["symmetric:3", "dihedral:4", "quaternion8"])
         rep = vf.run_suite("commutativity-8.5", cfg)
