@@ -792,6 +792,24 @@ def _amplified_ascent(space, entries):
         xp = _norming(space, np.einsum("bri,brj,bijc->brc", np.conj(u1), v1, entries))
 
 
+def _amplified_upper(space: CoefficientSpace, e: np.ndarray) -> tuple[float, float | None]:
+    """(upper, floor) for the matrix-level norm of one [n, n, dim] matrix,
+    computed without an ascent.  floor is None when upper is the exact norm:
+    level 1, a closed form, or a zero matrix.  Otherwise floor = max ||x_ij||
+    <= norm <= upper = min(n * floor, amplified_majorant)."""
+    n = e.shape[0]
+    if n == 1:
+        return space.norm_of(e[0, 0]), None
+    closed = space.closed_amplified(e)
+    if closed is not None:
+        return closed, None
+    floor = float(space.norm_many(e.reshape(n * n, space.dim)).max())
+    if floor == 0.0:
+        return 0.0, None
+    majorant = space.amplified_majorant(e)
+    return (n * floor if majorant is None else min(n * floor, majorant)), floor
+
+
 def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
     """``amplified_norm`` of each n x n matrix over ``space`` in a
     [B, n, n, space.dim] stack, equal bit for bit to single calls; the ascent
@@ -799,27 +817,16 @@ def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 4 or entries.shape[1] != entries.shape[2] or entries.shape[3] != space.dim:
         raise ValueError(f"expected entries (B, n, n, {space.dim}), got {entries.shape}")
-    n = entries.shape[1]
-    if n == 1:
-        return [NormEstimate.of_exact(space.norm_of(e[0, 0])) for e in entries]
     out = [None] * len(entries)
     rows, uppers, floors = [], [], []
     for b, e in enumerate(entries):
-        closed = space.closed_amplified(e)
-        if closed is not None:
-            out[b] = NormEstimate.of_exact(closed)
+        upper, floor = _amplified_upper(space, e)
+        if floor is None:
+            out[b] = NormEstimate.of_exact(upper)
             continue
-        max_entry = float(space.norm_many(e.reshape(n * n, space.dim)).max())
-        if max_entry == 0.0:
-            out[b] = NormEstimate.of_exact(0.0)
-            continue
-        upper = n * max_entry
-        majorant = space.amplified_majorant(e)
-        if majorant is not None:
-            upper = min(upper, majorant)
         rows.append(b)
         uppers.append(upper)
-        floors.append(max_entry)
+        floors.append(floor)
     if rows:
         lowers = _ascend_rows(lambda e: _amplified_ascent(space, e), uppers, entries[rows])
         for b, lower, upper, floor in zip(rows, lowers, uppers, floors):

@@ -289,6 +289,20 @@ class TestAmplified:
         paired = s.pair_many(entries.reshape(n * n, k), points).reshape(-1, n, n)
         assert np.linalg.svd(paired, compute_uv=False)[:, 0].max() <= upper * (1 + 1e-12)
 
+    @pytest.mark.parametrize("spec", ["scalar", "linf:2", "matop:2", "weighted_l1:2", "weighted_l1:3"])
+    def test_upper_end_without_ascent(self, spec, monkeypatch):
+        # the upper end alone equals amplified_norm's bit for bit, and runs no ascent
+        s = space_from_spec(spec)
+        rng = np.random.default_rng(8)
+        stacks = [cplx(rng, n, n, s.dim) for n in (1, 2, 3)] + [np.zeros((2, 2, s.dim))]
+        expected = [amplified_norm(MatrixOverX(s, e)).upper for e in stacks]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("upper end ran an ascent")
+
+        monkeypatch.setattr(spaces, "_ascend", boom)
+        assert [spaces._amplified_upper(s, e)[0] for e in stacks] == expected
+
     def test_weighted_single_slice_bracket_closes(self):
         # one nonzero coordinate slice A_c: the norm is w_c ||A_c||_op, the majorant
         s = WeightedL1Space([0.25, 0.75])
