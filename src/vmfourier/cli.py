@@ -8,6 +8,7 @@ config, ``fixtures`` to dump the built-in group and dual tables.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -71,18 +72,11 @@ def _cmd_list() -> int:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.trials is not None:
-            cfg.trials = args.trials
-        if args.suite:
-            for s in args.suite:
-                if s not in suite_names():
-                    raise ValueError(f"unknown suite {s!r}")
-            cfg.suites = list(args.suite)
+        # replace() reruns RunConfig's validation on the overridden fields
+        overrides = {"seed": args.seed, "trials": args.trials, "suites": args.suite}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         if args.fault is not None and args.fault not in FAULTS:
             raise ValueError(f"unknown fault {args.fault!r}")
-        cfg.__post_init__()
         for spec in cfg.groups:
             group_with_dual(spec)
         for spec in cfg.spaces:

@@ -151,6 +151,9 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if self.tol_exact <= 0 or self.tol_bracket <= 0:
             raise ValueError("tolerances must be positive")
+        for s in self.suites:
+            if s not in _SUITES:
+                raise ValueError(f"unknown suite {s!r}; known: {', '.join(_SUITES)}")
 
 
 @dataclass
@@ -1075,8 +1078,5 @@ def load_config(path: str | Path) -> RunConfig:
             cfg.out_dir = Path(value)
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    for s in cfg.suites:
-        if s not in _SUITES:
-            raise ValueError(f"unknown suite {s!r} in config")
     cfg.__post_init__()
     return cfg

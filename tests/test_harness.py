@@ -272,6 +272,10 @@ class TestConfigFiles:
         with pytest.raises(ValueError):
             vf.load_config(path)
 
+    def test_unknown_suite_in_run_config(self):
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            RunConfig(suites=["bogus"])
+
     def test_bad_trials(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("trials = 0\n")
@@ -377,6 +381,12 @@ class TestCli:
     def test_unknown_suite_exits_2(self, tmp_path):
         out = run_cli("run", "--suite", "bogus", "--out", str(tmp_path / "r.json"))
         assert out.returncode == 2
+
+    def test_zero_trials_exits_2(self, tmp_path):
+        out = run_cli("run", "--trials", "0", "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2
+        assert out.stderr.startswith("configuration error:")
+        assert out.stdout == ""  # rejected before any suite runs
 
     def test_seed_and_suite_flags(self, tmp_path):
         report = tmp_path / "r.json"
