@@ -61,9 +61,6 @@ class FourierCoefficients:
             fixed.append(b)
         self.blocks = fixed
 
-    def block(self, r: int) -> np.ndarray:
-        return self.blocks[r]
-
     def max_abs_diff(self, other: "FourierCoefficients") -> float:
         return max(
             float(np.abs(a - b).max()) for a, b in zip(self.blocks, other.blocks)
@@ -85,9 +82,6 @@ class VectorFourierCoefficients:
         for p, b in zip(self.dual.irreps, self.blocks):
             if b.level != p.dim or b.space != self.space:
                 raise ValueError(f"block for {p.label!r} has wrong level or space")
-
-    def block(self, r: int) -> MatrixOverX:
-        return self.blocks[r]
 
     def max_abs_diff(self, other: "VectorFourierCoefficients") -> float:
         return max(

@@ -45,10 +45,6 @@ class ScalarFunction:
         self.values = v
 
     @staticmethod
-    def of(group: FiniteGroup, values) -> "ScalarFunction":
-        return ScalarFunction(group, np.asarray(values, dtype=complex))
-
-    @staticmethod
     def constant(group: FiniteGroup, z: complex = 1.0) -> "ScalarFunction":
         return ScalarFunction(group, np.full(group.order, complex(z)))
 
@@ -62,13 +58,6 @@ class ScalarFunction:
     def __mul__(self, other: "ScalarFunction") -> "ScalarFunction":
         require_same_group(self.group, other.group)
         return ScalarFunction(self.group, self.values * other.values)
-
-    def __add__(self, other: "ScalarFunction") -> "ScalarFunction":
-        require_same_group(self.group, other.group)
-        return ScalarFunction(self.group, self.values + other.values)
-
-    def __rmul__(self, z) -> "ScalarFunction":
-        return ScalarFunction(self.group, complex(z) * self.values)
 
 
 @dataclass(eq=False)
@@ -84,9 +73,6 @@ class VectorFunction:
         if v.shape != (self.group.order, self.space.dim):
             raise ValueError("values must have shape [order, space.dim]")
         self.values = v
-
-    def at(self, t: int) -> XVector:
-        return XVector(self.space, self.values[t].copy())
 
 
 @dataclass(eq=False)

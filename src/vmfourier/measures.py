@@ -69,10 +69,6 @@ class VectorMeasure:
         self.atoms = a
 
     @staticmethod
-    def from_atoms(group: FiniteGroup, space: CoefficientSpace, atoms) -> "VectorMeasure":
-        return VectorMeasure(group, space, np.asarray(atoms, dtype=complex))
-
-    @staticmethod
     def zero(group: FiniteGroup, space: CoefficientSpace) -> "VectorMeasure":
         return VectorMeasure(group, space, np.zeros((group.order, space.dim), dtype=complex))
 
@@ -86,31 +82,15 @@ class VectorMeasure:
     def haar_scalar(group: FiniteGroup) -> "VectorMeasure":
         return VectorMeasure.scalar(group, np.full(group.order, 1.0 / group.order))
 
-    def atom(self, t: int) -> XVector:
-        return XVector(self.space, self.atoms[t].copy())
-
     def scalar_values(self) -> np.ndarray:
         if not isinstance(self.space, ScalarSpace):
             raise ValueError("not a scalar measure")
         return self.atoms[:, 0].copy()
 
-    def __add__(self, other: "VectorMeasure") -> "VectorMeasure":
-        _require_compatible(self, other)
-        return VectorMeasure(self.group, self.space, self.atoms + other.atoms)
-
-    def __rmul__(self, z) -> "VectorMeasure":
-        return VectorMeasure(self.group, self.space, complex(z) * self.atoms)
-
-
-def _require_compatible(a: VectorMeasure, b: VectorMeasure):
-    require_same_group(a.group, b.group)
-    if a.space != b.space:
-        raise ValueError("measures take values in different spaces")
-
 
 @dataclass(eq=False)
 class GroupMap:
-    """A bijection of group elements (translation, inversion, composition)."""
+    """A bijection of group elements (translation, inversion)."""
 
     group: FiniteGroup
     table: np.ndarray
@@ -134,15 +114,8 @@ class GroupMap:
     def inversion(group: FiniteGroup) -> "GroupMap":
         return GroupMap(group, group.inverses.copy())
 
-    def compose(self, other: "GroupMap") -> "GroupMap":
-        require_same_group(self.group, other.group)
-        return GroupMap(self.group, self.table[other.table])
-
     def inverse(self) -> "GroupMap":
         return GroupMap(self.group, np.argsort(self.table))
-
-    def __call__(self, s: int) -> int:
-        return int(self.table[s])
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ class NormEstimate:
     def bracket(lower: float, upper: float) -> "NormEstimate":
         return NormEstimate(min(lower, upper), upper, False)
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
     def scaled(self, c: float) -> "NormEstimate":
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
@@ -174,9 +170,6 @@ class CoefficientSpace:
         return None
 
     # -- misc ----------------------------------------------------------------
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.dim, dtype=complex)
 
     def __repr__(self):
         return self.label
@@ -384,27 +377,12 @@ class XVector:
             raise ValueError(f"expected {self.space.dim} coordinates, got {c.size}")
         object.__setattr__(self, "coords", c)
 
-    @staticmethod
-    def of(space: CoefficientSpace, coords) -> "XVector":
-        return XVector(space, np.asarray(coords, dtype=complex))
-
-    @staticmethod
-    def zero(space: CoefficientSpace) -> "XVector":
-        return XVector(space, space.zeros())
-
     def __add__(self, other: "XVector") -> "XVector":
         _require_same_space(self.space, other.space)
         return XVector(self.space, self.coords + other.coords)
 
-    def __sub__(self, other: "XVector") -> "XVector":
-        _require_same_space(self.space, other.space)
-        return XVector(self.space, self.coords - other.coords)
-
     def __rmul__(self, z) -> "XVector":
         return XVector(self.space, complex(z) * self.coords)
-
-    def __neg__(self) -> "XVector":
-        return XVector(self.space, -self.coords)
 
 
 @dataclass(frozen=True)
@@ -429,27 +407,8 @@ class MatrixOverX:
     def level(self) -> int:
         return self.entries.shape[0]
 
-    @staticmethod
-    def from_vectors(space: CoefficientSpace, grid: Sequence[Sequence[XVector]]) -> "MatrixOverX":
-        n = len(grid)
-        out = np.zeros((n, n, space.dim), dtype=complex)
-        for i in range(n):
-            if len(grid[i]) != n:
-                raise ValueError("grid must be square")
-            for j in range(n):
-                _require_same_space(space, grid[i][j].space)
-                out[i, j] = grid[i][j].coords
-        return MatrixOverX(space, out)
-
     def entry(self, i: int, j: int) -> XVector:
         return XVector(self.space, self.entries[i, j].copy())
-
-    def __add__(self, other: "MatrixOverX") -> "MatrixOverX":
-        _require_same_space(self.space, other.space)
-        return MatrixOverX(self.space, self.entries + other.entries)
-
-    def __rmul__(self, z) -> "MatrixOverX":
-        return MatrixOverX(self.space, complex(z) * self.entries)
 
 
 def _require_same_space(a: CoefficientSpace, b: CoefficientSpace):
