@@ -612,8 +612,7 @@ def _ft_conv8_residual(mu, nu, dual, fault=None) -> float:
 
 
 def _ft_conv8_instance(nu, dual, rng, fault) -> float:
-    n = nu.group.order
-    mu = VectorMeasure.scalar(nu.group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    mu = VectorMeasure.scalar(nu.group, _random_function(nu.group, rng).values)
     return _ft_conv8_residual(mu, nu, dual, fault)
 
 
@@ -768,8 +767,7 @@ def _young_suite(thm: str, ctx: _Ctx, trials: int) -> _Tally:
         f, h = _random_function(g, rng), _random_function(g, rng)
         xp = _random_dual(space, rng)
         lhs, rhs = claim(combo, nu, f, h, xp)
-        note = f"{thm} {g.label} {space.label} {combo} {i}"
-        tally.compare(lhs, rhs, ctx.cfg.tol_bracket, note)
+        tally.compare(lhs, rhs, ctx.cfg.tol_bracket, f"{thm} {g.label} {space.label} {combo} {i}")
     return tally
 
 
