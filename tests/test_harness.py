@@ -108,13 +108,21 @@ class TestRunSuite:
         assert rep.violations == 0
         assert rep.instances > 0
 
-    def test_determinism(self):
-        cfg = small_config()
-        a = vf.run_suite("ft-norm-bounds", cfg)
-        b = vf.run_suite("ft-norm-bounds", cfg)
-        assert (a.instances, a.violations, a.near_misses, a.max_residual) == (
-            b.instances, b.violations, b.near_misses, b.max_residual
-        )
+    @pytest.mark.parametrize("name", vf.suite_names())
+    def test_determinism(self, name):
+        def report():
+            doc = vf.run_suite(name, small_config(trials=3)).to_dict()
+            del doc["elapsed_s"]
+            return doc
+
+        assert report() == report()
+
+    def test_young_combo_counts(self):
+        counts = {thm: len(combos) for thm, (combos, _) in harness._YOUNG.items()}
+        assert counts == {
+            "young-6.2": 5, "young-6.4": 5, "young-6.5": 15, "young-6.10": 5, "young-6.11": 15,
+            "young-9.1": 12, "young-9.2": 13, "young-9.3": 44, "young-9.4": 10,
+        }
 
     def test_instance_streams_are_distinct(self, monkeypatch):
         # no two instances of a suite draw from one rng stream
