@@ -81,7 +81,6 @@ from .measures import (
     radon_nikodym,
     scalarize,
     semivariation,
-    tensor_integrate,
     variation,
 )
 from .spaces import (

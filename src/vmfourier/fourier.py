@@ -5,7 +5,9 @@ functions, the transform of functions against a vector measure, the weak
 All transforms use the block normalization with a 1/d factor per irrep block;
 the inversion and energy identities carry the compensating d^2 and d^3
 constants.  On a trivial one-dimensional block the constants all reduce to
-the familiar abelian formulas.
+the familiar abelian formulas.  Each transform is one product with the dual's
+cached coefficient matrix (``UnitaryDual.coefficients``), whose rows are the
+block entries' linear functionals.
 
 Blocks are basis-dependent: every identity here compares both sides through
 one fixed dual object, which pins the orthonormal basis per irrep.
@@ -19,7 +21,7 @@ import numpy as np
 
 from .groups import UnitaryDual, require_same_group
 from .lpspaces import ScalarFunction
-from .measures import VectorMeasure, radon_nikodym, tensor_integrate
+from .measures import VectorMeasure, radon_nikodym
 from .spaces import (
     CoefficientSpace,
     MatrixOverX,
@@ -90,25 +92,34 @@ class VectorFourierCoefficients:
         )
 
 
+def _blocks(dual: UnitaryDual, stack: np.ndarray) -> list[np.ndarray]:
+    """Split a [sum d^2, ...] stack, in the row order of ``dual.coefficients``,
+    into one [d, d, ...] block per irrep."""
+    out, start = [], 0
+    for d in dual.dims():
+        out.append(stack[start : start + d * d].reshape(d, d, *stack.shape[1:]))
+        start += d * d
+    return out
+
+
+def _vector_coefficients(
+    dual: UnitaryDual, space: CoefficientSpace, stack: np.ndarray
+) -> VectorFourierCoefficients:
+    blocks = [MatrixOverX(space, b) for b in _blocks(dual, stack)]
+    return VectorFourierCoefficients(dual, space, blocks)
+
+
 def ft_classical(f: ScalarFunction, dual: UnitaryDual) -> FourierCoefficients:
     """Block at an irrep: the Haar average of f(t) pi(t)^*, scaled by 1/d."""
     require_same_group(dual.group, f.group)
-    n = f.group.order
-    blocks = []
-    for p in dual.irreps:
-        adj = p.matrices.conj().transpose(0, 2, 1)
-        blocks.append(np.einsum("t,tab->ab", f.values, adj) / (p.dim * n))
-    return FourierCoefficients(dual, blocks)
+    return FourierCoefficients(dual, _blocks(dual, dual.coefficients @ f.values / f.group.order))
 
 
 def ft_inverse(c: FourierCoefficients) -> ScalarFunction:
     """Pointwise reconstruction f(t) = sum over irreps of d^2 tr(block pi(t));
     exact on a finite group."""
-    g = c.dual.group
-    values = np.zeros(g.order, dtype=complex)
-    for p, b in zip(c.dual.irreps, c.blocks):
-        values += p.dim**2 * np.einsum("ab,tba->t", b, p.matrices)
-    return ScalarFunction(g, values)
+    flat = np.concatenate([p.dim**3 * b.reshape(-1) for p, b in zip(c.dual.irreps, c.blocks)])
+    return ScalarFunction(c.dual.group, flat @ c.dual.coefficients.conj())
 
 
 def plancherel_check(f: ScalarFunction, dual: UnitaryDual) -> tuple[float, float]:
@@ -116,24 +127,8 @@ def plancherel_check(f: ScalarFunction, dual: UnitaryDual) -> tuple[float, float
     traces sum_pi d^3 tr(block^* block)."""
     c = ft_classical(f, dual)
     lhs = float(np.mean(np.abs(f.values) ** 2))
-    rhs = 0.0
-    for p, b in zip(dual.irreps, c.blocks):
-        rhs += p.dim**3 * float(np.real(np.trace(b.conj().T @ b)))
+    rhs = sum(p.dim**3 * float(np.vdot(b, b).real) for p, b in zip(dual.irreps, c.blocks))
     return lhs, rhs
-
-
-def _ft_vector_blocks(
-    f_values: np.ndarray,
-    nu: VectorMeasure,
-    dual: UnitaryDual,
-    inv_block_dim: bool = True,
-) -> list[MatrixOverX]:
-    blocks = []
-    for p in dual.irreps:
-        adj = p.matrices.conj().transpose(0, 2, 1)
-        scale = 1.0 / p.dim if inv_block_dim else 1.0
-        blocks.append(tensor_integrate(scale * f_values[:, None, None] * adj, nu))
-    return blocks
 
 
 def ft_vector(
@@ -143,16 +138,14 @@ def ft_vector(
     integrals (1/d) integral of f(t) conj(pi(t)_{ji}) d nu at entry (i, j)."""
     require_same_group(dual.group, f.group)
     require_same_group(dual.group, nu.group)
-    return VectorFourierCoefficients(
-        dual, nu.space, _ft_vector_blocks(f.values, nu, dual)
-    )
+    stack = dual.coefficients @ (f.values[:, None] * nu.atoms)
+    return _vector_coefficients(dual, nu.space, stack)
 
 
 def ft_measure(nu: VectorMeasure, dual: UnitaryDual) -> VectorFourierCoefficients:
     """Transform of a vector measure: the function transform of 1 against nu."""
     require_same_group(dual.group, nu.group)
-    ones = np.ones(nu.group.order, dtype=complex)
-    return VectorFourierCoefficients(dual, nu.space, _ft_vector_blocks(ones, nu, dual))
+    return _vector_coefficients(dual, nu.space, dual.coefficients @ nu.atoms)
 
 
 def ft_weak(
@@ -182,16 +175,6 @@ def ft_sup_norms(cs: list[VectorFourierCoefficients]) -> list[NormEstimate]:
     return [NormEstimate.max_of(ests) for ests in zip(*per_irrep)]
 
 
-def _coefficient_rows(dual: UnitaryDual) -> np.ndarray:
-    """Stack of the linear functionals f -> block entries: row ((pi, i, j), t)
-    holds (1/d) conj(pi(t)_{ji})."""
-    cols = []
-    for p in dual.irreps:
-        adj = p.matrices.conj().transpose(0, 2, 1) / p.dim  # [t, i, j] = conj(pi_ji)/d
-        cols.append(adj.reshape(dual.group.order, p.dim * p.dim))
-    return np.concatenate(cols, axis=1).T  # [sum d^2, order]
-
-
 def uniqueness_rank(
     dual: UnitaryDual,
     target: VectorMeasure | CoefficientSpace,
@@ -206,7 +189,7 @@ def uniqueness_rank(
     determines its argument.  Rank is counted at ``tol`` relative to the
     largest singular value.
     """
-    rows = _coefficient_rows(dual)  # [B, order]
+    rows = dual.coefficients  # [sum d^2, order]
     if isinstance(target, VectorMeasure):
         require_same_group(dual.group, target.group)
         live = target.space.norm_many(target.atoms) > 0

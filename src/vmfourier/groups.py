@@ -9,6 +9,7 @@ algorithm; their correctness is enforced by ``validate_dual``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,9 +64,6 @@ class FiniteGroup:
 
     def inv(self, t: int) -> int:
         return int(self.inverses[t])
-
-    def elements(self) -> range:
-        return range(self.order)
 
     @property
     def is_abelian(self) -> bool:
@@ -126,15 +124,20 @@ def _group_from_cayley(cayley: np.ndarray, label: str, family=None) -> FiniteGro
 # ---------------------------------------------------------------------------
 
 
+def _radix_digits(ns: tuple[int, ...]) -> np.ndarray:
+    """[order, len(ns)] mixed-radix digits of every element, most significant first."""
+    idx = np.arange(int(np.prod(ns)))
+    digits = np.zeros((idx.size, len(ns)), dtype=np.int64)
+    for j in range(len(ns) - 1, -1, -1):
+        digits[:, j] = idx % ns[j]
+        idx //= ns[j]
+    return digits
+
+
 def _cyclic_product(ns: tuple[int, ...]) -> FiniteGroup:
     order = int(np.prod(ns))
     radix = np.array(ns, dtype=np.int64)
-    # mixed-radix digits of every element index, most significant first
-    digits = np.zeros((order, len(ns)), dtype=np.int64)
-    idx = np.arange(order)
-    for j in range(len(ns) - 1, -1, -1):
-        digits[:, j] = idx % radix[j]
-        idx //= radix[j]
+    digits = _radix_digits(ns)
     summed = (digits[:, None, :] + digits[None, :, :]) % radix
     cayley = np.zeros((order, order), dtype=np.int64)
     for j in range(len(ns)):
@@ -274,6 +277,19 @@ class UnitaryDual:
     def dims(self) -> list[int]:
         return [p.dim for p in self.irreps]
 
+    @functools.cached_property
+    def coefficients(self) -> np.ndarray:
+        """Every Fourier transform over this dual as one read-only
+        [sum d^2, order] matrix: row ((pi, i, j), t) holds conj(pi(t)_{ji}) / d,
+        with the irreps in order and (i, j) row-major within each block."""
+        cols = [
+            (p.matrices.conj().transpose(0, 2, 1) / p.dim).reshape(self.group.order, -1)
+            for p in self.irreps
+        ]
+        rows = np.ascontiguousarray(np.concatenate(cols, axis=1).T)
+        rows.setflags(write=False)
+        return rows
+
 
 def _char_irreps(values: np.ndarray, labels: Sequence[str]) -> list[UnitaryIrrep]:
     return [
@@ -283,15 +299,10 @@ def _char_irreps(values: np.ndarray, labels: Sequence[str]) -> list[UnitaryIrrep
 
 def _cyclic_dual(g: FiniteGroup) -> list[UnitaryIrrep]:
     ns = g.family[1]
-    order = g.order
-    digits = np.zeros((order, len(ns)), dtype=np.int64)
-    idx = np.arange(order)
-    for j in range(len(ns) - 1, -1, -1):
-        digits[:, j] = idx % ns[j]
-        idx //= ns[j]
+    digits = _radix_digits(ns)
     chars = []
     labels = []
-    for kidx in range(order):
+    for kidx in range(g.order):
         k = digits[kidx]
         phase = np.exp(2j * np.pi * (digits @ (k / np.array(ns, dtype=float))))
         chars.append(phase)

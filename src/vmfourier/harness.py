@@ -30,7 +30,6 @@ from .convolve import (
     conv_weak,
 )
 from .fourier import (
-    _ft_vector_blocks,
     ft_classical,
     ft_inverse,
     ft_measure,
@@ -380,14 +379,11 @@ class _Tally:
 
 
 def _perturbed_dual(dual: UnitaryDual, magnitude: float = 1e-3) -> UnitaryDual:
-    irreps = []
-    for r, p in enumerate(dual.irreps):
-        mats = p.matrices.copy()
-        if r == len(dual.irreps) - 1:
-            mats = mats.copy()
-            mats[1, 0, 0] += magnitude
-        irreps.append(UnitaryIrrep(p.dim, mats, p.label))
-    return UnitaryDual(dual.group, irreps)
+    """The dual with one entry of its last irrep moved off a homomorphism."""
+    *irreps, last = dual.irreps
+    mats = last.matrices.copy()
+    mats[1, 0, 0] += magnitude
+    return UnitaryDual(dual.group, [*irreps, UnitaryIrrep(last.dim, mats, last.label)])
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +394,6 @@ def _perturbed_dual(dual: UnitaryDual, magnitude: float = 1e-3) -> UnitaryDual:
 def _suite_dual_validation(ctx: _Ctx, trials: int) -> _Tally:
     tally = _Tally()
     for g, dual in ctx.groups:
-        if ctx.fault == "perturb-irrep":
-            dual = _perturbed_dual(dual)
         rep = validate_dual(g, dual, ctx.cfg.tol_exact)
         tally.residual_check(rep.max_residual, ctx.cfg.tol_exact, f"{g.label} residuals")
         comp_ok = sum(p.dim**2 for p in dual.irreps) == g.order
@@ -412,8 +406,6 @@ def _suite_plancherel(ctx: _Ctx, trials: int) -> _Tally:
     tol = ctx.cfg.tol_exact
     for i in range(trials):
         g, dual = ctx.groups[i % len(ctx.groups)]
-        if ctx.fault == "perturb-irrep":
-            dual = _perturbed_dual(dual)
         rng = _instance_rng(ctx.cfg.seed, "plancherel", i)
         f = _random_function(g, rng)
         lhs, rhs = plancherel_check(f, dual)
@@ -533,7 +525,7 @@ def _amplified_measure_semivariation(space, nus) -> NormEstimate:
     atoms = np.array([[nu.atoms for nu in row] for row in nus]).transpose(2, 0, 1, 3)
     lower = amplified_norm(MatrixOverX(space, sum(atoms))).lower
     upper = sum(_amplified_upper(space, a)[0] for a in atoms)
-    return NormEstimate.bracket(min(lower, upper), upper)
+    return NormEstimate.bracket(lower, upper)
 
 
 def _identity_suite(name: str, residual, ctx: _Ctx, trials: int) -> _Tally:
@@ -583,13 +575,17 @@ def _scalarization_residual(nu, dual, rng, fault) -> float:
 
 def _ft_conv6_residual(f, g_fn, nu, xp, dual, fault=None) -> float:
     lhs = ft_classical(conv_weak(f, g_fn, nu, xp), dual)
-    ghat = _ft_vector_blocks(g_fn.values, nu, dual, inv_block_dim=fault != "drop-inv-dpi-def41")
+    ghat = ft_vector(g_fn, nu, dual)
     fhat = ft_classical(f, dual)
     xpm = _xp_as_level1(xp)
     resid = 0.0
     for r, p in enumerate(dual.irreps):
-        prod = mox_matmul(ghat[r], fhat.blocks[r])
-        rhs = (1 if fault == "drop-dpi-conv6" else p.dim) * matrix_pair(prod, xpm)
+        prod = mox_matmul(ghat.blocks[r], fhat.blocks[r])
+        scale = 1 if fault == "drop-dpi-conv6" else p.dim
+        if fault == "drop-inv-dpi-def41":
+            # ghat's block without the 1/d of definition 4.1
+            scale *= p.dim
+        rhs = scale * matrix_pair(prod, xpm)
         resid = max(resid, float(np.abs(lhs.blocks[r] - rhs).max()))
     return resid
 
@@ -811,10 +807,7 @@ def _suite_invariance(ctx: _Ctx, trials: int) -> _Tally:
                             resid = max(abs(a.lower - b.lower), abs(a.lower - c.lower))
                             tally.residual_check(resid, tol_e, f"norms {g.label} {space.label}")
                         else:
-                            gap = max(
-                                max(0.0, a.lower - b.upper, b.lower - a.upper),
-                                max(0.0, a.lower - c.upper, c.lower - a.upper),
-                            )
+                            gap = max(a.gap(b), a.gap(c))
                             tally.residual_check(gap, tol_b, f"norms {g.label} {space.label}")
     # part B: containment of the measure-weighted space in the Haar space
     fixtures = [(g, s) for (g, _) in ctx.groups for s in ctx.spaces]
@@ -968,6 +961,8 @@ def _build_ctx(cfg: RunConfig, fault: str | None) -> _Ctx:
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}")
     groups = [group_with_dual(spec) for spec in cfg.groups]
+    if fault == "perturb-irrep":
+        groups = [(g, _perturbed_dual(dual)) for g, dual in groups]
     spaces = [space_from_spec(s) for s in cfg.spaces]
     return _Ctx(cfg, groups, spaces, fault)
 

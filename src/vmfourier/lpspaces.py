@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, require_same_group
-from .measures import GroupMap, VectorMeasure
+from .measures import GroupMap, VectorMeasure, _subset_indices
 from .spaces import CoefficientSpace, NormEstimate, XVector, dual_ball_sup, lp_dual_sup
 
 __all__ = [
@@ -145,14 +145,8 @@ def pettis_integral(phi: VectorFunction, subset=None) -> XVector:
     Weak and strong integrals agree here; pairing the result with any dual
     vector equals the scalar integral of the paired function.
     """
-    n = phi.group.order
-    if subset is None:
-        idx = np.arange(n)
-    else:
-        idx = np.asarray(sorted(set(int(t) for t in subset)), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError("subset contains indices outside the group")
-    return XVector(phi.space, phi.values[idx].sum(axis=0) / n)
+    idx = _subset_indices(phi.group, subset)
+    return XVector(phi.space, phi.values[idx].sum(axis=0) / phi.group.order)
 
 
 def function_pushforward(f: ScalarFunction, h: GroupMap) -> ScalarFunction:

@@ -21,7 +21,6 @@ import numpy as np
 from .groups import FiniteGroup, build_group, format_complex, parse_complex, require_same_group
 from .spaces import (
     CoefficientSpace,
-    MatrixOverX,
     NormEstimate,
     ScalarSpace,
     XVector,
@@ -45,7 +44,6 @@ __all__ = [
     "check_semivariation_invariance",
     "measure_from_density",
     "integrate",
-    "tensor_integrate",
     "is_k_scalarly_bounded",
     "load_measure_fixture",
     "dump_measure_fixture",
@@ -210,18 +208,6 @@ def integrate(f: np.ndarray, nu: VectorMeasure) -> XVector:
     return XVector(nu.space, f @ nu.atoms)
 
 
-def tensor_integrate(values: np.ndarray, nu: VectorMeasure) -> MatrixOverX:
-    """integral of a matrix-valued function: entry (i, j) is sum_t F(t)_{ij} x_t.
-
-    ``values`` has shape [order, n, n]; the result is an n-level matrix over
-    the measure's space and pairs with scalar functionals entrywise.
-    """
-    values = np.asarray(values, dtype=complex)
-    if values.ndim != 3 or values.shape[0] != nu.group.order:
-        raise ValueError("matrix function must have shape [order, n, n]")
-    return MatrixOverX(nu.space, np.einsum("tij,tc->ijc", values, nu.atoms))
-
-
 def is_k_scalarly_bounded(nu: VectorMeasure, k: float) -> bool:
     """Whether every scalarized total variation is dominated by k * m_G.
 
@@ -258,10 +244,6 @@ class InvarianceReport:
         return not self.refuted
 
 
-def _bracket_gap(a: NormEstimate, b: NormEstimate) -> float:
-    return max(0.0, a.lower - b.upper, b.lower - a.upper)
-
-
 def check_semivariation_invariance(
     nu: VectorMeasure,
     h: GroupMap,
@@ -295,7 +277,7 @@ def check_semivariation_invariance(
     worst = 0.0
     refuted = False
     for a, b in zip(ests[: len(densities)], ests[len(densities) :]):
-        gap = _bracket_gap(a, b)
+        gap = a.gap(b)
         if gap > 0:
             refuted = True
             worst = max(worst, gap)

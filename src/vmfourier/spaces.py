@@ -104,6 +104,10 @@ class NormEstimate:
         """Apply x -> x**(1/p) to both ends (monotone, bracket-preserving)."""
         return NormEstimate(self.lower ** (1.0 / p), self.upper ** (1.0 / p), self.exact)
 
+    def gap(self, other: "NormEstimate") -> float:
+        """Certified distance between the two brackets; 0 when they overlap."""
+        return max(0.0, self.lower - other.upper, other.lower - self.upper)
+
     def times(self, other: "NormEstimate") -> "NormEstimate":
         return NormEstimate(
             self.lower * other.lower, self.upper * other.upper, self.exact and other.exact
@@ -651,7 +655,7 @@ def dual_ball_sups(space: CoefficientSpace, weights, vecs) -> list[NormEstimate]
             lambda w, v: _phase_ascent(space, w, v), uppers, np.stack(ws), np.stack(vs)
         )
         for b, lower, upper in zip(idx, lowers, uppers):
-            out[b] = NormEstimate.bracket(min(lower, upper), upper)
+            out[b] = NormEstimate.bracket(lower, upper)
     return out
 
 
@@ -718,7 +722,7 @@ def lp_dual_sups(space: CoefficientSpace, vecs, p: float) -> list[NormEstimate]:
     if rows:
         lowers = _ascend_rows(lambda v: _lp_ascent(space, v, p), uppers, vecs[rows])
         for b, lower, upper in zip(rows, lowers, uppers):
-            out[b] = NormEstimate.bracket(min(lower, upper), upper)
+            out[b] = NormEstimate.bracket(lower, upper)
     return out
 
 
@@ -790,7 +794,7 @@ def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
         lowers = _ascend_rows(lambda e: _amplified_ascent(space, e), uppers, entries[rows])
         for b, lower, upper, floor in zip(rows, lowers, uppers, floors):
             lower = max(lower, floor)
-            out[b] = NormEstimate.bracket(min(lower, upper), upper)
+            out[b] = NormEstimate.bracket(lower, upper)
     return out
 
 

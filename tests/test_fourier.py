@@ -32,6 +32,57 @@ class TestClassicalTransform:
             assert np.allclose(c.blocks[r], p.dim * gh.blocks[r] @ fh.blocks[r], atol=1e-12)
 
 
+def _adjoints(p):
+    return p.matrices.conj().transpose(0, 2, 1)
+
+
+class TestAgainstPerIrrepFormulas:
+    """The cached-matrix transforms against the per-irrep einsum formulas,
+    entry by entry, on every built-in group (blocks of size 1, 2 and 3)."""
+
+    def test_classical(self, builtin_groups):
+        for k, (g, dual) in enumerate(builtin_groups):
+            f = random_function(g, 200 + k)
+            c = vf.ft_classical(f, dual)
+            for p, b in zip(dual.irreps, c.blocks):
+                ref = np.einsum("t,tab->ab", f.values, _adjoints(p)) / (p.dim * g.order)
+                assert np.abs(b - ref).max() < 1e-12
+
+    def test_vector_and_measure(self, builtin_groups, all_spaces):
+        for k, (g, dual) in enumerate(builtin_groups):
+            for si, space in enumerate(all_spaces):
+                nu = random_measure(g, space, seed=300 + 10 * k + si)
+                f = random_function(g, 400 + 10 * k + si)
+                vec, meas = vf.ft_vector(f, nu, dual), vf.ft_measure(nu, dual)
+                for p, bv, bm in zip(dual.irreps, vec.blocks, meas.blocks):
+                    adj = _adjoints(p) / p.dim
+                    ref_v = np.einsum("tij,tc->ijc", f.values[:, None, None] * adj, nu.atoms)
+                    ref_m = np.einsum("tij,tc->ijc", adj, nu.atoms)
+                    assert np.abs(bv.entries - ref_v).max() < 1e-12
+                    assert np.abs(bm.entries - ref_m).max() < 1e-12
+
+    def test_inverse(self, builtin_groups):
+        rng = np.random.default_rng(5)
+        for g, dual in builtin_groups:
+            blocks = [
+                rng.standard_normal((p.dim, p.dim)) + 1j * rng.standard_normal((p.dim, p.dim))
+                for p in dual.irreps
+            ]
+            back = vf.ft_inverse(vf.FourierCoefficients(dual, blocks))
+            ref = sum(
+                p.dim**2 * np.einsum("ab,tba->t", b, p.matrices)
+                for p, b in zip(dual.irreps, blocks)
+            )
+            assert np.abs(back.values - ref).max() < 1e-12
+
+    def test_coefficients_are_cached_and_read_only(self, s3_dual):
+        c = s3_dual.coefficients
+        assert c is s3_dual.coefficients
+        assert c.shape == (sum(d * d for d in s3_dual.dims()), 6)
+        with pytest.raises(ValueError):
+            c[0, 0] = 1.0
+
+
 class TestInversionPlancherel:
     def test_roundtrip_sign_character(self, z2, z2_dual):
         f = ScalarFunction(z2, [1, -1])

@@ -331,8 +331,12 @@ class TestGridOracle:
 
 def run_cli(*args, env=None):
     import os
+    from pathlib import Path
 
     full_env = dict(os.environ)
+    # the child imports the same package as this process
+    src = str(Path(vf.__file__).resolve().parents[1])
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full_env.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     return subprocess.run(

@@ -270,27 +270,6 @@ class TestDensitiesAndIntegrals:
     def test_integrate_signs(self, F3):
         assert np.allclose(vf.integrate(np.array([1, -1]), F3).coords, [1, -1])
 
-    def test_tensor_integrate_character(self, F3, z2_dual):
-        adj = z2_dual.irreps[1].matrices.conj().transpose(0, 2, 1)
-        out = vf.tensor_integrate(adj, F3)
-        assert out.level == 1
-        assert np.allclose(out.entries[0, 0], [1, -1])
-
-    def test_tensor_integrate_functional_compatibility(self, s3, all_spaces):
-        # pairing the matrix integral with a matrix functional equals the
-        # scalar integral of the compressed function
-        rng = np.random.default_rng(13)
-        for si, space in enumerate(all_spaces):
-            nu = random_measure(s3, space, seed=100 + si)
-            F = rng.standard_normal((s3.order, 2, 2)) + 1j * rng.standard_normal((s3.order, 2, 2))
-            mox = vf.tensor_integrate(F, nu)
-            y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            compressed = np.einsum("a,tab,b->t", np.conj(y), F, w)
-            lhs = np.einsum("a,abc,b->c", np.conj(y), mox.entries, w)
-            rhs = vf.integrate(compressed, nu).coords
-            assert np.allclose(lhs, rhs, atol=1e-10)
-
 
 class TestKScalarBound:
     def test_haar_measure(self, z2):
