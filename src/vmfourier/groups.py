@@ -549,6 +549,8 @@ def dump_group_file(g: FiniteGroup) -> str:
 def load_group_file(path: str | Path, label: str | None = None) -> FiniteGroup:
     text = Path(path).read_text()
     tokens = [line.split() for line in text.splitlines() if line.strip()]
+    if not tokens:
+        raise ValueError("group table file is empty")
     order = int(tokens[0][0])
     rows = tokens[1 : 1 + order]
     if len(rows) != order:
@@ -575,7 +577,7 @@ def load_dual_file(path: str | Path, g: FiniteGroup) -> UnitaryDual:
     count = 0
     while pos < len(lines):
         head = lines[pos].split()
-        if head[0] != "dim":
+        if len(head) != 2 or head[0] != "dim":
             raise ValueError(f"expected 'dim <d>' header, got {lines[pos]!r}")
         d = int(head[1])
         pos += 1

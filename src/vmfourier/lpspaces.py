@@ -134,8 +134,6 @@ def Pp_norm(phi: VectorFunction, p: float) -> NormEstimate:
     """Weak p-norm of a vector-valued function: sup over the dual ball of the
     L^p(Haar) norm of the scalarized function.  Exact for the closed-form
     spaces; otherwise bracketed above by the L^p norm of t -> ||phi(t)||."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
     return lp_dual_sup(phi.space, phi.values, p)
 
 

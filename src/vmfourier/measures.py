@@ -274,14 +274,8 @@ def check_semivariation_invariance(
     # the semivariations of every nu_phi, then of every (nu_h)_phi, in one call
     vecs = [measure_from_density(m, phi).atoms for m in (nu, nu_h) for phi in densities]
     ests = dual_ball_sups(nu.space, np.ones((len(vecs), n)), np.array(vecs))
-    worst = 0.0
-    refuted = False
-    for a, b in zip(ests[: len(densities)], ests[len(densities) :]):
-        gap = a.gap(b)
-        if gap > 0:
-            refuted = True
-            worst = max(worst, gap)
-    return InvarianceReport(refuted, worst, len(densities))
+    worst = max(a.gap(b) for a, b in zip(ests[: len(densities)], ests[len(densities) :]))
+    return InvarianceReport(worst > 0, worst, len(densities))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +300,15 @@ def load_measure_fixture(path: str | Path) -> VectorMeasure:
     group = build_group(lines[0].split(None, 1)[1])
     space = space_from_spec(lines[1].split(None, 1)[1])
     atoms = np.zeros((group.order, space.dim), dtype=complex)
+    seen = set()
     for line in lines[2:]:
         parts = line.split()
         t = int(parts[0])
+        if not 0 <= t < group.order:
+            raise ValueError(f"atom index {t} is outside 0..{group.order - 1}")
+        if t in seen:
+            raise ValueError(f"atom for element {t} is given twice")
+        seen.add(t)
         coords = [parse_complex(tok) for tok in parts[1:]]
         if len(coords) != space.dim:
             raise ValueError(f"atom line for element {t} has {len(coords)} coordinates")

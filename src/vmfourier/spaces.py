@@ -582,16 +582,33 @@ def _ascend(ascent, caps) -> np.ndarray:
     return best
 
 
-def _ascend_rows(ascent, caps, *rows) -> np.ndarray:
-    """``_ascend(ascent(*chunk), caps)`` over chunks of the row arrays ``rows``
-    (leading axis = rows), each chunk holding about ``_CHUNK_ENTRIES`` entries
-    of the ascent's [rows, restarts, ...] working arrays."""
-    per_row = ASCENT_RESTARTS * rows[-1][0].size
-    step = max(1, _CHUNK_ENTRIES // per_row)
-    return np.concatenate([
-        _ascend(ascent(*(r[i : i + step] for r in rows)), caps[i : i + step])
-        for i in range(0, len(caps), step)
-    ])
+def _estimates(ends, ascent) -> list[NormEstimate]:
+    """Certified brackets of a batch of rows, in input order.
+
+    ``ends[b]`` is the ``NormEstimate`` of a row known without an ascent, or
+    ``(upper, floor, arrays)`` for a row that gets ``bracket(max(lower, floor),
+    upper)`` with ``lower`` from ``ascent(*arrays)`` capped at ``upper``.  Rows
+    whose arrays share shapes are stacked into one vectorised ascent, run in
+    chunks of about ``_CHUNK_ENTRIES`` entries of its [rows, restarts, ...]
+    working arrays as sized by the first array.
+    """
+    out = list(ends)
+    groups = {}  # array shapes -> ascent rows
+    for b, end in enumerate(ends):
+        if not isinstance(end, NormEstimate):
+            groups.setdefault(tuple(a.shape for a in end[2]), []).append(b)
+    for rows in groups.values():
+        uppers = np.array([ends[b][0] for b in rows])
+        arrays = [np.stack(a) for a in zip(*(ends[b][2] for b in rows))]
+        step = max(1, _CHUNK_ENTRIES // (ASCENT_RESTARTS * arrays[0][0].size))
+        lowers = np.concatenate([
+            _ascend(ascent(*(a[i : i + step] for a in arrays)), uppers[i : i + step])
+            for i in range(0, len(rows), step)
+        ])
+        for b, lower in zip(rows, lowers):
+            upper, floor, _ = ends[b]
+            out[b] = NormEstimate.bracket(max(lower, floor), upper)
+    return out
 
 
 def _norming(space, ys):
@@ -632,31 +649,17 @@ def dual_ball_sups(space: CoefficientSpace, weights, vecs) -> list[NormEstimate]
         )
     if np.any(weights < 0):
         raise ValueError("atom weights must be nonnegative")
-    out = [None] * len(weights)
-    buckets = {}  # kept atom count -> (row, weights, vecs, upper) for each ascent row
-    for b, (w, v) in enumerate(zip(weights, vecs)):
+    ends = []
+    for w, v in zip(weights, vecs):
         keep = w > 0
         w, v = w[keep], v[keep]
-        if len(w) == 0:
-            out[b] = NormEstimate.of_exact(0.0)
-            continue
-        closed = space.closed_dual_sup(w, v)
+        closed = space.closed_dual_sup(w, v) if len(w) else 0.0
         if closed is not None:
-            out[b] = NormEstimate.of_exact(closed)
+            ends.append(NormEstimate.of_exact(closed))
             continue
         upper = float(w @ space.norm_many(v))
-        if len(w) == 1:
-            out[b] = NormEstimate.bracket(upper, upper)
-        else:
-            buckets.setdefault(len(w), []).append((b, w, v, upper))
-    for rows in buckets.values():
-        idx, ws, vs, uppers = zip(*rows)
-        lowers = _ascend_rows(
-            lambda w, v: _phase_ascent(space, w, v), uppers, np.stack(ws), np.stack(vs)
-        )
-        for b, lower, upper in zip(idx, lowers, uppers):
-            out[b] = NormEstimate.bracket(lower, upper)
-    return out
+        ends.append(NormEstimate.bracket(upper, upper) if len(w) == 1 else (upper, 0.0, (v, w)))
+    return _estimates(ends, lambda v, w: _phase_ascent(space, w, v))
 
 
 def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
@@ -701,29 +704,23 @@ def lp_dual_sups(space: CoefficientSpace, vecs, p: float) -> list[NormEstimate]:
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 3 or vecs.shape[2] != space.dim:
         raise ValueError(f"expected vecs (B, T, {space.dim}), got {vecs.shape}")
+    if p < 1:
+        raise ValueError("p must be >= 1")
     B, T = vecs.shape[:2]
     if T == 0:
         return [NormEstimate.of_exact(0.0)] * B
-    if p < 1:
-        raise ValueError("p must be >= 1")
     if np.isinf(p):
         return [NormEstimate.of_exact(float(space.norm_many(v).max())) for v in vecs]
     if p == 1:
         return dual_ball_sups(space, np.full((B, T), 1.0 / T), vecs)
-    out = [None] * B
-    rows, uppers = [], []
-    for b, v in enumerate(vecs):
+    ends = []
+    for v in vecs:
         closed = space.closed_lp_sup(v, p)
         if closed is not None:
-            out[b] = NormEstimate.of_exact(closed)
+            ends.append(NormEstimate.of_exact(closed))
         else:
-            rows.append(b)
-            uppers.append(float(np.mean(space.norm_many(v) ** p) ** (1.0 / p)))
-    if rows:
-        lowers = _ascend_rows(lambda v: _lp_ascent(space, v, p), uppers, vecs[rows])
-        for b, lower, upper in zip(rows, lowers, uppers):
-            out[b] = NormEstimate.bracket(lower, upper)
-    return out
+            ends.append((float(np.mean(space.norm_many(v) ** p) ** (1.0 / p)), 0.0, (v,)))
+    return _estimates(ends, lambda v: _lp_ascent(space, v, p))
 
 
 def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEstimate:
@@ -780,22 +777,11 @@ def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 4 or entries.shape[1] != entries.shape[2] or entries.shape[3] != space.dim:
         raise ValueError(f"expected entries (B, n, n, {space.dim}), got {entries.shape}")
-    out = [None] * len(entries)
-    rows, uppers, floors = [], [], []
-    for b, e in enumerate(entries):
+    ends = []
+    for e in entries:
         upper, floor = _amplified_upper(space, e)
-        if floor is None:
-            out[b] = NormEstimate.of_exact(upper)
-            continue
-        rows.append(b)
-        uppers.append(upper)
-        floors.append(floor)
-    if rows:
-        lowers = _ascend_rows(lambda e: _amplified_ascent(space, e), uppers, entries[rows])
-        for b, lower, upper, floor in zip(rows, lowers, uppers, floors):
-            lower = max(lower, floor)
-            out[b] = NormEstimate.bracket(lower, upper)
-    return out
+        ends.append(NormEstimate.of_exact(upper) if floor is None else (upper, floor, (e,)))
+    return _estimates(ends, lambda e: _amplified_ascent(space, e))
 
 
 def amplified_norm(m: MatrixOverX) -> NormEstimate:

@@ -177,6 +177,18 @@ class TestTableFiles:
         with pytest.raises(ValueError):
             vf.load_group_file(path)
 
+    def test_empty_group_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n  \n")
+        with pytest.raises(ValueError, match="empty"):
+            vf.load_group_file(path)
+
+    def test_dual_dim_line_without_integer(self, tmp_path, z2):
+        path = tmp_path / "dual.txt"
+        path.write_text("dim\n1+0i\n1+0i\n")
+        with pytest.raises(ValueError, match="dim"):
+            vf.load_dual_file(path, z2)
+
     def test_complex_literals(self):
         from vmfourier.groups import format_complex, parse_complex
 

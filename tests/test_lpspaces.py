@@ -111,6 +111,11 @@ class TestPpNorm:
         phi = VectorFunction(z2, linf2, np.zeros((2, 2)))
         assert vf.Pp_norm(phi, 2).upper == 0.0
 
+    def test_rejects_p_below_one(self, z2, linf2):
+        phi = VectorFunction(z2, linf2, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="p must be"):
+            vf.Pp_norm(phi, 0.5)
+
     def test_monotone_in_p(self, s3, all_spaces):
         rng = np.random.default_rng(9)
         for space in all_spaces:

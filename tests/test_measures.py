@@ -297,3 +297,16 @@ class TestFixtureFiles:
         path.write_text("0 1+0i 0+0i\n")
         with pytest.raises(ValueError):
             vf.load_measure_fixture(path)
+
+    def test_negative_atom_index(self, tmp_path):
+        # -1 would otherwise write the atom of the last element
+        path = tmp_path / "bad.txt"
+        path.write_text("group cyclic:3\nspace scalar\n-1 2+0i\n")
+        with pytest.raises(ValueError, match="outside"):
+            vf.load_measure_fixture(path)
+
+    def test_repeated_atom_index(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("group cyclic:3\nspace scalar\n1 2+0i\n1 5+0i\n")
+        with pytest.raises(ValueError, match="twice"):
+            vf.load_measure_fixture(path)

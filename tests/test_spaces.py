@@ -582,3 +582,54 @@ class TestBatched:
             lp_dual_sups(s, np.zeros((3, 4)), 2.0)
         with pytest.raises(ValueError):
             amplified_norms(s, np.zeros((3, 2, 3, 4)))
+
+    def test_lp_p_checked_before_empty_rows(self):
+        # rows without atoms are exact zeros only for a valid p
+        with pytest.raises(ValueError, match="p must be"):
+            lp_dual_sups(MatOpSpace(2), np.zeros((2, 0, 4)), 0.5)
+
+
+class TestEstimates:
+    """The shared row-to-bracket core, driven by a scripted ascent."""
+
+    def test_rows_to_brackets(self, monkeypatch):
+        # rows whose first array has 3 entries go two to a chunk; the second
+        # array is larger and must not set the chunk size
+        monkeypatch.setattr(spaces, "_CHUNK_ENTRIES", 8 * ASCENT_RESTARTS)
+        caps, chunks = [], []
+
+        def capped(ascent, c):
+            caps.append(list(c))
+            return _ascend(ascent, c)
+
+        def ascent(table, pad):
+            chunks.append(table.tolist())
+            return scripted(table, [])
+
+        monkeypatch.setattr(spaces, "_ascend", capped)
+        pad = np.zeros(50)
+        known = [NormEstimate.of_exact(7.0), NormEstimate.bracket(1.0, 2.0)]
+        ends = [
+            (5.0, 0.0, (np.array([1.0, 2.0, 3.0]), pad)),
+            known[0],
+            (2.5, 0.0, (np.array([1.0, 2.5, 9.0, 9.0]), pad)),  # stops at its cap
+            (6.0, 4.0, (np.array([1.0, 2.0, 3.0]), pad)),  # floor above the ascent
+            (9.0, 0.0, (np.array([2.0, 1.0, 1.0, 1.0]), pad)),
+            known[1],
+            (8.0, 0.0, (np.array([3.0, 2.0, 1.0]), pad)),
+        ]
+        out = spaces._estimates(ends, ascent)
+        assert out[1] is known[0] and out[5] is known[1]
+        got = [(e.lower, e.upper, e.exact) for e in out]
+        assert got[0] == (3.0, 5.0, False)
+        assert got[2] == (2.5, 2.5, False)
+        assert got[3] == (4.0, 6.0, False)
+        assert got[4] == (2.0, 9.0, False)
+        assert got[6] == (3.0, 8.0, False)
+        # one ascent per array shape, the three-entry group split in two chunks
+        assert chunks == [
+            [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
+            [[3.0, 2.0, 1.0]],
+            [[1.0, 2.5, 9.0, 9.0], [2.0, 1.0, 1.0, 1.0]],
+        ]
+        assert caps == [[5.0, 6.0], [8.0], [2.5, 9.0]]
