@@ -44,7 +44,6 @@ from .groups import (
 from .harness import (
     RunConfig,
     TheoremReport,
-    default_config,
     emit_report,
     generate_fixture,
     grid_dual_sup,

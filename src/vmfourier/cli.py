@@ -13,10 +13,10 @@ import os
 import sys
 from pathlib import Path
 
-from .groups import build_group, builtin_group_specs, dump_dual_file, dump_group_file, unitary_dual
+from .groups import builtin_group_specs, dump_dual_file, dump_group_file
 from .harness import (
     FAULTS,
-    default_config,
+    RunConfig,
     emit_report,
     group_with_dual,
     load_config,
@@ -55,15 +55,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _default_out(fmt: str) -> Path:
-    base = os.environ.get(OUT_DIR_ENV)
-    ext = "json" if fmt == "json" else "md"
-    if base:
-        return Path(base) / f"report.{ext}"
-    return Path(f"report.{ext}")
+def _report_path(args, cfg: RunConfig) -> Path:
+    """``--out``, else report.json / report.md in the config's ``out_dir``,
+    else in $VMFOURIER_OUT, else in the working directory."""
+    if args.out:
+        return args.out
+    base = cfg.out_dir or os.environ.get(OUT_DIR_ENV) or ""
+    return Path(base) / f"report.{'json' if args.format == 'json' else 'md'}"
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     for name in suite_names():
         print(name)
     return 0
@@ -71,7 +72,7 @@ def _cmd_list() -> int:
 
 def _cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config) if args.config else default_config()
+        cfg = load_config(args.config) if args.config else RunConfig()
         # replace() reruns RunConfig's validation on the overridden fields
         overrides = {"seed": args.seed, "trials": args.trials, "suites": args.suite}
         cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
@@ -96,8 +97,7 @@ def _cmd_run(args) -> int:
         )
         reports.append(rep)
 
-    out = args.out or (cfg.out_dir / f"report.{'json' if args.format == 'json' else 'md'}"
-                       if cfg.out_dir else _default_out(args.format))
+    out = _report_path(args, cfg)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         emit_report(reports, args.format, out, seed=cfg.seed)
@@ -113,8 +113,7 @@ def _cmd_fixtures(args) -> int:
     if out_dir is None and os.environ.get(OUT_DIR_ENV):
         out_dir = Path(os.environ[OUT_DIR_ENV])
     for spec in builtin_group_specs():
-        g = build_group(spec)
-        dual = unitary_dual(g)
+        g, dual = group_with_dual(spec)
         gtext = dump_group_file(g)
         dtext = dump_dual_file(dual)
         if out_dir is None:
@@ -133,13 +132,7 @@ def _cmd_fixtures(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "fixtures":
-        return _cmd_fixtures(args)
-    return 2  # pragma: no cover
+    return {"list": _cmd_list, "run": _cmd_run, "fixtures": _cmd_fixtures}[args.command](args)
 
 
 if __name__ == "__main__":

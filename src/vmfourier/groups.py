@@ -360,27 +360,11 @@ def _standard_rep(perms: list[tuple[int, ...]]) -> np.ndarray:
     return np.einsum("ia,tij,jb->tab", b, pm, b).astype(complex)
 
 
-def _parity(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _symmetric_dual(g: FiniteGroup) -> list[UnitaryIrrep]:
     n = g.family[1]
     perms = list(itertools.permutations(range(n)))
-    signs = np.array([_parity(p) for p in perms], dtype=complex)
+    # the sign of a permutation is the determinant of its matrix
+    signs = np.linalg.det(_perm_matrices(perms)).astype(complex)
     triv = np.ones(len(perms), dtype=complex)
     irreps = [UnitaryIrrep(1, triv[:, None, None], "trivial")]
     if n >= 2:

@@ -97,7 +97,6 @@ from .spaces import (
 __all__ = [
     "RunConfig",
     "TheoremReport",
-    "default_config",
     "load_config",
     "suite_names",
     "run_suite",
@@ -148,8 +147,10 @@ class RunConfig:
     def __post_init__(self):
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol_exact <= 0 or self.tol_bracket <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not all(0 < t < np.inf for t in (self.tol_exact, self.tol_bracket)):
+            raise ValueError("tolerances must be finite and positive")
         for s in self.suites:
             if s not in _SUITES:
                 raise ValueError(f"unknown suite {s!r}; known: {', '.join(_SUITES)}")
@@ -180,10 +181,6 @@ def classify(lhs: NormEstimate, rhs: NormEstimate, tol: float) -> str:
     if lhs.upper <= rhs.lower + tol:
         return PASS
     return NEAR_MISS
-
-
-def _excess(lhs: NormEstimate, rhs: NormEstimate) -> float:
-    return max(0.0, lhs.lower - rhs.upper)
 
 
 def _instance_rng(seed: int, suite: str, index: int) -> np.random.Generator:
@@ -250,10 +247,8 @@ def _random_function(group: FiniteGroup, rng) -> ScalarFunction:
     return ScalarFunction(group, v)
 
 
-def _random_dual(space: CoefficientSpace, rng, radius_range=(0.25, 2.0)) -> XVector:
-    xp = space.sample_dual(rng, 1)[0]
-    r = rng.uniform(*radius_range)
-    return XVector(space, r * xp)
+def _random_dual(space: CoefficientSpace, rng) -> XVector:
+    return XVector(space, space.sample_dual(rng, 1)[0] * rng.uniform(0.25, 2.0))
 
 
 def _xp_as_level1(xp: XVector) -> MatrixOverX:
@@ -340,22 +335,18 @@ class _Tally:
         self.max_residual = 0.0
         self.notes: list[str] = []
 
-    def residual_check(self, residual: float, tol: float, note: str = ""):
+    def residual_check(self, residual: float, tol: float, note: str):
+        self._count(VIOLATION if residual > tol else PASS, residual, note)
+
+    def compare(self, lhs: NormEstimate, rhs: NormEstimate, tol: float, note: str):
+        self._count(classify(lhs, rhs, tol), max(0.0, lhs.lower - rhs.upper), note)
+
+    def _count(self, status: str, residual: float, note: str):
         self.instances += 1
         self.max_residual = max(self.max_residual, residual)
-        if residual > tol:
-            self.violations += 1
-            if note:
-                self.notes.append(note)
-
-    def compare(self, lhs: NormEstimate, rhs: NormEstimate, tol: float, note: str = ""):
-        self.instances += 1
-        status = classify(lhs, rhs, tol)
-        self.max_residual = max(self.max_residual, _excess(lhs, rhs))
         if status == VIOLATION:
             self.violations += 1
-            if note:
-                self.notes.append(note)
+            self.notes.append(note)
         elif status == NEAR_MISS:
             self.near_misses += 1
 
@@ -368,27 +359,54 @@ def _perturbed_dual(dual: UnitaryDual, magnitude: float = 1e-3) -> UnitaryDual:
     return UnitaryDual(dual.group, [*irreps, UnitaryIrrep(last.dim, mats, last.label)])
 
 
+def _instance(ctx: _Ctx, name: str, i: int, kind: str, g: FiniteGroup, space):
+    """Instance i of the suite keyed ``name``: its rng stream, and its ``kind``
+    fixture on (g, space) seeded by the stream's first draw."""
+    rng = _instance_rng(ctx.cfg.seed, name, i)
+    return rng, generate_fixture(kind, g, space, seed=int(rng.integers(2**32)))
+
+
+def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, tally):
+    """One row of the claim table.  Instance i takes cell i % len(cells) of the
+    (group, space) grid, groups varying fastest unless ``spaces_fastest``, and
+    combo i % len(combos); ``check(combo, nu, dual, rng, fault)`` draws the
+    rest and returns a residual (against ``tol_exact``) or an (lhs, rhs) pair
+    (at ``tol_bracket``).  A violation's note formats ``note`` with the suite
+    name, g and s (group and space labels), c (the combo) and i."""
+    if spaces_fastest:
+        cells = [(g, dual, s) for g, dual in ctx.groups for s in ctx.spaces]
+    else:
+        cells = [(g, dual, s) for s in ctx.spaces for g, dual in ctx.groups]
+    for i in range(trials):
+        g, dual, space = cells[i % len(cells)]
+        combo = combos[i % len(combos)]
+        rng, nu = _instance(ctx, name, i, kind, g, space)
+        out = check(combo, nu, dual, rng, ctx.fault)
+        text = note.format(name=name, g=g.label, s=space.label, c=combo, i=i)
+        if isinstance(out, tuple):
+            tally.compare(*out, ctx.cfg.tol_bracket, text)
+        else:
+            tally.residual_check(out, ctx.cfg.tol_exact, text)
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
 
-def _suite_dual_validation(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
+def _suite_dual_validation(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     for g, dual in ctx.groups:
         rep = validate_dual(g, dual, ctx.cfg.tol_exact)
         tally.residual_check(rep.max_residual, ctx.cfg.tol_exact, f"{g.label} residuals")
         comp_ok = sum(p.dim**2 for p in dual.irreps) == g.order
         tally.residual_check(0.0 if comp_ok else 1.0, 0.5, f"{g.label} completeness")
-    return tally
 
 
-def _suite_plancherel(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
+def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     tol = ctx.cfg.tol_exact
     for i in range(trials):
         g, dual = ctx.groups[i % len(ctx.groups)]
-        rng = _instance_rng(ctx.cfg.seed, "plancherel", i)
+        rng = _instance_rng(ctx.cfg.seed, name, i)
         f = _random_function(g, rng)
         lhs, rhs = plancherel_check(f, dual)
         roundtrip = ft_inverse(ft_classical(f, dual))
@@ -406,11 +424,9 @@ def _suite_plancherel(ctx: _Ctx, trials: int) -> _Tally:
             wrt = ft_inverse(ft_weak(f, nu, xp, dual))
             resid = max(resid, abs(wl - wr), float(np.abs(wrt.values - fh.values).max()))
         tally.residual_check(resid, tol, f"{g.label} trial {i}")
-    return tally
 
 
-def _suite_ft_norm_bounds(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
+def _suite_ft_norm_bounds(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     tol = ctx.cfg.tol_bracket
     ng = len(ctx.groups)
     for space in ctx.spaces:
@@ -425,9 +441,8 @@ def _suite_ft_norm_bounds(ctx: _Ctx, trials: int) -> _Tally:
                 continue
             nus, fs, xps = [], [], []
             for i in idx:
-                rng = _instance_rng(ctx.cfg.seed, f"ft-norm-bounds:{space.label}", i)
-                seed = int(rng.integers(2**32))
-                nus.append(generate_fixture("random-gaussian", g, space, seed=seed))
+                rng, nu = _instance(ctx, f"{name}:{space.label}", i, "random-gaussian", g, space)
+                nus.append(nu)
                 fs.append(_random_function(g, rng))
                 xps.append(_random_dual(space, rng))
             atoms = np.array([nu.atoms for nu in nus])
@@ -463,42 +478,37 @@ def _suite_ft_norm_bounds(ctx: _Ctx, trials: int) -> _Tally:
                     NormEstimate.bracket(lhs_lo, lhs_hi), NormEstimate.bracket(rhs_lo, rhs_hi),
                     tol, note,
                 )
-    return tally
 
 
-def _suite_cb_amplification(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
-    levels = (1, 2, 3)
-    for i in range(trials):
-        g, dual = ctx.groups[i % len(ctx.groups)]
-        space = ctx.spaces[(i // len(ctx.groups)) % len(ctx.spaces)]
-        n = levels[i % len(levels)]
-        rng = _instance_rng(ctx.cfg.seed, "cb-amplification", i)
-        nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
-        if i % 2 == 0:
-            fmat = MatrixFunction(
-                g, n,
-                rng.standard_normal((g.order, n, n)) + 1j * rng.standard_normal((g.order, n, n)),
-            )
-            hats = [
-                [ft_vector(fmat.entry(a, b), nu, dual) for b in range(n)] for a in range(n)
-            ]
-            rhs, note = N_norm(fmat, nu), "cb fn"
-        else:
-            nus = [
-                [generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
-                 for _ in range(n)]
-                for _ in range(n)
-            ]
-            hats = [[ft_measure(nus[a][b], dual) for b in range(n)] for a in range(n)]
-            rhs, note = _amplified_measure_semivariation(space, nus), "cb meas"
-        blocks = (
-            mox_assemble([[hats[a][b].blocks[r] for b in range(n)] for a in range(n)])
-            for r in range(len(dual.irreps))
+# instance i checks level (1, 2, 3)[i % 3] on branch ("fn", "meas")[i % 2]
+_CB_COMBOS = tuple((n, ("fn", "meas")[i % 2]) for i, n in enumerate((1, 2, 3) * 2))
+
+
+def _cb_amplification(combo, nu, dual, rng, fault):
+    """4.4ii/3.6iii at level n: the amplified transform of an n x n matrix
+    function against its N-norm (``fn``), or of an n x n matrix of measures,
+    drawn here, against their amplified semivariation (``meas``)."""
+    n, branch = combo
+    g, space = nu.group, nu.space
+    if branch == "fn":
+        fmat = MatrixFunction(
+            g, n, rng.standard_normal((g.order, n, n)) + 1j * rng.standard_normal((g.order, n, n))
         )
-        lhs = NormEstimate.max_of(amplified_norm(m) for m in blocks)
-        tally.compare(lhs, rhs, ctx.cfg.tol_bracket, f"{note} {g.label} {space.label} n={n} {i}")
-    return tally
+        hats = [[ft_vector(fmat.entry(a, b), nu, dual) for b in range(n)] for a in range(n)]
+        rhs = N_norm(fmat, nu)
+    else:
+        nus = [
+            [generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        hats = [[ft_measure(nus[a][b], dual) for b in range(n)] for a in range(n)]
+        rhs = _amplified_measure_semivariation(space, nus)
+    blocks = (
+        mox_assemble([[hats[a][b].blocks[r] for b in range(n)] for a in range(n)])
+        for r in range(len(dual.irreps))
+    )
+    return NormEstimate.max_of(amplified_norm(m) for m in blocks), rhs
 
 
 def _amplified_measure_semivariation(space, nus) -> NormEstimate:
@@ -511,21 +521,6 @@ def _amplified_measure_semivariation(space, nus) -> NormEstimate:
     return NormEstimate.bracket(lower, upper)
 
 
-def _identity_suite(name: str, residual, ctx: _Ctx, trials: int) -> _Tally:
-    """An exact identity checked on random-gaussian measures: instance i draws
-    its measure on its (group, space) and ``residual(nu, dual, rng, fault)``
-    draws the rest of the instance and returns the identity's residual."""
-    tally = _Tally()
-    for i in range(trials):
-        g, dual = ctx.groups[i % len(ctx.groups)]
-        space = ctx.spaces[(i // len(ctx.groups)) % len(ctx.spaces)]
-        rng = _instance_rng(ctx.cfg.seed, name, i)
-        nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
-        resid = residual(nu, dual, rng, ctx.fault)
-        tally.residual_check(resid, ctx.cfg.tol_exact, f"{g.label} {space.label} {i}")
-    return tally
-
-
 def _weak_block_gap(hat, weak, xp: XVector) -> float:
     """Largest entry of <hat, xp> - weak over the irrep blocks."""
     xpm = _xp_as_level1(xp)
@@ -534,13 +529,13 @@ def _weak_block_gap(hat, weak, xp: XVector) -> float:
     )
 
 
-def _pairing_residual(nu, dual, rng, fault) -> float:
+def _pairing_residual(combo, nu, dual, rng, fault) -> float:
     f = _random_function(nu.group, rng)
     xp = _random_dual(nu.space, rng)
     return _weak_block_gap(ft_vector(f, nu, dual), ft_weak(f, nu, xp, dual), xp)
 
 
-def _density_residual(nu, dual, rng, fault) -> float:
+def _density_residual(combo, nu, dual, rng, fault) -> float:
     f = _random_function(nu.group, rng)
     lhs = ft_vector(f, nu, dual)
     rhs = ft_measure(measure_from_density(nu, f.values), dual)
@@ -548,7 +543,7 @@ def _density_residual(nu, dual, rng, fault) -> float:
     return max(lhs.max_abs_diff(rhs), _weak_block_gap(rhs, ft_weak(f, nu, xp, dual), xp))
 
 
-def _scalarization_residual(nu, dual, rng, fault) -> float:
+def _scalarization_residual(combo, nu, dual, rng, fault) -> float:
     f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
     xp = _random_dual(nu.space, rng)
     vec = conv_vector(f, h, nu)
@@ -573,7 +568,7 @@ def _ft_conv6_residual(f, g_fn, nu, xp, dual, fault=None) -> float:
     return resid
 
 
-def _ft_conv6_instance(nu, dual, rng, fault) -> float:
+def _ft_conv6_instance(combo, nu, dual, rng, fault) -> float:
     f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
     return _ft_conv6_residual(f, h, nu, _random_dual(nu.space, rng), dual, fault)
 
@@ -590,19 +585,19 @@ def _ft_conv8_residual(mu, nu, dual, fault=None) -> float:
     return resid
 
 
-def _ft_conv8_instance(nu, dual, rng, fault) -> float:
+def _ft_conv8_instance(combo, nu, dual, rng, fault) -> float:
     mu = VectorMeasure.scalar(nu.group, _random_function(nu.group, rng).values)
     return _ft_conv8_residual(mu, nu, dual, fault)
 
 
-def _pettis_residual(nu, dual, rng, fault) -> float:
+def _pettis_residual(combo, nu, dual, rng, fault) -> float:
     f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
     lhs = pettis_integral(conv_vector(f, h, nu))
     rhs = complex(np.mean(f.values)) * integrate(h.values, nu)
     return float(np.abs(lhs.coords - rhs.coords).max())
 
 
-def _duality_residual(nu, dual, rng, fault) -> float:
+def _duality_residual(combo, nu, dual, rng, fault) -> float:
     f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
     phi = _random_function(nu.group, rng)
     xp = _random_dual(nu.space, rng)
@@ -611,15 +606,13 @@ def _duality_residual(nu, dual, rng, fault) -> float:
     return abs(lhs - pair(integrate(inner.values * h.values, nu), xp))
 
 
-def _suite_uniqueness(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
+def _suite_uniqueness(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     for k, (g, dual) in enumerate(ctx.groups):
         for j, space in enumerate(ctx.spaces):
             # one stream per (group, space) pair, keyed by its place in the config
-            rng = _instance_rng(ctx.cfg.seed, "uniqueness", k * len(ctx.spaces) + j)
+            _, nu = _instance(ctx, name, k * len(ctx.spaces) + j, "random-gaussian", g, space)
             kdim = uniqueness_rank(dual, space)
             tally.residual_check(float(kdim), 0.5, f"measure kernel {g.label} {space.label}")
-            nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
             kdim = uniqueness_rank(dual, nu)
             tally.residual_check(float(kdim), 0.5, f"fn kernel {g.label} {space.label}")
             if g.order > 1:
@@ -630,7 +623,6 @@ def _suite_uniqueness(ctx: _Ctx, trials: int) -> _Tally:
                 tally.residual_check(
                     float(kdim), 0.5, f"fn kernel null-atom {g.label} {space.label}"
                 )
-    return tally
 
 
 # -- Young-type inequalities -------------------------------------------------
@@ -734,46 +726,39 @@ _YOUNG = {
 }
 
 
-def _young_suite(thm: str, ctx: _Ctx, trials: int) -> _Tally:
-    combos, claim = _YOUNG[thm]
-    tally = _Tally()
-    fixtures = [(g, s) for (g, _) in ctx.groups for s in ctx.spaces]
-    for i in range(trials):
-        g, space = fixtures[i % len(fixtures)]
-        combo = combos[i % len(combos)]
-        rng = _instance_rng(ctx.cfg.seed, thm, i)
-        nu = generate_fixture("translation-invariant", g, space, seed=int(rng.integers(2**32)))
-        f, h = _random_function(g, rng), _random_function(g, rng)
-        xp = _random_dual(space, rng)
-        lhs, rhs = claim(combo, nu, f, h, xp)
-        tally.compare(lhs, rhs, ctx.cfg.tol_bracket, f"{thm} {g.label} {space.label} {combo} {i}")
-    return tally
+def _young(claim):
+    """The check of a Young claim: it draws f, h and then xp."""
+
+    def check(combo, nu, dual, rng, fault):
+        f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
+        return claim(combo, nu, f, h, _random_dual(nu.space, rng))
+
+    return check
 
 
-def _suite_embedding_413(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
-    ps = [p for p in EXPONENT_GRID if p > 1]
-    for i in range(trials):
-        g, _ = ctx.groups[i % len(ctx.groups)]
-        space = ctx.spaces[(i // len(ctx.groups)) % len(ctx.spaces)]
-        rng = _instance_rng(ctx.cfg.seed, "embedding-4.13", i)
-        nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
-        f = _random_function(g, rng)
-        p = ps[i % len(ps)]
-        lhs = NormEstimate.of_exact(norm(integrate(f.values, nu)))
-        rhs = p_semivariation(nu, p).scaled(lp_norm_haar(f, _conj(p)))
-        tally.compare(lhs, rhs, ctx.cfg.tol_bracket, f"{g.label} {space.label} p={p} {i}")
-    return tally
+def _embedding_413(combo, nu, dual, rng, fault):
+    """4.13: ||int f dnu|| against ||nu||_p ||f||_{L^p'}."""
+    (p,) = combo
+    f = _random_function(nu.group, rng)
+    lhs = NormEstimate.of_exact(norm(integrate(f.values, nu)))
+    return lhs, p_semivariation(nu, p).scaled(lp_norm_haar(f, _conj(p)))
 
 
-def _suite_invariance(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
+def _lp_containment(combo, nu, dual, rng, fault):
+    """Part B of 5: ||f||_{L^p} against ||f||_{L^p(nu)} ||nu(G)||^(-1/p)."""
+    (p,) = combo
+    f = _random_function(nu.group, rng)
+    lhs = NormEstimate.of_exact(lp_norm_haar(f, p))
+    return lhs, lp_nu_norm(f, nu, p).scaled(norm(evaluate(nu)) ** (-1.0 / p))
+
+
+def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     tol_e, tol_b = ctx.cfg.tol_exact, ctx.cfg.tol_bracket
     # part A: invariance of the measure-weighted norms under every translation
     for k, (g, dual) in enumerate(ctx.groups):
         for j, space in enumerate(ctx.spaces):
             nu = generate_fixture("haar-like", g, space)
-            rng = _instance_rng(ctx.cfg.seed, "invariance-5", k * len(ctx.spaces) + j)
+            rng = _instance_rng(ctx.cfg.seed, name, k * len(ctx.spaces) + j)
             maps = [GroupMap.translation(g, t) for t in range(g.order)]
             maps.append(GroupMap.inversion(g))
             phis = [_random_function(g, rng) for _ in range(3)]
@@ -791,22 +776,10 @@ def _suite_invariance(ctx: _Ctx, trials: int) -> _Tally:
                             f"norms {g.label} {space.label}",
                         )
     # part B: containment of the measure-weighted space in the Haar space
-    fixtures = [(g, s) for (g, _) in ctx.groups for s in ctx.spaces]
-    for i in range(trials):
-        g, space = fixtures[i % len(fixtures)]
-        rng = _instance_rng(ctx.cfg.seed, "invariance-5:B", i)
-        nu = generate_fixture("translation-invariant", g, space, seed=int(rng.integers(2**32)))
-        f = _random_function(g, rng)
-        p = (1.0, 2.0)[i % 2]
-        lhs = NormEstimate.of_exact(lp_norm_haar(f, p))
-        scale = norm(evaluate(nu)) ** (-1.0 / p)
-        rhs = lp_nu_norm(f, nu, p).scaled(scale)
-        tally.compare(lhs, rhs, tol_b, f"L^p embed {g.label} {space.label} {i}")
-    return tally
+    _LP_CONTAINMENT(ctx, f"{name}:B", trials, tally)
 
 
-def _suite_commutativity(ctx: _Ctx, trials: int) -> _Tally:
-    tally = _Tally()
+def _suite_commutativity(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     witness_notes = []
     notes = []
     for g, dual in ctx.groups:
@@ -842,14 +815,12 @@ def _suite_commutativity(ctx: _Ctx, trials: int) -> _Tally:
                 tally.residual_check(diff, 1e-12, f"abelian commute {g.label} {i}")
             notes.append(f"{g.label}: abelian, max deviation {worst:.3g}")
     tally.notes = witness_notes + notes
-    return tally
 
 
-def _suite_calibration(ctx: _Ctx, trials: int) -> _Tally:
+def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     """Estimator brackets against an independent search: the phase grid where
     ``_grid_supported`` holds (both ends checked), otherwise the best of
     ``CALIBRATION_SAMPLES`` random dual-ball points (the upper end checked)."""
-    tally = _Tally()
     tol = ctx.cfg.tol_bracket
     samples = {
         space: space.sample_dual(np.random.default_rng(CALIBRATION_SEED), CALIBRATION_SAMPLES)
@@ -858,7 +829,7 @@ def _suite_calibration(ctx: _Ctx, trials: int) -> _Tally:
     }
     for i in range(trials):
         space = ctx.spaces[i % len(ctx.spaces)]
-        rng = _instance_rng(ctx.cfg.seed, "calibration", i)
+        rng = _instance_rng(ctx.cfg.seed, name, i)
         m = int(rng.integers(1, 5))
         weights = np.zeros(m)
         vecs = np.zeros((m, space.dim), dtype=complex)
@@ -875,7 +846,6 @@ def _suite_calibration(ctx: _Ctx, trials: int) -> _Tally:
         if space.exact_dual_sup:
             resid = max(resid, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))
         tally.residual_check(resid, tol, f"{space.label} m={m} {i}")
-    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -887,31 +857,47 @@ def _suite_calibration(ctx: _Ctx, trials: int) -> _Tally:
 class _SuiteSpec:
     anchor: str
     default_trials: int
-    runner: object
+    runner: object  # (ctx, name, trials, tally); the name keys its instance rngs
 
 
-def _identity(name: str, residual):
-    return functools.partial(_identity_suite, name, residual)
+def _claim(check, combos=((),), kind="random-gaussian", spaces_fastest=False,
+           note="{g} {s} {i}"):
+    """A row of the claim table, as a suite runner ``(ctx, name, trials, tally)``."""
+    return functools.partial(_claim_suite, kind, check, combos, spaces_fastest, note)
 
+
+# part B of invariance-5, which ``_suite_invariance`` runs under "invariance-5:B"
+_LP_CONTAINMENT = _claim(
+    _lp_containment, ((1.0,), (2.0,)), "translation-invariant", True, "L^p embed {g} {s} {i}"
+)
 
 _SUITES: dict[str, _SuiteSpec] = {
     "dual-validation": _SuiteSpec("duals", 1, _suite_dual_validation),
     "plancherel": _SuiteSpec("2.1", 1000, _suite_plancherel),
     "ft-norm-bounds": _SuiteSpec("4.4i/4.8i/7", 1000, _suite_ft_norm_bounds),
-    "cb-amplification": _SuiteSpec("4.4ii/3.6iii", 200, _suite_cb_amplification),
-    "pairing-compat": _SuiteSpec("4.9", 200, _identity("pairing-compat", _pairing_residual)),
-    "density-transform": _SuiteSpec("7.3", 200, _identity("density-transform", _density_residual)),
-    "scalarization": _SuiteSpec("6.8", 200, _identity("scalarization", _scalarization_residual)),
-    "ft-conv-6": _SuiteSpec("6-ft-conv", 200, _identity("ft-conv-6", _ft_conv6_instance)),
-    "ft-conv-8": _SuiteSpec("8-ft-conv", 200, _identity("ft-conv-8", _ft_conv8_instance)),
-    "pettis-product": _SuiteSpec("6.9", 200, _identity("pettis-product", _pettis_residual)),
-    "duality-6.6": _SuiteSpec("6.6", 200, _identity("duality-6.6", _duality_residual)),
+    "cb-amplification": _SuiteSpec(
+        "4.4ii/3.6iii", 200,
+        _claim(_cb_amplification, _CB_COMBOS, note="cb {c[1]} {g} {s} n={c[0]} {i}"),
+    ),
+    "pairing-compat": _SuiteSpec("4.9", 200, _claim(_pairing_residual)),
+    "density-transform": _SuiteSpec("7.3", 200, _claim(_density_residual)),
+    "scalarization": _SuiteSpec("6.8", 200, _claim(_scalarization_residual)),
+    "ft-conv-6": _SuiteSpec("6-ft-conv", 200, _claim(_ft_conv6_instance)),
+    "ft-conv-8": _SuiteSpec("8-ft-conv", 200, _claim(_ft_conv8_instance)),
+    "pettis-product": _SuiteSpec("6.9", 200, _claim(_pettis_residual)),
+    "duality-6.6": _SuiteSpec("6.6", 200, _claim(_duality_residual)),
     "uniqueness": _SuiteSpec("4.10/7.5", 1, _suite_uniqueness),
     **{
-        thm: _SuiteSpec(thm.removeprefix("young-"), 1000, functools.partial(_young_suite, thm))
-        for thm in _YOUNG
+        thm: _SuiteSpec(
+            thm.removeprefix("young-"), 1000,
+            _claim(_young(claim), combos, "translation-invariant", True, "{name} {g} {s} {c} {i}"),
+        )
+        for thm, (combos, claim) in _YOUNG.items()
     },
-    "embedding-4.13": _SuiteSpec("4.13", 200, _suite_embedding_413),
+    "embedding-4.13": _SuiteSpec(
+        "4.13", 200,
+        _claim(_embedding_413, [(p,) for p in EXPONENT_GRID if p > 1], note="{g} {s} p={c[0]} {i}"),
+    ),
     "invariance-5": _SuiteSpec("5.2/5.4/5.5", 500, _suite_invariance),
     "commutativity-8.5": _SuiteSpec("8.5", 200, _suite_commutativity),
     "calibration": _SuiteSpec("estimators", 200, _suite_calibration),
@@ -949,7 +935,8 @@ def run_suite(name: str, cfg: RunConfig, *, fault: str | None = None) -> Theorem
     ctx = _build_ctx(cfg, fault)
     trials = cfg.trials if cfg.trials is not None else spec.default_trials
     start = time.perf_counter()
-    tally = spec.runner(ctx, trials)
+    tally = _Tally()
+    spec.runner(ctx, name, trials, tally)
     elapsed = time.perf_counter() - start
     detail = "; ".join(tally.notes[:4])
     return TheoremReport(
@@ -1013,19 +1000,21 @@ def emit_report(
     return text
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
+def _parse_list(value: str) -> list[str]:
+    return [v.strip() for v in value.split(",") if v.strip()]
 
 
-_LIST_KEYS = {"groups", "spaces", "suites"}
-_INT_KEYS = {"trials", "seed"}
-_FLOAT_KEYS = {"tol_exact", "tol_bracket"}
+# config key -> parser of its value
+_KEYS = {
+    "groups": _parse_list, "spaces": _parse_list, "suites": _parse_list,
+    "trials": int, "seed": int, "tol_exact": float, "tol_bracket": float, "out_dir": Path,
+}
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse a key-value config file: ``key = value`` lines, ``#`` comments,
     comma-separated lists for groups/spaces/suites."""
-    cfg = default_config()
+    values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1033,16 +1022,8 @@ def load_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in _LIST_KEYS:
-            setattr(cfg, key, [v.strip() for v in value.split(",") if v.strip()])
-        elif key in _INT_KEYS:
-            setattr(cfg, key, int(value))
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, float(value))
-        elif key == "out_dir":
-            cfg.out_dir = Path(value)
-        else:
+        key = key.strip()
+        if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    cfg.__post_init__()
-    return cfg
+        values[key] = _KEYS[key](value.strip())
+    return RunConfig(**values)

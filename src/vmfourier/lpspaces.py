@@ -95,7 +95,7 @@ class MatrixFunction:
 
 def lp_norm_haar(f: ScalarFunction, p: float) -> float:
     """L^p norm against normalized counting measure; p = inf gives the max."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     a = np.abs(f.values)
     if np.isinf(p):
@@ -111,7 +111,7 @@ def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0) -> NormEsti
     (atoms with x_t = 0 are null and excluded).
     """
     require_same_group(f.group, nu.group)
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     if np.isinf(p):
         live = nu.space.norm_many(nu.atoms) > 0

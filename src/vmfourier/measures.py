@@ -171,7 +171,7 @@ def p_semivariation(nu: VectorMeasure, p: float) -> NormEstimate:
     closed-form spaces and a bracket otherwise (the upper end is the L^p norm
     of t -> |G| ||nu({t})||, a pointwise majorant of every density).
     """
-    if p <= 1:
+    if not p > 1:
         raise ValueError("p-semivariation requires p > 1")
     n = nu.group.order
     if np.isinf(p):

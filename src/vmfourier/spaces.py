@@ -23,6 +23,7 @@ false violation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -74,6 +75,7 @@ class NormEstimate:
     ``exact`` implies lower == upper.  All estimators in this package keep
     ``lower`` a true lower bound and ``upper`` a true upper bound, so
     comparisons of the form lhs.lower > rhs.upper are sound certificates.
+    Negative ends are raised to 0; a NaN end raises ``ValueError``.
     """
 
     lower: float
@@ -81,15 +83,17 @@ class NormEstimate:
     exact: bool
 
     def __post_init__(self):
-        lo = max(0.0, float(self.lower))
-        hi = max(lo, float(self.upper))
+        lo, hi = float(self.lower), float(self.upper)
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError(f"NaN end in the bracket [{lo}, {hi}]")
+        lo = max(0.0, lo)
+        hi = max(lo, hi)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
     @staticmethod
     def of_exact(value: float) -> "NormEstimate":
-        v = max(0.0, float(value))
-        return NormEstimate(v, v, True)
+        return NormEstimate(value, value, True)
 
     @staticmethod
     def bracket(lower: float, upper: float) -> "NormEstimate":
@@ -704,7 +708,7 @@ def lp_dual_sups(space: CoefficientSpace, vecs, p: float) -> list[NormEstimate]:
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 3 or vecs.shape[2] != space.dim:
         raise ValueError(f"expected vecs (B, T, {space.dim}), got {vecs.shape}")
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     B, T = vecs.shape[:2]
     if T == 0:
@@ -843,7 +847,7 @@ def mox_assemble(blocks: Sequence[Sequence[MatrixOverX]]) -> MatrixOverX:
     return MatrixOverX(space, out)
 
 
-def space_from_spec(spec: str, group_order: int | None = None) -> CoefficientSpace:
+def space_from_spec(spec: str) -> CoefficientSpace:
     """Parse a space descriptor: ``scalar``, ``linf:K``, ``matop:D`` or
     ``weighted_l1:K`` (uniform weights 1/K)."""
     s = spec.strip().lower()

@@ -16,7 +16,7 @@ TOL_BRACKET = 1e-8
 
 
 def run_suite(name, **overrides):
-    cfg = vf.default_config()
+    cfg = vf.RunConfig()
     for key, value in overrides.items():
         setattr(cfg, key, value)
     rep = vf.run_suite(name, cfg)
@@ -135,7 +135,7 @@ def test_criterion_10_estimator_calibration():
 
 
 def test_criterion_11_fault_injection():
-    cfg = vf.default_config()
+    cfg = vf.RunConfig()
     cfg.groups = ["symmetric:3"]
     cfg.spaces = ["linf:2"]
     cfg.trials = 10

@@ -159,6 +159,44 @@ class TestRunSuite:
         assert built == cfg.groups
         assert harness.group_with_dual("cyclic:2") is harness.group_with_dual("cyclic:2")
 
+    def test_instance_derivation(self, monkeypatch):
+        # instance i of a claim-table row draws its fixture on cell i % 4 of
+        # the 2 x 2 (group, space) grid: groups vary fastest for the
+        # random-gaussian rows, spaces for the translation-invariant ones
+        records, levels = [], []
+        instance = harness._instance
+        monkeypatch.setattr(
+            harness, "_instance",
+            lambda ctx, name, i, kind, g, space: records.append(
+                (name, i, kind, g.label, space.label)
+            ) or instance(ctx, name, i, kind, g, space),
+        )
+        n_norm, measure_sv = harness.N_norm, harness._amplified_measure_semivariation
+        monkeypatch.setattr(
+            harness, "N_norm", lambda fmat, nu: levels.append((fmat.n, "fn")) or n_norm(fmat, nu)
+        )
+        monkeypatch.setattr(
+            harness, "_amplified_measure_semivariation",
+            lambda space, nus: levels.append((len(nus), "meas")) or measure_sv(space, nus),
+        )
+        cfg = small_config(spaces=["linf:2", "matop:2"], trials=8)
+        gs, ss = ["Z2", "S3"], ["linf:2", "matop:2"]
+        rows = {
+            "young-6.5": ("young-6.5", "translation-invariant", True),
+            "pairing-compat": ("pairing-compat", "random-gaussian", False),
+            "cb-amplification": ("cb-amplification", "random-gaussian", False),
+            "invariance-5": ("invariance-5:B", "translation-invariant", True),
+        }
+        for suite, (key, kind, spaces_fastest) in rows.items():
+            records.clear()
+            vf.run_suite(suite, cfg)
+            if spaces_fastest:
+                cells = [(gs[i // 2 % 2], ss[i % 2]) for i in range(8)]
+            else:
+                cells = [(gs[i % 2], ss[i // 2 % 2]) for i in range(8)]
+            assert records == [(key, i, kind, *cells[i]) for i in range(8)], suite
+        assert levels == [((1, 2, 3)[i % 3], ("fn", "meas")[i % 2]) for i in range(8)]
+
     def test_calibration_samples_spaces_without_grid_oracle(self):
         # outside the grid oracle the upper end is checked against sampled
         # dual-ball points; an upper end scaled by 0.5 fails here
@@ -290,6 +328,25 @@ class TestConfigFiles:
         with pytest.raises(ValueError):
             vf.load_config(path)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=-1)
+
+    @pytest.mark.parametrize("key", ["tol_exact", "tol_bracket"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_tolerance_not_finite_and_positive_rejected(self, tmp_path, key, value):
+        # tol_exact = nan would turn every residual check into a pass
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match="tolerances"):
+            vf.load_config(path)
+
+    def test_config_file_values_are_validated(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("seed = -3\n")
+        with pytest.raises(ValueError, match="seed"):
+            vf.load_config(path)
+
 
 class TestGridOracle:
     def test_scalar_grid(self):
@@ -394,6 +451,12 @@ class TestCli:
         out = run_cli("run", "--suite", "bogus", "--out", str(tmp_path / "r.json"))
         assert out.returncode == 2
 
+    def test_negative_seed_exits_2(self, tmp_path):
+        out = run_cli("run", "--seed", "-1", "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2
+        assert out.stderr.startswith("configuration error:")
+        assert out.stdout == ""  # rejected before any suite runs
+
     def test_zero_trials_exits_2(self, tmp_path):
         out = run_cli("run", "--trials", "0", "--out", str(tmp_path / "r.json"))
         assert out.returncode == 2
@@ -418,6 +481,24 @@ class TestCli:
         )
         assert out.returncode == 0
         assert (tmp_path / "envdir" / "report.json").exists()
+
+    def test_report_path_precedence(self, monkeypatch):
+        # --out, then the config's out_dir, then $VMFOURIER_OUT, then the cwd
+        from argparse import Namespace
+        from pathlib import Path
+
+        from vmfourier import cli
+
+        def path(out, cfg, fmt="json"):
+            return cli._report_path(Namespace(out=out, format=fmt), cfg)
+
+        monkeypatch.setenv("VMFOURIER_OUT", "env")
+        in_cfg = RunConfig(out_dir=Path("cfg"))
+        assert path(Path("x.json"), in_cfg) == Path("x.json")
+        assert path(None, in_cfg, "markdown") == Path("cfg/report.md")
+        assert path(None, RunConfig()) == Path("env/report.json")
+        monkeypatch.delenv("VMFOURIER_OUT")
+        assert path(None, RunConfig(), "markdown") == Path("report.md")
 
     def test_injected_fault_exits_1(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

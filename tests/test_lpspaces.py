@@ -25,6 +25,10 @@ class TestLpNormHaar:
         with pytest.raises(ValueError):
             vf.lp_norm_haar(ScalarFunction.constant(z2), 0.5)
 
+    def test_nan_p_rejected(self, z2):
+        with pytest.raises(ValueError):
+            vf.lp_norm_haar(ScalarFunction.constant(z2), np.nan)
+
     def test_monotone_in_p(self, s3):
         f = random_function(s3, 1)
         norms = [vf.lp_norm_haar(f, p) for p in (1, 1.5, 2, 3, 4, np.inf)]
@@ -32,6 +36,10 @@ class TestLpNormHaar:
 
 
 class TestLpNuNorm:
+    def test_nan_p_rejected(self, F3):
+        with pytest.raises(ValueError):
+            vf.lp_nu_norm(ScalarFunction.constant(F3.group), F3, np.nan)
+
     def test_zero_function(self, F3):
         f = ScalarFunction.constant(F3.group, 0.0)
         assert vf.lp_nu_norm(f, F3, 1).upper == 0.0

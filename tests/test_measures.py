@@ -94,6 +94,11 @@ class TestVariationSemivariation:
 
 
 class TestPSemivariation:
+    @pytest.mark.parametrize("p", [1.0, 0.5, np.nan])
+    def test_p_not_above_one_rejected(self, F3, p):
+        with pytest.raises(ValueError):
+            vf.p_semivariation(F3, p)
+
     def test_f3_p2(self, F3):
         est = vf.p_semivariation(F3, 2)
         assert est.exact and est.lower == pytest.approx(np.sqrt(2))

@@ -449,6 +449,29 @@ class TestNormEstimate:
         m = NormEstimate.max_of([a, b])
         assert m.lower == 1.0 and m.upper == 2.0 and not m.exact
 
+    @pytest.mark.parametrize("ends", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
+    def test_nan_end_rejected(self, ends):
+        # a NaN end clamped to 0 would be an unsound upper end
+        with pytest.raises(ValueError):
+            NormEstimate(*ends, False)
+
+    def test_nan_scale_and_exact_value_rejected(self):
+        with pytest.raises(ValueError):
+            NormEstimate.bracket(1.0, 2.0).scaled(np.nan)
+        with pytest.raises(ValueError):
+            NormEstimate.of_exact(np.nan)
+
+    def test_negative_ends_raised_to_zero(self):
+        assert NormEstimate.of_exact(-1.0) == NormEstimate(0.0, 0.0, True)
+        assert NormEstimate.bracket(-2.0, -1.0) == NormEstimate(0.0, 0.0, False)
+
+    @pytest.mark.parametrize("space", [LinfSpace(4), MatOpSpace(2)], ids=lambda s: s.label)
+    def test_nan_exponent_rejected_by_lp_dual_sup(self, space):
+        rng = np.random.default_rng(0)
+        vecs = rng.standard_normal((3, space.dim)) + 1j * rng.standard_normal((3, space.dim))
+        with pytest.raises(ValueError):
+            lp_dual_sup(space, vecs, np.nan)
+
 
 def scripted(table, updates):
     """A batched ascent whose row r yields ``table[r][k]`` at iteration k while
