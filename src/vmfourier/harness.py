@@ -51,7 +51,6 @@ from .groups import (
 from .lpspaces import (
     MatrixFunction,
     N_norm,
-    Pp_norm,
     ScalarFunction,
     function_pushforward,
     lp_norm_haar,
@@ -70,7 +69,6 @@ from .measures import (
     p_semivariation,
     pushforward,
     radon_nikodym,
-    semivariation,
 )
 from .spaces import (
     CoefficientSpace,
@@ -86,6 +84,7 @@ from .spaces import (
     dual_ball_sup,
     dual_ball_sups,
     dual_norm,
+    lp_dual_sups,
     matrix_pair,
     mox_assemble,
     mox_matmul,
@@ -127,6 +126,9 @@ _POINT_SLICE = 4096
 # points from one fixed seed
 CALIBRATION_SAMPLES = 4096
 CALIBRATION_SEED = 0
+# claim-table rows resolve the norm requests of this many instances at a
+# time; larger blocks raise peak memory for little gain
+_BLOCK = 256
 
 
 @dataclass
@@ -366,27 +368,98 @@ def _instance(ctx: _Ctx, name: str, i: int, kind: str, g: FiniteGroup, space):
     return rng, generate_fixture(kind, g, space, seed=int(rng.integers(2**32)))
 
 
+# -- norm requests -------------------------------------------------------------
+#
+# A claim states each side of lhs <= rhs as data: a known NormEstimate, or
+# ``_product(a[, b], scale=c)`` for the bracket a.times(b).scaled(c) built the
+# way the single estimator calls build it.  A factor is a NormEstimate or a
+# norm request ``(space, p, weights, vecs, root)``: the ``dual_ball_sup`` of
+# (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p, then
+# ``rooted(root)`` unless root is None.
+
+
+def _lp_nu(f, nu, p):  # lp_nu_norm(f, nu, p)
+    if np.isinf(p):
+        return lp_nu_norm(f, nu, p)
+    return nu.space, None, np.abs(f.values) ** p, nu.atoms, p
+
+
+def _semi(nu):  # semivariation(nu)
+    return nu.space, None, np.ones(nu.group.order), nu.atoms, None
+
+
+def _p_semi(nu, p):  # p_semivariation(nu, p)
+    if np.isinf(p):
+        return p_semivariation(nu, p)
+    return nu.space, p, None, nu.group.order * nu.atoms, None
+
+
+def _pp(phi, r):  # Pp_norm(phi, r)
+    return phi.space, r, None, phi.values, None
+
+
+def _product(*factors, scale=1.0):
+    return factors, scale
+
+
+def _resolve(factors) -> list[NormEstimate]:
+    """The brackets of a list of factors, equal bit for bit to the single
+    calls, from one ``dual_ball_sups`` or ``lp_dual_sups`` call per
+    (space, p, T) key."""
+    out = list(factors)
+    keyed = {}
+    for k, r in enumerate(factors):
+        if not isinstance(r, NormEstimate):
+            keyed.setdefault((r[0], r[1], len(r[3])), []).append(k)
+    for (space, p, _), ks in keyed.items():
+        vecs = np.array([factors[k][3] for k in ks])
+        ests = (
+            dual_ball_sups(space, np.array([factors[k][2] for k in ks]), vecs)
+            if p is None else lp_dual_sups(space, vecs, p)
+        )
+        for k, est in zip(ks, ests):
+            root = factors[k][4]
+            out[k] = est if root is None else est.rooted(root)
+    return out
+
+
+def _sides(sides) -> list[NormEstimate]:
+    """The brackets of a list of claim sides, their requests resolved together."""
+    sides = [s if isinstance(s, tuple) else _product(s) for s in sides]
+    ests = iter(_resolve([f for factors, _ in sides for f in factors]))
+    return [
+        functools.reduce(NormEstimate.times, [next(ests) for _ in factors]).scaled(scale)
+        for factors, scale in sides
+    ]
+
+
 def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, tally):
     """One row of the claim table.  Instance i takes cell i % len(cells) of the
     (group, space) grid, groups varying fastest unless ``spaces_fastest``, and
     combo i % len(combos); ``check(combo, nu, dual, rng, fault)`` draws the
     rest and returns a residual (against ``tol_exact``) or an (lhs, rhs) pair
-    (at ``tol_bracket``).  A violation's note formats ``note`` with the suite
-    name, g and s (group and space labels), c (the combo) and i."""
+    of sides (at ``tol_bracket``).  Instances run in blocks of ``_BLOCK``,
+    whose sides are resolved together and then tallied in instance order.  A
+    violation's note formats ``note`` with the suite name, g and s (group and
+    space labels), c (the combo) and i."""
     if spaces_fastest:
         cells = [(g, dual, s) for g, dual in ctx.groups for s in ctx.spaces]
     else:
         cells = [(g, dual, s) for s in ctx.spaces for g, dual in ctx.groups]
-    for i in range(trials):
-        g, dual, space = cells[i % len(cells)]
-        combo = combos[i % len(combos)]
-        rng, nu = _instance(ctx, name, i, kind, g, space)
-        out = check(combo, nu, dual, rng, ctx.fault)
-        text = note.format(name=name, g=g.label, s=space.label, c=combo, i=i)
-        if isinstance(out, tuple):
-            tally.compare(*out, ctx.cfg.tol_bracket, text)
-        else:
-            tally.residual_check(out, ctx.cfg.tol_exact, text)
+    for start in range(0, trials, _BLOCK):
+        block = []
+        for i in range(start, min(start + _BLOCK, trials)):
+            g, dual, space = cells[i % len(cells)]
+            combo = combos[i % len(combos)]
+            rng, nu = _instance(ctx, name, i, kind, g, space)
+            text = note.format(name=name, g=g.label, s=space.label, c=combo, i=i)
+            block.append((check(combo, nu, dual, rng, ctx.fault), text))
+        ests = iter(_sides([s for out, _ in block if isinstance(out, tuple) for s in out]))
+        for out, text in block:
+            if isinstance(out, tuple):
+                tally.compare(next(ests), next(ests), ctx.cfg.tol_bracket, text)
+            else:
+                tally.residual_check(out, ctx.cfg.tol_exact, text)
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +700,8 @@ def _suite_uniqueness(ctx: _Ctx, name: str, trials: int, tally: _Tally):
 
 # -- Young-type inequalities -------------------------------------------------
 #
-# A claim maps one instance (combo, nu, f, h, xp) to the (lhs, rhs) brackets
-# of lhs <= rhs.  Claims call the estimators by their module-level names, so
-# a caller that rebinds those names sees every call.
+# A claim maps one instance (combo, nu, f, h, xp) to the (lhs, rhs) sides of
+# lhs <= rhs, as norm requests that ``_claim_suite`` resolves in batches.
 
 
 def _young_r(*ps: float) -> float:
@@ -641,57 +713,57 @@ def _young_r(*ps: float) -> float:
 def _weak_young(p, q, r, nu, f, h, xp):
     """6.4 (q = 1, r = p) and 6.5: ||f *_xp h||_{L^r(nu)} against
     ||f||_{L^p(nu)} ||h||_{L^q(nu)} ||xp||."""
-    lhs = lp_nu_norm(conv_weak(f, h, nu, xp), nu, r)
-    return lhs, lp_nu_norm(f, nu, p).times(lp_nu_norm(h, nu, q)).scaled(dual_norm(xp))
+    lhs = _product(_lp_nu(conv_weak(f, h, nu, xp), nu, r))
+    return lhs, _product(_lp_nu(f, nu, p), _lp_nu(h, nu, q), scale=dual_norm(xp))
 
 
 def _vector_young(p, q, r, nu, f, h):
     """6.10 (q = 1, r = p) and 6.11: ||f * h||_{P^r} against
     ||f||_{L^p(nu)} ||h||_{L^q(nu)} ||nu(G)||^(-1/r)."""
-    lhs = Pp_norm(conv_vector(f, h, nu), r)
-    rhs = lp_nu_norm(f, nu, p).times(lp_nu_norm(h, nu, q))
-    return lhs, rhs.scaled(norm(evaluate(nu)) ** (-_inv(r)))
+    lhs = _product(_pp(conv_vector(f, h, nu), r))
+    scale = norm(evaluate(nu)) ** (-_inv(r))
+    return lhs, _product(_lp_nu(f, nu, p), _lp_nu(h, nu, q), scale=scale)
 
 
 def _young_62(combo, nu, f, h, xp):
     (p,) = combo
     lhs = NormEstimate.of_exact(lp_norm_haar(conv_weak(f, h, nu, xp), p))
-    return lhs, lp_nu_norm(h, nu, 1.0).scaled(lp_norm_haar(f, p) * dual_norm(xp))
+    return lhs, _product(_lp_nu(h, nu, 1.0), scale=lp_norm_haar(f, p) * dual_norm(xp))
 
 
 def _young_91(combo, nu, f, h, xp):
     if combo[0] == "i":
-        lhs = Pp_norm(conv_function_measure(f, nu), combo[1])
-        return lhs, semivariation(nu).scaled(lp_norm_haar(f, combo[1]))
+        lhs = _product(_pp(conv_function_measure(f, nu), combo[1]))
+        return lhs, _product(_semi(nu), scale=lp_norm_haar(f, combo[1]))
     _, p, q = combo
-    lhs = Pp_norm(conv_function_measure(f, nu), _young_r(p, q))
-    return lhs, p_semivariation(nu, p).scaled(lp_norm_haar(f, q))
+    lhs = _product(_pp(conv_function_measure(f, nu), _young_r(p, q)))
+    return lhs, _product(_p_semi(nu, p), scale=lp_norm_haar(f, q))
 
 
 def _young_92(combo, nu, f, h, xp):
     p, q = combo
     rinv = _inv(p) + _inv(q)
     nf = measure_from_density(nu, f.values)
-    lhs = semivariation(nf) if abs(rinv - 1.0) < 1e-12 else p_semivariation(nf, 1.0 / rinv)
-    return lhs, p_semivariation(nu, p).scaled(lp_norm_haar(f, q))
+    lhs = _product(_semi(nf) if abs(rinv - 1.0) < 1e-12 else _p_semi(nf, 1.0 / rinv))
+    return lhs, _product(_p_semi(nu, p), scale=lp_norm_haar(f, q))
 
 
 def _young_93(combo, nu, f, h, xp):
     if combo[0] == "i":
-        lhs = Pp_norm(conv_vector(f, h, nu), combo[1])
-        return lhs, lp_nu_norm(h, nu, 1.0).scaled(lp_norm_haar(f, combo[1]))
+        lhs = _product(_pp(conv_vector(f, h, nu), combo[1]))
+        return lhs, _product(_lp_nu(h, nu, 1.0), scale=lp_norm_haar(f, combo[1]))
     _, p1, p2, p3 = combo
-    lhs = Pp_norm(conv_vector(f, h, nu), _young_r(p1, p2, p3))
-    return lhs, p_semivariation(nu, p1).scaled(lp_norm_haar(h, p2) * lp_norm_haar(f, p3))
+    lhs = _product(_pp(conv_vector(f, h, nu), _young_r(p1, p2, p3)))
+    return lhs, _product(_p_semi(nu, p1), scale=lp_norm_haar(h, p2) * lp_norm_haar(f, p3))
 
 
 def _young_94(combo, nu, f, h, xp):
     part, p = combo
-    lhs = lp_nu_norm(conv_classical(f, h), nu, p)
+    lhs = _product(_lp_nu(conv_classical(f, h), nu, p))
     if part == "i":
         scale = lp_norm_haar(h, p) * norm(evaluate(nu)) ** (-_inv(_conj(p)))
-        return lhs, lp_nu_norm(f, nu, 1.0).scaled(scale)
-    return lhs, lp_nu_norm(f, nu, p).scaled(lp_norm_haar(h, 1.0))
+        return lhs, _product(_lp_nu(f, nu, 1.0), scale=scale)
+    return lhs, _product(_lp_nu(f, nu, p), scale=lp_norm_haar(h, 1.0))
 
 
 _P = EXPONENT_GRID
@@ -741,7 +813,7 @@ def _embedding_413(combo, nu, dual, rng, fault):
     (p,) = combo
     f = _random_function(nu.group, rng)
     lhs = NormEstimate.of_exact(norm(integrate(f.values, nu)))
-    return lhs, p_semivariation(nu, p).scaled(lp_norm_haar(f, _conj(p)))
+    return lhs, _product(_p_semi(nu, p), scale=lp_norm_haar(f, _conj(p)))
 
 
 def _lp_containment(combo, nu, dual, rng, fault):
@@ -749,7 +821,7 @@ def _lp_containment(combo, nu, dual, rng, fault):
     (p,) = combo
     f = _random_function(nu.group, rng)
     lhs = NormEstimate.of_exact(lp_norm_haar(f, p))
-    return lhs, lp_nu_norm(f, nu, p).scaled(norm(evaluate(nu)) ** (-1.0 / p))
+    return lhs, _product(_lp_nu(f, nu, p), scale=norm(evaluate(nu)) ** (-1.0 / p))
 
 
 def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
@@ -766,15 +838,18 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
                 rep = check_semivariation_invariance(nu, hmap, trials=2, seed=ctx.cfg.seed)
                 tally.residual_check(rep.max_discrepancy, tol_b, f"semivar {g.label}")
                 nu_h = pushforward(nu, hmap)
-                for phi in phis:
-                    for p in (1.0, 2.0, 3.0):
-                        a = lp_nu_norm(phi, nu, p)
-                        b = lp_nu_norm(phi, nu_h, p)
-                        c = lp_nu_norm(function_pushforward(phi, hmap), nu, p)
-                        tally.residual_check(
-                            max(a.gap(b), a.gap(c)), tol_e if space.exact_dual_sup else tol_b,
-                            f"norms {g.label} {space.label}",
-                        )
+                # the 27 norms of this map, one batched dual_ball_sups call
+                ests = iter(_resolve([
+                    _lp_nu(f, m, p)
+                    for phi in phis
+                    for p in (1.0, 2.0, 3.0)
+                    for f, m in ((phi, nu), (phi, nu_h), (function_pushforward(phi, hmap), nu))
+                ]))
+                for a, b, c in zip(ests, ests, ests):
+                    tally.residual_check(
+                        max(a.gap(b), a.gap(c)), tol_e if space.exact_dual_sup else tol_b,
+                        f"norms {g.label} {space.label}",
+                    )
     # part B: containment of the measure-weighted space in the Haar space
     _LP_CONTAINMENT(ctx, f"{name}:B", trials, tally)
 

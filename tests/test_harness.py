@@ -207,6 +207,75 @@ class TestRunSuite:
         assert (rep.instances, rep.skipped, rep.violations) == (4, 0, 0)
 
 
+class TestNormRequests:
+    def test_block_equals_single_calls(self, all_spaces):
+        # one block mixing every request kind, four spaces and three group
+        # orders; f is zero on one element, so that atom has zero weight
+        singles, factors = [], []
+        for spec in ("cyclic:2", "cyclic:3", "symmetric:3"):
+            g = vf.build_group(spec)
+            for space in all_spaces:
+                for seed in range(2):
+                    nu = vf.generate_fixture("random-gaussian", g, space, seed=seed)
+                    rng = np.random.default_rng(seed)
+                    f = harness._random_function(g, rng)
+                    f.values[seed] = 0.0
+                    shape = (g.order, space.dim)
+                    phi = vf.VectorFunction(
+                        g, space, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    )
+                    for p in (1.0, 1.5, 2.0, 3.0, np.inf):
+                        singles += [vf.lp_nu_norm(f, nu, p), vf.Pp_norm(phi, p)]
+                        factors += [harness._lp_nu(f, nu, p), harness._pp(phi, p)]
+                        if p > 1:
+                            singles.append(vf.p_semivariation(nu, p))
+                            factors.append(harness._p_semi(nu, p))
+                    singles.append(vf.semivariation(nu))
+                    factors.append(harness._semi(nu))
+        assert not all(e.exact for e in singles)
+        def ends(ests):
+            return [(e.lower, e.upper, e.exact) for e in ests]
+
+        assert ends(harness._resolve(factors)) == ends(singles)
+        # a side multiplies its factors in order, then scales; a known
+        # bracket passes through
+        sides = [harness._product(a, b, scale=0.7) for a, b in zip(factors[::2], factors[1::2])]
+        products = [a.times(b).scaled(0.7) for a, b in zip(singles[::2], singles[1::2])]
+        assert ends(harness._sides([*sides, singles[0]])) == ends([*products, singles[0]])
+
+    @pytest.mark.parametrize("name", [*harness._YOUNG, "embedding-4.13", "invariance-5"])
+    def test_brackets_equal_alone_and_in_blocks(self, name, monkeypatch):
+        def brackets(block):
+            seen = []
+            monkeypatch.setattr(harness, "_BLOCK", block)
+            monkeypatch.setattr(
+                harness._Tally, "compare", lambda self, lhs, rhs, tol, note: seen.append((lhs, rhs))
+            )
+            monkeypatch.setattr(
+                harness._Tally, "residual_check", lambda self, r, tol, note: seen.append(r)
+            )
+            vf.run_suite(name, small_config())
+            return seen
+
+        # blocks of 4 over 6 trials: one full block and one partial
+        blocked = brackets(4)
+        resolve = harness._resolve
+        monkeypatch.setattr(harness, "_resolve", lambda fs: [e for f in fs for e in resolve([f])])
+        assert brackets(1) == blocked
+
+    def test_estimator_calls_bounded_by_keys_not_trials(self, monkeypatch):
+        # each young-6.5 request is an lp_nu_norm, so the 64 instances, one
+        # block, make one dual_ball_sups call per (space, group order) key
+        calls = []
+        estimates = vf.spaces._estimates
+        monkeypatch.setattr(
+            vf.spaces, "_estimates", lambda *args: calls.append(1) or estimates(*args)
+        )
+        cfg = small_config(trials=64)
+        vf.run_suite("young-6.5", cfg)
+        assert 0 < len(calls) <= len(cfg.spaces) * len(cfg.groups)
+
+
 class TestFaultInjection:
     # each fault must produce a certified violation within 10 trials on a
     # group with a block of dimension 2
