@@ -146,16 +146,18 @@ class RunConfig:
     tol_bracket: float = 1e-8
     out_dir: Path | None = None
 
-    def __post_init__(self):
-        if self.trials is not None and self.trials < 1:
+    def __setattr__(self, key, value):
+        # every assignment, __init__'s included, checks the field it sets
+        if key == "trials" and value is not None and value < 1:
             raise ValueError("trials must be >= 1")
-        if self.seed < 0:
+        if key == "seed" and value < 0:
             raise ValueError("seed must be >= 0")
-        if not all(0 < t < np.inf for t in (self.tol_exact, self.tol_bracket)):
+        if key in ("tol_exact", "tol_bracket") and not 0 < value < np.inf:
             raise ValueError("tolerances must be finite and positive")
-        for s in self.suites:
+        for s in value if key == "suites" else ():
             if s not in _SUITES:
                 raise ValueError(f"unknown suite {s!r}; known: {', '.join(_SUITES)}")
+        super().__setattr__(key, value)
 
 
 @dataclass

@@ -410,6 +410,17 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="tolerances"):
             vf.load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("tol_exact", float("nan")), ("seed", -1), ("suites", ["nope"])]
+    )
+    def test_assignment_is_validated(self, key, value):
+        # a NaN tol_exact set after construction would pass every residual check
+        cfg = RunConfig()
+        with pytest.raises(ValueError):
+            setattr(cfg, key, value)
+        cfg.seed = 3
+        assert cfg.seed == 3
+
     def test_config_file_values_are_validated(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("seed = -3\n")
