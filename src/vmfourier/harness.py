@@ -490,7 +490,7 @@ def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             # weak-transform variant: the identity applies to f times the
             # scalarized density, for measures with bounded scalarizations
             space = ctx.spaces[(i // 4) % len(ctx.spaces)]
-            nu = generate_fixture("random-gaussian", g, space, seed=ctx.cfg.seed + i)
+            nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
             bound = g.order * float(np.max(nu.space.norm_many(nu.atoms)))
             assert is_k_scalarly_bounded(nu, bound + 1e-12)
             xp = _random_dual(space, rng)

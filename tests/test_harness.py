@@ -137,6 +137,19 @@ class TestRunSuite:
         repeats = {key for key in keys if keys.count(key) > 1}
         assert not repeats
 
+    def test_plancherel_fixtures_differ_across_seeds(self, monkeypatch):
+        # the weak variant's fixture seed comes from the instance stream, so
+        # seed 0 instance 35 and seed 32 instance 3 draw different fixtures
+        seeds = []
+        fixture = harness.generate_fixture
+        monkeypatch.setattr(
+            harness, "generate_fixture",
+            lambda kind, g, space, seed=0: seeds.append(seed) or fixture(kind, g, space, seed),
+        )
+        for seed, trials in ((0, 36), (32, 4)):
+            vf.run_suite("plancherel", small_config(groups=["cyclic:2"], seed=seed, trials=trials))
+        assert len(seeds) == 10 and len(set(seeds)) == 10
+
     def test_commutativity_finds_witness(self):
         cfg = small_config(groups=["symmetric:3", "dihedral:4", "quaternion8"])
         rep = vf.run_suite("commutativity-8.5", cfg)
