@@ -246,6 +246,7 @@ class TestNormRequests:
                     singles.append(vf.semivariation(nu))
                     factors.append(harness._semi(nu))
         assert not all(e.exact for e in singles)
+
         def ends(ests):
             return [(e.lower, e.upper, e.exact) for e in ests]
 
