@@ -21,7 +21,6 @@ from .fourier import (
     ft_inverse,
     ft_measure,
     ft_sup_norm,
-    ft_sup_norms,
     ft_vector,
     ft_weak,
     plancherel_check,
@@ -48,7 +47,6 @@ from .harness import (
     generate_fixture,
     grid_dual_sup,
     load_config,
-    run_battery,
     run_suite,
     suite_names,
 )

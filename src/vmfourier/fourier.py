@@ -27,7 +27,7 @@ from .spaces import (
     MatrixOverX,
     NormEstimate,
     XVector,
-    amplified_norms,
+    amplified_norm,
 )
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ft_measure",
     "ft_weak",
     "ft_sup_norm",
-    "ft_sup_norms",
     "uniqueness_rank",
 ]
 
@@ -159,20 +158,7 @@ def ft_weak(
 
 def ft_sup_norm(c: VectorFourierCoefficients) -> NormEstimate:
     """Sup over irreps of the matrix-level norms of the blocks, as a bracket."""
-    return ft_sup_norms([c])[0]
-
-
-def ft_sup_norms(cs: list[VectorFourierCoefficients]) -> list[NormEstimate]:
-    """``ft_sup_norm`` of each transform in ``cs`` (all over one dual and one
-    space), with one batched ``amplified_norms`` call per irrep."""
-    if not cs:
-        return []
-    space = cs[0].space
-    per_irrep = [
-        amplified_norms(space, np.array([c.blocks[r].entries for c in cs]))
-        for r in range(len(cs[0].blocks))
-    ]
-    return [NormEstimate.max_of(ests) for ests in zip(*per_irrep)]
+    return NormEstimate.max_of(amplified_norm(b) for b in c.blocks)
 
 
 def uniqueness_rank(

@@ -16,7 +16,7 @@ import functools
 import json
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .fourier import (
     ft_classical,
     ft_inverse,
     ft_measure,
-    ft_sup_norms,
     ft_vector,
     ft_weak,
     plancherel_check,
@@ -81,6 +80,7 @@ from .spaces import (
     XVector,
     _amplified_upper,
     amplified_norm,
+    amplified_norms,
     dual_ball_sup,
     dual_ball_sups,
     dual_norm,
@@ -99,7 +99,6 @@ __all__ = [
     "load_config",
     "suite_names",
     "run_suite",
-    "run_battery",
     "generate_fixture",
     "group_with_dual",
     "emit_report",
@@ -372,12 +371,18 @@ def _instance(ctx: _Ctx, name: str, i: int, kind: str, g: FiniteGroup, space):
 
 # -- norm requests -------------------------------------------------------------
 #
-# A claim states each side of lhs <= rhs as data: a known NormEstimate, or
+# A claim states each side of lhs <= rhs as data: a known NormEstimate,
 # ``_product(a[, b], scale=c)`` for the bracket a.times(b).scaled(c) built the
-# way the single estimator calls build it.  A factor is a NormEstimate or a
-# norm request ``(space, p, weights, vecs, root)``: the ``dual_ball_sup`` of
-# (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p, then
-# ``rooted(root)`` unless root is None.
+# way the single estimator calls build it, or ``_sup(space, blocks)`` for the
+# sup over the blocks of their matrix-level norms.  A factor is a NormEstimate
+# or a norm request ``(space, p, weights, vecs, root)``: the ``dual_ball_sup``
+# of (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p,
+# then ``rooted(root)`` unless root is None; or the amplified request
+# ``(space, _AMP, levels, stack, None)`` of a sup side, whose stack holds the
+# n x n blocks (n in levels) one after another, flattened to rows.
+
+_AMP = "amplified"
+_SCALAR = ScalarSpace()
 
 
 def _lp_nu(f, nu, p):  # lp_nu_norm(f, nu, p)
@@ -404,23 +409,45 @@ def _product(*factors, scale=1.0):
     return factors, scale
 
 
+def _sup(space, blocks):  # max_of(amplified_norm(MatrixOverX(space, b)) for b in blocks)
+    stack = np.concatenate([b.reshape(-1, space.dim) for b in blocks])
+    return _product((space, _AMP, tuple(map(len, blocks)), stack, None))
+
+
+def _sup_norms(space, levels, stacks) -> list[NormEstimate]:
+    """``max_of`` the ``amplified_norm`` of the blocks of each [sum n^2, dim] stack,
+    blocks of the given levels in order, with one ``amplified_norms`` call per level."""
+    K, starts = len(stacks), np.cumsum([0, *(n * n for n in levels)])
+    cols = []
+    for n in dict.fromkeys(levels):
+        blocks = [stacks[:, a:b] for a, b, m in zip(starts, starts[1:], levels) if m == n]
+        ests = amplified_norms(space, np.concatenate(blocks).reshape(-1, n, n, space.dim))
+        cols += [ests[i : i + K] for i in range(0, len(ests), K)]
+    return [NormEstimate.max_of(col) for col in zip(*cols)]
+
+
 def _resolve(factors) -> list[NormEstimate]:
     """The brackets of a list of factors, equal bit for bit to the single
-    calls, from one ``dual_ball_sups`` or ``lp_dual_sups`` call per
-    (space, p, T) key."""
+    calls, from one ``dual_ball_sups``, ``lp_dual_sups`` or ``_sup_norms``
+    call per key: (space, p, T) with T the number of atoms, or (space, _AMP,
+    levels).  A request object listed more than once is resolved once."""
     out = list(factors)
     keyed = {}
     for k, r in enumerate(factors):
         if not isinstance(r, NormEstimate):
-            keyed.setdefault((r[0], r[1], len(r[3])), []).append(k)
-    for (space, p, _), ks in keyed.items():
-        vecs = np.array([factors[k][3] for k in ks])
-        ests = (
-            dual_ball_sups(space, np.array([factors[k][2] for k in ks]), vecs)
-            if p is None else lp_dual_sups(space, vecs, p)
-        )
-        for k, est in zip(ks, ests):
-            root = factors[k][4]
+            keyed.setdefault((r[0], r[1], r[2] if r[1] is _AMP else len(r[3])), []).append(k)
+    for (space, p, t), ks in keyed.items():
+        reqs = {id(factors[k]): factors[k] for k in ks}
+        vecs = np.array([r[3] for r in reqs.values()])
+        if p is None:
+            ests = dual_ball_sups(space, np.array([r[2] for r in reqs.values()]), vecs)
+        elif p is _AMP:
+            ests = _sup_norms(space, t, vecs)
+        else:
+            ests = lp_dual_sups(space, vecs, p)
+        ests = dict(zip(reqs, ests))
+        for k in ks:
+            est, root = ests[id(factors[k])], factors[k][4]
             out[k] = est if root is None else est.rooted(root)
     return out
 
@@ -439,11 +466,13 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
     """One row of the claim table.  Instance i takes cell i % len(cells) of the
     (group, space) grid, groups varying fastest unless ``spaces_fastest``, and
     combo i % len(combos); ``check(combo, nu, dual, rng, fault)`` draws the
-    rest and returns a residual (against ``tol_exact``) or an (lhs, rhs) pair
-    of sides (at ``tol_bracket``).  Instances run in blocks of ``_BLOCK``,
-    whose sides are resolved together and then tallied in instance order.  A
-    violation's note formats ``note`` with the suite name, g and s (group and
-    space labels), c (the combo) and i."""
+    rest and returns a residual (against ``tol_exact``), an (lhs, rhs) pair
+    of sides (at ``tol_bracket``), or a list of such checks.  Instances run in
+    blocks of ``_BLOCK``, whose sides are resolved together and then tallied
+    in instance order.  A violation's note formats ``note``, or its k-th
+    entry for the k-th check when it is a tuple, with the suite name, g and s
+    (group and space labels), c (the combo) and i."""
+    notes = note if isinstance(note, tuple) else (note,)
     if spaces_fastest:
         cells = [(g, dual, s) for g, dual in ctx.groups for s in ctx.spaces]
     else:
@@ -452,16 +481,19 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
         block = []
         for i in range(start, min(start + _BLOCK, trials)):
             g, dual, space = cells[i % len(cells)]
-            combo = combos[i % len(combos)]
             rng, nu = _instance(ctx, name, i, kind, g, space)
-            text = note.format(name=name, g=g.label, s=space.label, c=combo, i=i)
-            block.append((check(combo, nu, dual, rng, ctx.fault), text))
-        ests = iter(_sides([s for out, _ in block if isinstance(out, tuple) for s in out]))
-        for out, text in block:
-            if isinstance(out, tuple):
-                tally.compare(next(ests), next(ests), ctx.cfg.tol_bracket, text)
-            else:
-                tally.residual_check(out, ctx.cfg.tol_exact, text)
+            out = check(combos[i % len(combos)], nu, dual, rng, ctx.fault)
+            block.append(out if isinstance(out, list) else [out])
+        ests = iter(_sides([s for outs in block for c in outs if isinstance(c, tuple) for s in c]))
+        for i, outs in enumerate(block, start):
+            g, _, space = cells[i % len(cells)]
+            for n, out in zip(notes, outs):
+                text = n.format(name=name, g=g.label, s=space.label, c=combos[i % len(combos)], i=i)
+                if isinstance(out, tuple):
+                    tally.compare(next(ests), next(ests), ctx.cfg.tol_bracket, text)
+                else:
+                    tally.residual_check(out, ctx.cfg.tol_exact, text)
+        del block, ests  # drop this block's requests and brackets before drawing the next
 
 
 # ---------------------------------------------------------------------------
@@ -501,58 +533,25 @@ def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
         tally.residual_check(resid, tol, f"{g.label} trial {i}")
 
 
+def _ft_norm_bounds(combo, nu, dual, rng, fault):
+    """4.4i, 4.8i and 7: the sup norms of the transform of f against nu, of
+    its weak transform at xp and of nu's transform, against ||f||_{L^1(nu)},
+    ||f||_{L^1(nu)} ||xp|| and the semivariation of nu."""
+    f = _random_function(nu.group, rng)
+    xp = _random_dual(nu.space, rng)
+    f_nu_1 = _lp_nu(f, nu, 1.0)
+    weak = ft_weak(f, nu, xp, dual).blocks
+    return [
+        (_sup(nu.space, [b.entries for b in ft_vector(f, nu, dual).blocks]), _product(f_nu_1)),
+        (_sup(_SCALAR, weak), _product(f_nu_1, scale=dual_norm(xp))),
+        (_sup(nu.space, [b.entries for b in ft_measure(nu, dual).blocks]), _product(_semi(nu))),
+    ]
+
+
 def _suite_ft_norm_bounds(ctx: _Ctx, name: str, trials: int, tally: _Tally):
-    tol = ctx.cfg.tol_bracket
-    ng = len(ctx.groups)
+    # one claim row per space, whose instance rngs are keyed "{name}:{space}"
     for space in ctx.spaces:
-        # ends[i, c] = (lhs.lower, lhs.upper, rhs.lower, rhs.upper) of check c
-        # of instance i: fn bound, weak bound, measure bound.  Floats, because
-        # holding every instance's NormEstimate pairs raised peak RSS ~0.9 MB
-        ends = np.zeros((trials, 3, 4))
-        # each group's instances share one batched call per estimate
-        for k, (g, dual) in enumerate(ctx.groups):
-            idx = range(k, trials, ng)
-            if not idx:
-                continue
-            nus, fs, xps = [], [], []
-            for i in idx:
-                rng, nu = _instance(ctx, f"{name}:{space.label}", i, "random-gaussian", g, space)
-                nus.append(nu)
-                fs.append(_random_function(g, rng))
-                xps.append(_random_dual(space, rng))
-            atoms = np.array([nu.atoms for nu in nus])
-            # lp_nu_norm(f, nu, 1) and semivariation(nu)
-            f_nu_1s = dual_ball_sups(space, np.abs([f.values for f in fs]) ** 1.0, atoms)
-            semis = dual_ball_sups(space, np.ones((len(nus), g.order)), atoms)
-            lhs_fs = ft_sup_norms([ft_vector(f, nu, dual) for f, nu in zip(fs, nus)])
-            lhs_ms = ft_sup_norms([ft_measure(nu, dual) for nu in nus])
-            weaks = [ft_weak(f, nu, xp, dual) for f, nu, xp in zip(fs, nus, xps)]
-            # operator norm of every weak block: one stacked SVD per irrep
-            weak_ops = np.array([
-                np.linalg.svd(np.array([w.blocks[r] for w in weaks]), compute_uv=False)[:, 0]
-                for r in range(len(dual.irreps))
-            ])
-            for j, i in enumerate(idx):
-                f_nu_1 = f_nu_1s[j].rooted(1.0)
-                lhs_w = NormEstimate.of_exact(max(float(v) for v in weak_ops[:, j]))
-                pairs = (
-                    (lhs_fs[j], f_nu_1),
-                    (lhs_w, f_nu_1.scaled(dual_norm(xps[j]))),
-                    (lhs_ms[j], semis[j]),
-                )
-                ends[i] = [(a.lower, a.upper, b.lower, b.upper) for a, b in pairs]
-        for i, checks in enumerate(ends):
-            g = ctx.groups[i % ng][0]
-            notes = (
-                f"fn bound {g.label} {space.label} {i}",
-                f"weak bound {g.label} {space.label} {i}",
-                f"measure bound {g.label} {i}",
-            )
-            for (lhs_lo, lhs_hi, rhs_lo, rhs_hi), note in zip(checks, notes):
-                tally.compare(
-                    NormEstimate.bracket(lhs_lo, lhs_hi), NormEstimate.bracket(rhs_lo, rhs_hi),
-                    tol, note,
-                )
+        _FT_NORM_BOUNDS(replace(ctx, spaces=[space]), f"{name}:{space.label}", trials, tally)
 
 
 # instance i checks level (1, 2, 3)[i % 3] on branch ("fn", "meas")[i % 2]
@@ -579,11 +578,9 @@ def _cb_amplification(combo, nu, dual, rng, fault):
         ]
         hats = [[ft_measure(nus[a][b], dual) for b in range(n)] for a in range(n)]
         rhs = _amplified_measure_semivariation(space, nus)
-    blocks = (
-        mox_assemble([[hats[a][b].blocks[r] for b in range(n)] for a in range(n)])
-        for r in range(len(dual.irreps))
-    )
-    return NormEstimate.max_of(amplified_norm(m) for m in blocks), rhs
+    irreps = range(len(dual.irreps))
+    blocks = [mox_assemble([[h.blocks[r] for h in row] for row in hats]).entries for r in irreps]
+    return _sup(space, blocks), rhs
 
 
 def _amplified_measure_semivariation(space, nus) -> NormEstimate:
@@ -592,7 +589,7 @@ def _amplified_measure_semivariation(space, nus) -> NormEstimate:
     of its atoms (their upper ends, which need no ascent)."""
     atoms = np.array([[nu.atoms for nu in row] for row in nus]).transpose(2, 0, 1, 3)
     lower = amplified_norm(MatrixOverX(space, sum(atoms))).lower
-    upper = sum(_amplified_upper(space, a)[0] for a in atoms)
+    upper = sum(_amplified_upper(space, atoms)[0])
     return NormEstimate.bracket(lower, upper)
 
 
@@ -943,6 +940,8 @@ def _claim(check, combos=((),), kind="random-gaussian", spaces_fastest=False,
     return functools.partial(_claim_suite, kind, check, combos, spaces_fastest, note)
 
 
+_FT_NORM_BOUNDS = _claim(_ft_norm_bounds, note=(
+    "fn bound {g} {s} {i}", "weak bound {g} {s} {i}", "measure bound {g} {i}"))
 # part B of invariance-5, which ``_suite_invariance`` runs under "invariance-5:B"
 _LP_CONTAINMENT = _claim(
     _lp_containment, ((1.0,), (2.0,)), "translation-invariant", True, "L^p embed {g} {s} {i}"
@@ -1027,10 +1026,6 @@ def run_suite(name: str, cfg: RunConfig, *, fault: str | None = None) -> Theorem
         elapsed_s=elapsed,
         detail=detail,
     )
-
-
-def run_battery(cfg: RunConfig, *, fault: str | None = None) -> list[TheoremReport]:
-    return [run_suite(name, cfg, fault=fault) for name in cfg.suites]
 
 
 # ---------------------------------------------------------------------------

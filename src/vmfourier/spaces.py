@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormEstimate:
     """Certified bracket [lower, upper] for a nonnegative norm quantity.
 
@@ -102,7 +102,7 @@ class NormEstimate:
     def scaled(self, c: float) -> "NormEstimate":
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
-        return NormEstimate(self.lower * c, self.upper * c, self.exact)
+        return self if c == 1.0 else NormEstimate(self.lower * c, self.upper * c, self.exact)
 
     def rooted(self, p: float) -> "NormEstimate":
         """Apply x -> x**(1/p) to both ends (monotone, bracket-preserving)."""
@@ -143,7 +143,8 @@ class CoefficientSpace:
         raise NotImplementedError
 
     def norm_many(self, vecs: np.ndarray) -> np.ndarray:
-        """Norms of a [T, dim] stack of coordinate vectors."""
+        """Norms of a [..., T, dim] stack of coordinate vectors; each [T, dim]
+        slice gets the values, bit for bit, of a call on that slice alone."""
         raise NotImplementedError
 
     # -- duality kernels ----------------------------------------------------
@@ -170,11 +171,12 @@ class CoefficientSpace:
         return None
 
     def closed_amplified(self, entries: np.ndarray):
+        """The matrix-level norms of a [B, n, n, dim] stack, or None."""
         return None
 
     def amplified_majorant(self, entries: np.ndarray):
-        """An upper bound on the matrix-level norm, used when it is below
-        n * max ||x_ij||; None when the space has none."""
+        """Upper bounds on the matrix-level norms of a [B, n, n, dim] stack,
+        used where below n * max ||x_ij||; None when the space has none."""
         return None
 
     # -- misc ----------------------------------------------------------------
@@ -202,7 +204,7 @@ class ScalarSpace(CoefficientSpace):
         self.label = "scalar"
 
     def norm_many(self, vecs):
-        return np.abs(vecs[:, 0])
+        return np.abs(vecs[..., 0])
 
     def dual_norm_of(self, coords):
         return float(abs(np.asarray(coords, dtype=complex).reshape(-1)[0]))
@@ -226,7 +228,7 @@ class ScalarSpace(CoefficientSpace):
         return float(np.mean(a**p) ** (1.0 / p))
 
     def closed_amplified(self, entries):
-        return float(np.linalg.norm(entries[:, :, 0], 2))
+        return np.linalg.svd(entries[..., 0], compute_uv=False)[:, 0]
 
 
 class LinfSpace(CoefficientSpace):
@@ -241,7 +243,7 @@ class LinfSpace(CoefficientSpace):
         self.label = f"linf:{k}"
 
     def norm_many(self, vecs):
-        return np.abs(vecs).max(axis=1)
+        return np.abs(vecs).max(axis=-1)
 
     def dual_norm_of(self, coords):
         return float(np.abs(np.asarray(coords, dtype=complex)).sum())
@@ -275,7 +277,7 @@ class LinfSpace(CoefficientSpace):
     def closed_amplified(self, entries):
         # the dual ball's extreme points are phases times e_c, so the sup sits
         # on one coordinate slice [x_ij]_c
-        return float(np.linalg.svd(entries.transpose(2, 0, 1), compute_uv=False)[:, 0].max())
+        return np.linalg.svd(entries.transpose(0, 3, 1, 2), compute_uv=False)[..., 0].max(axis=1)
 
 
 class MatOpSpace(CoefficientSpace):
@@ -289,10 +291,10 @@ class MatOpSpace(CoefficientSpace):
         self.label = f"matop:{d}"
 
     def _mats(self, vecs):
-        return vecs.reshape(vecs.shape[0], self.d, self.d)
+        return vecs.reshape(*vecs.shape[:-1], self.d, self.d)
 
     def norm_many(self, vecs):
-        return np.linalg.svd(self._mats(vecs), compute_uv=False)[:, 0]
+        return np.linalg.svd(self._mats(vecs), compute_uv=False)[..., 0]
 
     def dual_norm_of(self, coords):
         m = np.asarray(coords, dtype=complex).reshape(self.d, self.d)
@@ -317,10 +319,9 @@ class MatOpSpace(CoefficientSpace):
         return xp.reshape(count, self.dim)
 
     def closed_amplified(self, entries):
-        n = entries.shape[0]
-        big = entries.reshape(n, n, self.d, self.d).transpose(0, 2, 1, 3)
-        big = big.reshape(n * self.d, n * self.d)
-        return float(np.linalg.norm(big, 2))
+        B, n = entries.shape[:2]
+        big = entries.reshape(B, n, n, self.d, self.d).transpose(0, 1, 3, 2, 4)
+        return np.linalg.svd(big.reshape(B, n * self.d, n * self.d), compute_uv=False)[:, 0]
 
     def _key(self):
         return ("MatOpSpace", self.d)
@@ -365,8 +366,9 @@ class WeightedL1Space(CoefficientSpace):
 
     def amplified_majorant(self, entries):
         # |xp_c| <= w_c on the dual ball, so ||sum_c xp_c A_c||_op <= sum_c w_c ||A_c||_op
-        slices = np.linalg.svd(entries.transpose(2, 0, 1), compute_uv=False)[:, 0]
-        return float(self.weights @ slices)
+        slices = np.linalg.svd(entries.transpose(0, 3, 1, 2), compute_uv=False)[..., 0]
+        # one dot per row: a [B, dim] @ [dim] product rounds by stack height
+        return (slices[:, None, :] @ self.weights)[:, 0]
 
     def _key(self):
         return ("WeightedL1Space", tuple(self.weights.tolist()))
@@ -756,22 +758,23 @@ def _amplified_ascent(space, entries):
         xp = _norming(space, np.einsum("bri,brj,bijc->brc", np.conj(u1), v1, entries))
 
 
-def _amplified_upper(space: CoefficientSpace, e: np.ndarray) -> tuple[float, float | None]:
-    """(upper, floor) for the matrix-level norm of one [n, n, dim] matrix,
-    computed without an ascent.  floor is None when upper is the exact norm:
-    level 1, a closed form, or a zero matrix.  Otherwise floor = max ||x_ij||
-    <= norm <= upper = min(n * floor, amplified_majorant)."""
-    n = e.shape[0]
+def _amplified_upper(space: CoefficientSpace, entries: np.ndarray):
+    """(upper, floor) arrays for the matrix-level norms of a [B, n, n, dim]
+    stack, computed without an ascent.  floor is NaN where upper is the exact
+    norm: level 1, a closed form, or a zero matrix.  Otherwise floor =
+    max ||x_ij|| <= norm <= upper = min(n * floor, amplified_majorant).  Each
+    row's ends equal, bit for bit, those of a stack of that row alone."""
+    B, n = entries.shape[:2]
+    exact = np.full(B, np.nan)
     if n == 1:
-        return space.norm_of(e[0, 0]), None
-    closed = space.closed_amplified(e)
+        return space.norm_many(entries[:, 0])[:, 0], exact
+    closed = space.closed_amplified(entries)
     if closed is not None:
-        return closed, None
-    floor = float(space.norm_many(e.reshape(n * n, space.dim)).max())
-    if floor == 0.0:
-        return 0.0, None
-    majorant = space.amplified_majorant(e)
-    return (n * floor if majorant is None else min(n * floor, majorant)), floor
+        return closed, exact
+    floor = space.norm_many(entries.reshape(B, n * n, space.dim)).max(axis=1)
+    majorant = space.amplified_majorant(entries)
+    upper = n * floor if majorant is None else np.minimum(n * floor, majorant)
+    return upper, np.where(floor == 0.0, np.nan, floor)
 
 
 def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
@@ -781,10 +784,11 @@ def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 4 or entries.shape[1] != entries.shape[2] or entries.shape[3] != space.dim:
         raise ValueError(f"expected entries (B, n, n, {space.dim}), got {entries.shape}")
-    ends = []
-    for e in entries:
-        upper, floor = _amplified_upper(space, e)
-        ends.append(NormEstimate.of_exact(upper) if floor is None else (upper, floor, (e,)))
+    uppers, floors = _amplified_upper(space, entries)
+    ends = [
+        NormEstimate.of_exact(upper) if math.isnan(floor) else (upper, floor, (e,))
+        for upper, floor, e in zip(uppers.tolist(), floors.tolist(), entries)
+    ]
     return _estimates(ends, lambda e: _amplified_ascent(space, e))
 
 
@@ -796,9 +800,9 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
     WeightedL1 a bracket: ascent lower bound (clamped to the entrywise max,
     which the matrix norm always dominates) against the upper bound
     min(n * max ||x_ij||, sum_c w_c ||A_c||_op), where A_c = [x_ij]_c is the
-    c-th coordinate slice.  Ascent steps on 2 x 2 paired matrices take the
-    top singular pair in closed form.  Level 1 always collapses to the
-    vector norm.  ``amplified_norms`` evaluates many at once.
+    c-th coordinate slice.  Ascent steps on 2 x 2 and 3 x 3 paired matrices
+    take the top singular pair in closed form.  Level 1 always collapses to
+    the vector norm.  ``amplified_norms`` evaluates many at once.
     """
     return amplified_norms(m.space, m.entries[None])[0]
 

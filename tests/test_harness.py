@@ -209,6 +209,13 @@ class TestRunSuite:
                 cells = [(gs[i % 2], ss[i // 2 % 2]) for i in range(8)]
             assert records == [(key, i, kind, *cells[i]) for i in range(8)], suite
         assert levels == [((1, 2, 3)[i % 3], ("fn", "meas")[i % 2]) for i in range(8)]
+        # ft-norm-bounds runs one row per space, keyed by the space, with
+        # instance i on group i % 2, in instance order
+        records.clear()
+        vf.run_suite("ft-norm-bounds", cfg)
+        expected = [(f"ft-norm-bounds:{s}", i, gs[i % 2], s) for s in ss for i in range(8)]
+        assert [(key, i, g, s) for key, i, kind, g, s in records] == expected
+        assert {kind for *_, kind, _, _ in records} == {"random-gaussian"}
 
     def test_calibration_samples_spaces_without_grid_oracle(self):
         # outside the grid oracle the upper end is checked against sampled
@@ -220,14 +227,19 @@ class TestRunSuite:
         assert (rep.instances, rep.skipped, rep.violations) == (4, 0, 0)
 
 
+def ends(ests):
+    return [(e.lower, e.upper, e.exact) for e in ests]
+
+
 class TestNormRequests:
     def test_block_equals_single_calls(self, all_spaces):
-        # one block mixing every request kind, four spaces and three group
-        # orders; f is zero on one element, so that atom has zero weight
+        # one block mixing every request kind, five spaces and three group
+        # orders; f is zero on one element, so that atom has zero weight, and
+        # the amplified requests take levels 1 to 3 and a zero matrix
         singles, factors = [], []
         for spec in ("cyclic:2", "cyclic:3", "symmetric:3"):
             g = vf.build_group(spec)
-            for space in all_spaces:
+            for space in [*all_spaces, vf.WeightedL1Space.uniform(3)]:
                 for seed in range(2):
                     nu = vf.generate_fixture("random-gaussian", g, space, seed=seed)
                     rng = np.random.default_rng(seed)
@@ -245,11 +257,15 @@ class TestNormRequests:
                             factors.append(harness._p_semi(nu, p))
                     singles.append(vf.semivariation(nu))
                     factors.append(harness._semi(nu))
+                    for n in (1, 2, 3):
+                        shape = (n, n, space.dim)
+                        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                        if (n, seed) == (2, 1):
+                            m[:] = 0
+                        singles.append(vf.amplified_norm(vf.MatrixOverX(space, m)))
+                        ((request,), _) = harness._sup(space, [m])
+                        factors.append(request)
         assert not all(e.exact for e in singles)
-
-        def ends(ests):
-            return [(e.lower, e.upper, e.exact) for e in ests]
-
         assert ends(harness._resolve(factors)) == ends(singles)
         # a side multiplies its factors in order, then scales; a known
         # bracket passes through
@@ -257,7 +273,48 @@ class TestNormRequests:
         products = [a.times(b).scaled(0.7) for a, b in zip(singles[::2], singles[1::2])]
         assert ends(harness._sides([*sides, singles[0]])) == ends([*products, singles[0]])
 
-    @pytest.mark.parametrize("name", [*harness._YOUNG, "embedding-4.13", "invariance-5"])
+    def test_sup_sides_equal_ft_sup_norm(self, all_spaces):
+        # a sup side over a transform's blocks, in one block of sides over
+        # groups with different irrep dimensions, against ft_sup_norm; the
+        # weak transform's complex blocks count as matrices over the scalars
+        sides, singles = [], []
+        scalar = vf.ScalarSpace()
+        for spec in ("cyclic:4", "symmetric:3", "symmetric:4", "quaternion8"):
+            g, dual = harness.group_with_dual(spec)
+            rng = np.random.default_rng(g.order)
+            f = harness._random_function(g, rng)
+            for space in all_spaces:
+                nu = vf.generate_fixture("random-gaussian", g, space, seed=g.order)
+                for c in (vf.ft_vector(f, nu, dual), vf.ft_measure(nu, dual)):
+                    sides.append(harness._sup(space, [b.entries for b in c.blocks]))
+                    singles.append(vf.ft_sup_norm(c))
+                weak = vf.ft_weak(f, nu, harness._random_dual(space, rng), dual).blocks
+                sides.append(harness._sup(scalar, weak))
+                blocks = [vf.MatrixOverX(scalar, b[:, :, None]) for b in weak]
+                singles.append(vf.ft_sup_norm(vf.VectorFourierCoefficients(dual, scalar, blocks)))
+        assert not all(e.exact for e in singles)
+        assert ends(harness._sides(sides)) == ends(singles)
+
+    def test_shared_request_runs_one_ascent_row(self, monkeypatch):
+        # ft-norm-bounds' fn and weak bounds share one ||f||_{L^1(nu)} request
+        g = vf.build_group("symmetric:3")
+        nu = vf.generate_fixture("random-gaussian", g, vf.WeightedL1Space.uniform(2), seed=2)
+        f = harness._random_function(g, np.random.default_rng(2))
+        single = vf.lp_nu_norm(f, nu, 1.0)
+        rows, ascend = [], vf.spaces._ascend
+        monkeypatch.setattr(
+            vf.spaces, "_ascend", lambda ascent, cap: rows.append(len(cap)) or ascend(ascent, cap)
+        )
+        request = harness._lp_nu(f, nu, 1.0)
+        sides = harness._sides([harness._product(request), harness._product(request, scale=2.0)])
+        assert rows == [1]
+        assert ends(sides) == ends([single, single.scaled(2.0)])
+        assert not single.exact
+
+    @pytest.mark.parametrize(
+        "name",
+        [*harness._YOUNG, "embedding-4.13", "invariance-5", "ft-norm-bounds", "cb-amplification"],
+    )
     def test_brackets_equal_alone_and_in_blocks(self, name, monkeypatch):
         def brackets(block):
             seen = []

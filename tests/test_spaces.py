@@ -291,17 +291,22 @@ class TestAmplified:
 
     @pytest.mark.parametrize("spec", ["scalar", "linf:2", "matop:2", "weighted_l1:2", "weighted_l1:3"])
     def test_upper_end_without_ascent(self, spec, monkeypatch):
-        # the upper end alone equals amplified_norm's bit for bit, and runs no ascent
+        # the upper ends of a stack per level equal amplified_norm's bit for
+        # bit, and run no ascent
         s = space_from_spec(spec)
         rng = np.random.default_rng(8)
-        stacks = [cplx(rng, n, n, s.dim) for n in (1, 2, 3)] + [np.zeros((2, 2, s.dim))]
-        expected = [amplified_norm(MatrixOverX(s, e)).upper for e in stacks]
+        mats = [cplx(rng, n, n, s.dim) for n in (1, 2, 3)] + [np.zeros((2, 2, s.dim))]
+        expected = [amplified_norm(MatrixOverX(s, e)).upper for e in mats]
 
         def boom(*args, **kwargs):
             raise AssertionError("upper end ran an ascent")
 
         monkeypatch.setattr(spaces, "_ascend", boom)
-        assert [spaces._amplified_upper(s, e)[0] for e in stacks] == expected
+        uppers = {
+            n: iter(spaces._amplified_upper(s, np.array([e for e in mats if len(e) == n]))[0])
+            for n in (1, 2, 3)
+        }
+        assert [next(uppers[len(e)]) for e in mats] == expected
 
     def test_weighted_single_slice_bracket_closes(self):
         # one nonzero coordinate slice A_c: the norm is w_c ||A_c||_op, the majorant
