@@ -414,23 +414,12 @@ def _sup(space, blocks):  # max_of(amplified_norm(MatrixOverX(space, b)) for b i
     return _product((space, _AMP, tuple(map(len, blocks)), stack, None))
 
 
-def _sup_norms(space, levels, stacks) -> list[NormEstimate]:
-    """``max_of`` the ``amplified_norm`` of the blocks of each [sum n^2, dim] stack,
-    blocks of the given levels in order, with one ``amplified_norms`` call per level."""
-    K, starts = len(stacks), np.cumsum([0, *(n * n for n in levels)])
-    cols = []
-    for n in dict.fromkeys(levels):
-        blocks = [stacks[:, a:b] for a, b, m in zip(starts, starts[1:], levels) if m == n]
-        ests = amplified_norms(space, np.concatenate(blocks).reshape(-1, n, n, space.dim))
-        cols += [ests[i : i + K] for i in range(0, len(ests), K)]
-    return [NormEstimate.max_of(col) for col in zip(*cols)]
-
-
 def _resolve(factors) -> list[NormEstimate]:
     """The brackets of a list of factors, equal bit for bit to the single
-    calls, from one ``dual_ball_sups``, ``lp_dual_sups`` or ``_sup_norms``
-    call per key: (space, p, T) with T the number of atoms, or (space, _AMP,
-    levels).  A request object listed more than once is resolved once."""
+    calls, from one ``dual_ball_sups`` or ``lp_dual_sups`` call per (space, p,
+    T) key, T the number of atoms, and one ``amplified_norms`` call per block
+    level of a (space, _AMP, levels) key.  A request object listed more than
+    once is resolved once."""
     out = list(factors)
     keyed = {}
     for k, r in enumerate(factors):
@@ -441,8 +430,13 @@ def _resolve(factors) -> list[NormEstimate]:
         vecs = np.array([r[3] for r in reqs.values()])
         if p is None:
             ests = dual_ball_sups(space, np.array([r[2] for r in reqs.values()]), vecs)
-        elif p is _AMP:
-            ests = _sup_norms(space, t, vecs)
+        elif p is _AMP:  # t is the block levels; each request takes the max over its blocks
+            starts, cols = np.cumsum([0, *(n * n for n in t)]), []
+            for n in dict.fromkeys(t):
+                blocks = [vecs[:, a:b] for a, b, m in zip(starts, starts[1:], t) if m == n]
+                ests = amplified_norms(space, np.concatenate(blocks).reshape(-1, n, n, space.dim))
+                cols += [ests[i : i + len(vecs)] for i in range(0, len(ests), len(vecs))]
+            ests = [NormEstimate.max_of(col) for col in zip(*cols)]
         else:
             ests = lp_dual_sups(space, vecs, p)
         ests = dict(zip(reqs, ests))
