@@ -97,8 +97,6 @@ from .spaces import (
     lp_dual_sup,
     lp_dual_sups,
     matrix_pair,
-    mox_assemble,
-    mox_matmul,
     norm,
     pair,
     space_from_spec,

@@ -15,6 +15,7 @@ one fixed dual object, which pins the orthonormal basis per irrep.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,56 +45,55 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FourierCoefficients:
-    """Complex coefficient blocks, one d x d matrix per irrep of the dual."""
+    """Complex coefficients as one [sum d^2] stack, in the row order of
+    ``dual.coefficients``; ``blocks`` views it as one d x d matrix per irrep."""
 
     dual: UnitaryDual
-    blocks: list[np.ndarray]
+    stack: np.ndarray
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.dual.irreps):
-            raise ValueError("one block per irrep required")
-        fixed = []
-        for p, b in zip(self.dual.irreps, self.blocks):
-            b = np.asarray(b, dtype=complex)
-            if b.shape != (p.dim, p.dim):
-                raise ValueError(f"block for {p.label!r} must be {p.dim} x {p.dim}")
-            fixed.append(b)
-        self.blocks = fixed
+        object.__setattr__(self, "stack", np.asarray(self.stack, dtype=complex))
+        shape = (len(self.dual.coefficients),)
+        if self.stack.shape != shape:
+            raise ValueError(f"stack must have shape {shape}, got {self.stack.shape}")
+
+    @functools.cached_property
+    def blocks(self) -> list[np.ndarray]:
+        return _blocks(self.dual, self.stack)
 
     def max_abs_diff(self, other: "FourierCoefficients") -> float:
-        return max(
-            float(np.abs(a - b).max()) for a, b in zip(self.blocks, other.blocks)
-        )
+        return float(np.abs(self.stack - other.stack).max())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class VectorFourierCoefficients:
-    """Coefficient blocks valued in a coefficient space: per irrep a d-level
-    matrix over X."""
+    """Coefficients valued in a coefficient space as one [sum d^2, dim] stack,
+    in the row order of ``dual.coefficients``; ``blocks`` views it as one
+    d-level matrix over X per irrep."""
 
     dual: UnitaryDual
     space: CoefficientSpace
-    blocks: list[MatrixOverX]
+    stack: np.ndarray
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.dual.irreps):
-            raise ValueError("one block per irrep required")
-        for p, b in zip(self.dual.irreps, self.blocks):
-            if b.level != p.dim or b.space != self.space:
-                raise ValueError(f"block for {p.label!r} has wrong level or space")
+        object.__setattr__(self, "stack", np.asarray(self.stack, dtype=complex))
+        shape = (len(self.dual.coefficients), self.space.dim)
+        if self.stack.shape != shape:
+            raise ValueError(f"stack must have shape {shape}, got {self.stack.shape}")
+
+    @functools.cached_property
+    def blocks(self) -> list[MatrixOverX]:
+        return [MatrixOverX(self.space, b) for b in _blocks(self.dual, self.stack)]
 
     def max_abs_diff(self, other: "VectorFourierCoefficients") -> float:
-        return max(
-            float(np.abs(a.entries - b.entries).max())
-            for a, b in zip(self.blocks, other.blocks)
-        )
+        return float(np.abs(self.stack - other.stack).max())
 
 
 def _blocks(dual: UnitaryDual, stack: np.ndarray) -> list[np.ndarray]:
     """Split a [sum d^2, ...] stack, in the row order of ``dual.coefficients``,
-    into one [d, d, ...] block per irrep."""
+    into one [d, d, ...] view per irrep."""
     out, start = [], 0
     for d in dual.dims():
         out.append(stack[start : start + d * d].reshape(d, d, *stack.shape[1:]))
@@ -101,24 +101,18 @@ def _blocks(dual: UnitaryDual, stack: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _vector_coefficients(
-    dual: UnitaryDual, space: CoefficientSpace, stack: np.ndarray
-) -> VectorFourierCoefficients:
-    blocks = [MatrixOverX(space, b) for b in _blocks(dual, stack)]
-    return VectorFourierCoefficients(dual, space, blocks)
-
-
 def ft_classical(f: ScalarFunction, dual: UnitaryDual) -> FourierCoefficients:
     """Block at an irrep: the Haar average of f(t) pi(t)^*, scaled by 1/d."""
     require_same_group(dual.group, f.group)
-    return FourierCoefficients(dual, _blocks(dual, dual.coefficients @ f.values / f.group.order))
+    return FourierCoefficients(dual, dual.coefficients @ f.values / f.group.order)
 
 
 def ft_inverse(c: FourierCoefficients) -> ScalarFunction:
     """Pointwise reconstruction f(t) = sum over irreps of d^2 tr(block pi(t));
     exact on a finite group."""
-    flat = np.concatenate([p.dim**3 * b.reshape(-1) for p, b in zip(c.dual.irreps, c.blocks)])
-    return ScalarFunction(c.dual.group, flat @ c.dual.coefficients.conj())
+    dims = np.array(c.dual.dims())
+    weighted = np.repeat(dims**3, dims**2) * c.stack
+    return ScalarFunction(c.dual.group, weighted @ c.dual.coefficients.conj())
 
 
 def plancherel_check(f: ScalarFunction, dual: UnitaryDual) -> tuple[float, float]:
@@ -138,13 +132,13 @@ def ft_vector(
     require_same_group(dual.group, f.group)
     require_same_group(dual.group, nu.group)
     stack = dual.coefficients @ (f.values[:, None] * nu.atoms)
-    return _vector_coefficients(dual, nu.space, stack)
+    return VectorFourierCoefficients(dual, nu.space, stack)
 
 
 def ft_measure(nu: VectorMeasure, dual: UnitaryDual) -> VectorFourierCoefficients:
     """Transform of a vector measure: the function transform of 1 against nu."""
     require_same_group(dual.group, nu.group)
-    return _vector_coefficients(dual, nu.space, dual.coefficients @ nu.atoms)
+    return VectorFourierCoefficients(dual, nu.space, dual.coefficients @ nu.atoms)
 
 
 def ft_weak(

@@ -30,6 +30,7 @@ from .convolve import (
     conv_weak,
 )
 from .fourier import (
+    _blocks,
     ft_classical,
     ft_inverse,
     ft_measure,
@@ -85,9 +86,6 @@ from .spaces import (
     dual_ball_sups,
     dual_norm,
     lp_dual_sups,
-    matrix_pair,
-    mox_assemble,
-    mox_matmul,
     norm,
     pair,
     space_from_spec,
@@ -108,7 +106,7 @@ __all__ = [
     "FAULTS",
 ]
 
-SCHEMA = "vmfourier-report/1"
+SCHEMA = "vmfourier-report/2"
 EXPONENT_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
 FAULTS = (
     "drop-dpi-conv6",
@@ -168,7 +166,6 @@ class TheoremReport:
     instances: int
     violations: int
     near_misses: int
-    skipped: int
     max_residual: float
     elapsed_s: float
     detail: str = ""
@@ -254,10 +251,6 @@ def _random_dual(space: CoefficientSpace, rng) -> XVector:
     return XVector(space, space.sample_dual(rng, 1)[0] * rng.uniform(0.25, 2.0))
 
 
-def _xp_as_level1(xp: XVector) -> MatrixOverX:
-    return MatrixOverX(xp.space, xp.coords[None, None, :])
-
-
 # ---------------------------------------------------------------------------
 # phase-grid oracle
 # ---------------------------------------------------------------------------
@@ -334,7 +327,6 @@ class _Tally:
         self.instances = 0
         self.violations = 0
         self.near_misses = 0
-        self.skipped = 0
         self.max_residual = 0.0
         self.notes: list[str] = []
 
@@ -373,11 +365,12 @@ def _instance(ctx: _Ctx, name: str, i: int, kind: str, g: FiniteGroup, space):
 #
 # A claim states each side of lhs <= rhs as data: a known NormEstimate,
 # ``_product(a[, b], scale=c)`` for the bracket a.times(b).scaled(c) built the
-# way the single estimator calls build it, or ``_sup(space, blocks)`` for the
-# sup over the blocks of their matrix-level norms.  A factor is a NormEstimate
-# or a norm request ``(space, p, weights, vecs, root)``: the ``dual_ball_sup``
-# of (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p,
-# then ``rooted(root)`` unless root is None; or the amplified request
+# way the single estimator calls build it, or ``_sup(space, stack, levels)``
+# for the sup over the blocks of a transform's stack of their matrix-level
+# norms.  A factor is a NormEstimate or a norm request
+# ``(space, p, weights, vecs, root)``: the ``dual_ball_sup`` of
+# (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p, then
+# ``rooted(root)`` unless root is None; or the amplified request
 # ``(space, _AMP, levels, stack, None)`` of a sup side, whose stack holds the
 # n x n blocks (n in levels) one after another, flattened to rows.
 
@@ -409,9 +402,8 @@ def _product(*factors, scale=1.0):
     return factors, scale
 
 
-def _sup(space, blocks):  # max_of(amplified_norm(MatrixOverX(space, b)) for b in blocks)
-    stack = np.concatenate([b.reshape(-1, space.dim) for b in blocks])
-    return _product((space, _AMP, tuple(map(len, blocks)), stack, None))
+def _sup(space, stack, levels):  # ft_sup_norm of a stack whose blocks have these levels
+    return _product((space, _AMP, tuple(levels), stack.reshape(-1, space.dim), None))
 
 
 def _resolve(factors) -> list[NormEstimate]:
@@ -534,11 +526,12 @@ def _ft_norm_bounds(combo, nu, dual, rng, fault):
     f = _random_function(nu.group, rng)
     xp = _random_dual(nu.space, rng)
     f_nu_1 = _lp_nu(f, nu, 1.0)
-    weak = ft_weak(f, nu, xp, dual).blocks
+    dims = dual.dims()
     return [
-        (_sup(nu.space, [b.entries for b in ft_vector(f, nu, dual).blocks]), _product(f_nu_1)),
-        (_sup(_SCALAR, weak), _product(f_nu_1, scale=dual_norm(xp))),
-        (_sup(nu.space, [b.entries for b in ft_measure(nu, dual).blocks]), _product(_semi(nu))),
+        (_sup(nu.space, ft_vector(f, nu, dual).stack, dims), _product(f_nu_1)),
+        (_sup(_SCALAR, ft_weak(f, nu, xp, dual).stack, dims),
+         _product(f_nu_1, scale=dual_norm(xp))),
+        (_sup(nu.space, ft_measure(nu, dual).stack, dims), _product(_semi(nu))),
     ]
 
 
@@ -572,9 +565,11 @@ def _cb_amplification(combo, nu, dual, rng, fault):
         ]
         hats = [[ft_measure(nus[a][b], dual) for b in range(n)] for a in range(n)]
         rhs = _amplified_measure_semivariation(space, nus)
-    irreps = range(len(dual.irreps))
-    blocks = [mox_assemble([[h.blocks[r] for h in row] for row in hats]).entries for r in irreps]
-    return _sup(space, blocks), rhs
+    # irrep pi's level-n*d block holds hats[a][b]'s d x d block at rows a*d..,
+    # columns b*d..; _blocks views the [sum d^2, n, n, dim] stack per irrep
+    stacks = np.array([[h.stack for h in row] for row in hats]).transpose(2, 0, 1, 3)
+    blocks = [b.transpose(2, 0, 3, 1, 4).reshape(-1, space.dim) for b in _blocks(dual, stacks)]
+    return _sup(space, np.concatenate(blocks), [n * d for d in dual.dims()]), rhs
 
 
 def _amplified_measure_semivariation(space, nus) -> NormEstimate:
@@ -588,11 +583,8 @@ def _amplified_measure_semivariation(space, nus) -> NormEstimate:
 
 
 def _weak_block_gap(hat, weak, xp: XVector) -> float:
-    """Largest entry of <hat, xp> - weak over the irrep blocks."""
-    xpm = _xp_as_level1(xp)
-    return max(
-        float(np.abs(matrix_pair(b, xpm) - w).max()) for b, w in zip(hat.blocks, weak.blocks)
-    )
+    """Largest entry of <hat, xp> - weak over the whole stack."""
+    return float(np.abs(hat.space.pair_many(hat.stack, xp.coords[None, :])[0] - weak.stack).max())
 
 
 def _pairing_residual(combo, nu, dual, rng, fault) -> float:
@@ -621,16 +613,15 @@ def _ft_conv6_residual(f, g_fn, nu, xp, dual, fault=None) -> float:
     lhs = ft_classical(conv_weak(f, g_fn, nu, xp), dual)
     ghat = ft_vector(g_fn, nu, dual)
     fhat = ft_classical(f, dual)
-    xpm = _xp_as_level1(xp)
     resid = 0.0
-    for r, p in enumerate(dual.irreps):
-        prod = mox_matmul(ghat.blocks[r], fhat.blocks[r])
+    for p, lb, gb, fb in zip(dual.irreps, lhs.blocks, ghat.blocks, fhat.blocks):
+        prod = np.einsum("ikc,kj->ijc", gb.entries, fb).reshape(-1, nu.space.dim)
         scale = 1 if fault == "drop-dpi-conv6" else p.dim
         if fault == "drop-inv-dpi-def41":
             # ghat's block without the 1/d of definition 4.1
             scale *= p.dim
-        rhs = scale * matrix_pair(prod, xpm)
-        resid = max(resid, float(np.abs(lhs.blocks[r] - rhs).max()))
+        rhs = scale * nu.space.pair_many(prod, xp.coords[None, :])[0]
+        resid = max(resid, float(np.abs(lb.reshape(-1) - rhs).max()))
     return resid
 
 
@@ -644,10 +635,10 @@ def _ft_conv8_residual(mu, nu, dual, fault=None) -> float:
     nuhat = ft_measure(nu, dual)
     muhat = ft_measure(mu, dual)
     resid = 0.0
-    for r, p in enumerate(dual.irreps):
-        mu_block = muhat.blocks[r].entries[:, :, 0]
-        rhs = mox_matmul(nuhat.blocks[r], (1 if fault == "drop-dpi-conv8" else p.dim) * mu_block)
-        resid = max(resid, float(np.abs(lhs.blocks[r].entries - rhs.entries).max()))
+    for p, lb, nb, mb in zip(dual.irreps, lhs.blocks, nuhat.blocks, muhat.blocks):
+        scale = 1 if fault == "drop-dpi-conv8" else p.dim
+        rhs = np.einsum("ikc,kj->ijc", nb.entries, scale * mb.entries[:, :, 0])
+        resid = max(resid, float(np.abs(lb.entries - rhs).max()))
     return resid
 
 
@@ -882,7 +873,8 @@ def _suite_commutativity(ctx: _Ctx, name: str, trials: int, tally: _Tally):
                 worst = max(worst, diff)
                 tally.residual_check(diff, 1e-12, f"abelian commute {g.label} {i}")
             notes.append(f"{g.label}: abelian, max deviation {worst:.3g}")
-    tally.notes = witness_notes + notes
+    # violation notes, appended by the checks, come first
+    tally.notes += witness_notes + notes
 
 
 def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
@@ -1015,7 +1007,6 @@ def run_suite(name: str, cfg: RunConfig, *, fault: str | None = None) -> Theorem
         instances=tally.instances,
         violations=tally.violations,
         near_misses=tally.near_misses,
-        skipped=tally.skipped,
         max_residual=tally.max_residual,
         elapsed_s=elapsed,
         detail=detail,
@@ -1050,13 +1041,13 @@ def emit_report(
             "",
             f"Total certified violations: {total}",
             "",
-            "| suite | anchor | instances | violations | near misses | skipped | max residual | elapsed (s) |",
-            "|---|---|---|---|---|---|---|---|",
+            "| suite | anchor | instances | violations | near misses | max residual | elapsed (s) |",
+            "|---|---|---|---|---|---|---|",
         ]
         for r in reports:
             lines.append(
                 f"| {r.suite} | {r.anchor} | {r.instances} | {r.violations} "
-                f"| {r.near_misses} | {r.skipped} | {r.max_residual:.3g} | {r.elapsed_s:.2f} |"
+                f"| {r.near_misses} | {r.max_residual:.3g} | {r.elapsed_s:.2f} |"
             )
         text = "\n".join(lines) + "\n"
     else:

@@ -24,6 +24,7 @@ from .spaces import (
     NormEstimate,
     ScalarSpace,
     XVector,
+    _require_same_space,
     dual_ball_sup,
     dual_ball_sups,
     lp_dual_sup,
@@ -138,8 +139,7 @@ def evaluate(nu: VectorMeasure, subset: Iterable[int] | None = None) -> XVector:
 
 def scalarize(nu: VectorMeasure, xp: XVector) -> VectorMeasure:
     """The scalar measure A -> <nu(A), xp>."""
-    if xp.space != nu.space:
-        raise ValueError("dual vector lives in a different space")
+    _require_same_space(nu.space, xp.space)
     vals = nu.space.pair_many(nu.atoms, xp.coords[None, :])[0]
     return VectorMeasure.scalar(nu.group, vals)
 
@@ -181,8 +181,7 @@ def p_semivariation(nu: VectorMeasure, p: float) -> NormEstimate:
 
 def radon_nikodym(nu: VectorMeasure, xp: XVector) -> np.ndarray:
     """Density of <nu, xp> against normalized counting measure: t -> |G| <x_t, xp>."""
-    if xp.space != nu.space:
-        raise ValueError("dual vector lives in a different space")
+    _require_same_space(nu.space, xp.space)
     return nu.group.order * nu.space.pair_many(nu.atoms, xp.coords[None, :])[0]
 
 

@@ -62,8 +62,6 @@ __all__ = [
     "amplified_norm",
     "amplified_norms",
     "matrix_pair",
-    "mox_matmul",
-    "mox_assemble",
     "space_from_spec",
 ]
 
@@ -821,34 +819,6 @@ def matrix_pair(m: MatrixOverX, mp: MatrixOverX) -> np.ndarray:
     )  # [mm*mm, n*n]
     p = p.T.reshape(n, n, mm, mm)
     return p.transpose(0, 2, 1, 3).reshape(n * mm, n * mm)
-
-
-def mox_matmul(m: MatrixOverX, a: np.ndarray) -> MatrixOverX:
-    """Right-multiply an X-valued matrix by a complex matrix: (m a)_ij =
-    sum_k m_ik a_kj with entrywise complex scaling in X."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (m.level, m.level):
-        raise ValueError("shape mismatch in mixed matrix product")
-    return MatrixOverX(m.space, np.einsum("ikc,kj->ijc", m.entries, a))
-
-
-def mox_assemble(blocks: Sequence[Sequence[MatrixOverX]]) -> MatrixOverX:
-    """Assemble an n x n grid of d-level matrices over X into one matrix of
-    level n*d, placing block (i, j) at rows/columns (i*d .. i*d+d-1)."""
-    n = len(blocks)
-    space = blocks[0][0].space
-    d = blocks[0][0].level
-    out = np.zeros((n * d, n * d, space.dim), dtype=complex)
-    for i in range(n):
-        if len(blocks[i]) != n:
-            raise ValueError("blocks must form a square grid")
-        for j in range(n):
-            b = blocks[i][j]
-            _require_same_space(space, b.space)
-            if b.level != d:
-                raise ValueError("all blocks must share one level")
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = b.entries
-    return MatrixOverX(space, out)
 
 
 def space_from_spec(spec: str) -> CoefficientSpace:

@@ -68,7 +68,8 @@ class TestAgainstPerIrrepFormulas:
                 rng.standard_normal((p.dim, p.dim)) + 1j * rng.standard_normal((p.dim, p.dim))
                 for p in dual.irreps
             ]
-            back = vf.ft_inverse(vf.FourierCoefficients(dual, blocks))
+            stack = np.concatenate([b.reshape(-1) for b in blocks])
+            back = vf.ft_inverse(vf.FourierCoefficients(dual, stack))
             ref = sum(
                 p.dim**2 * np.einsum("ab,tba->t", b, p.matrices)
                 for p, b in zip(dual.irreps, blocks)
@@ -83,6 +84,27 @@ class TestAgainstPerIrrepFormulas:
             c[0, 0] = 1.0
 
 
+class TestContainers:
+    def test_constructors_reject_wrong_stack(self, s3_dual, linf2):
+        rows = len(s3_dual.coefficients)
+        for stack in (np.zeros(rows - 1), np.zeros(rows + 1), np.zeros((rows, 1))):
+            with pytest.raises(ValueError):
+                vf.FourierCoefficients(s3_dual, stack)
+        for stack in (np.zeros((rows - 1, 2)), np.zeros((rows, 3)), np.zeros(rows * 2)):
+            with pytest.raises(ValueError):
+                vf.VectorFourierCoefficients(s3_dual, linf2, stack)
+
+    def test_blocks_are_views_of_the_stack(self, s3, s3_dual, linf2):
+        f = random_function(s3, 3)
+        c = vf.ft_classical(f, s3_dual)
+        vec = vf.ft_vector(f, random_measure(s3, linf2, seed=3), s3_dual)
+        assert [b.shape for b in c.blocks] == [(d, d) for d in s3_dual.dims()]
+        assert all(np.shares_memory(b, c.stack) for b in c.blocks)
+        assert [b.level for b in vec.blocks] == s3_dual.dims()
+        assert all(np.shares_memory(b.entries, vec.stack) for b in vec.blocks)
+        assert vec.blocks is vec.blocks
+
+
 class TestInversionPlancherel:
     def test_roundtrip_sign_character(self, z2, z2_dual):
         f = ScalarFunction(z2, [1, -1])
@@ -90,11 +112,11 @@ class TestInversionPlancherel:
         assert np.allclose(back.values, f.values, atol=1e-12)
 
     def test_zero_blocks(self, z2, z2_dual):
-        c = vf.FourierCoefficients(z2_dual, [np.zeros((1, 1)), np.zeros((1, 1))])
+        c = vf.FourierCoefficients(z2_dual, np.zeros(2))
         assert np.allclose(vf.ft_inverse(c).values, 0)
 
     def test_delta_block_gives_constant(self, z2, z2_dual):
-        c = vf.FourierCoefficients(z2_dual, [np.ones((1, 1)), np.zeros((1, 1))])
+        c = vf.FourierCoefficients(z2_dual, [1.0, 0.0])
         assert np.allclose(vf.ft_inverse(c).values, 1.0)
 
     def test_plancherel_sign_character(self, z2, z2_dual):

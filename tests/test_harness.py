@@ -156,6 +156,30 @@ class TestRunSuite:
         assert rep.violations == 0
         assert "witness" in rep.detail
 
+    def test_commutativity_reports_violations_first(self, monkeypatch):
+        # an abelian check that fails must name itself in detail, ahead of
+        # the witness and abelian summary notes
+        conv = harness.conv_measure_vs
+
+        def shifted(nu, mu):
+            out = conv(nu, mu)
+            return vf.VectorMeasure(out.group, out.space, out.atoms + 1e-6)
+
+        monkeypatch.setattr(harness, "conv_measure_vs", shifted)
+        rep = vf.run_suite("commutativity-8.5", small_config(trials=3))
+        assert rep.violations == 3
+        assert rep.detail.startswith("abelian commute")
+
+    def test_ft_norm_bounds_builds_no_blocks(self, monkeypatch):
+        # its sup sides read the transforms' stacks; no per-irrep block is made
+        made = []
+        block = vf.fourier.MatrixOverX
+        monkeypatch.setattr(
+            vf.fourier, "MatrixOverX", lambda *a: made.append(1) or block(*a)
+        )
+        rep = vf.run_suite("ft-norm-bounds", small_config(trials=8))
+        assert rep.instances == 8 * 4 * 3 and made == []
+
     def test_trials_override(self):
         cfg = small_config(trials=3)
         rep = vf.run_suite("pairing-compat", cfg)
@@ -222,9 +246,9 @@ class TestRunSuite:
         # dual-ball points; an upper end scaled by 0.5 fails here
         cfg = vf.RunConfig(spaces=["matop:3", "weighted_l1:4"], trials=40)
         rep = vf.run_suite("calibration", cfg)
-        assert (rep.instances, rep.skipped, rep.violations) == (40, 0, 0)
+        assert (rep.instances, rep.violations) == (40, 0)
         rep = vf.run_suite("calibration", vf.RunConfig(spaces=["linf:8"], trials=4))
-        assert (rep.instances, rep.skipped, rep.violations) == (4, 0, 0)
+        assert (rep.instances, rep.violations) == (4, 0)
 
 
 def ends(ests):
@@ -263,7 +287,7 @@ class TestNormRequests:
                         if (n, seed) == (2, 1):
                             m[:] = 0
                         singles.append(vf.amplified_norm(vf.MatrixOverX(space, m)))
-                        ((request,), _) = harness._sup(space, [m])
+                        ((request,), _) = harness._sup(space, m, [n])
                         factors.append(request)
         assert not all(e.exact for e in singles)
         assert ends(harness._resolve(factors)) == ends(singles)
@@ -286,12 +310,12 @@ class TestNormRequests:
             for space in all_spaces:
                 nu = vf.generate_fixture("random-gaussian", g, space, seed=g.order)
                 for c in (vf.ft_vector(f, nu, dual), vf.ft_measure(nu, dual)):
-                    sides.append(harness._sup(space, [b.entries for b in c.blocks]))
+                    sides.append(harness._sup(space, c.stack, dual.dims()))
                     singles.append(vf.ft_sup_norm(c))
-                weak = vf.ft_weak(f, nu, harness._random_dual(space, rng), dual).blocks
-                sides.append(harness._sup(scalar, weak))
-                blocks = [vf.MatrixOverX(scalar, b[:, :, None]) for b in weak]
-                singles.append(vf.ft_sup_norm(vf.VectorFourierCoefficients(dual, scalar, blocks)))
+                weak = vf.ft_weak(f, nu, harness._random_dual(space, rng), dual).stack
+                sides.append(harness._sup(scalar, weak, dual.dims()))
+                weak_c = vf.VectorFourierCoefficients(dual, scalar, weak[:, None])
+                singles.append(vf.ft_sup_norm(weak_c))
         assert not all(e.exact for e in singles)
         assert ends(harness._sides(sides)) == ends(singles)
 
@@ -399,7 +423,7 @@ class TestEmitReport:
         suite = doc["suites"][0]
         assert list(suite) == [
             "suite", "anchor", "instances", "violations", "near_misses",
-            "skipped", "max_residual", "elapsed_s", "detail",
+            "max_residual", "elapsed_s", "detail",
         ]
 
     def test_markdown_format(self):

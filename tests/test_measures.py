@@ -47,6 +47,15 @@ class TestScalarize:
                 assert a == pytest.approx(b, abs=1e-12)
 
 
+class TestSpaceMismatch:
+    def test_dual_vector_from_another_space_rejected(self, F3):
+        xp = XVector(vf.LinfSpace(3), [1, 0, 0])
+        with pytest.raises(ValueError, match="space mismatch"):
+            vf.scalarize(F3, xp)
+        with pytest.raises(ValueError, match="space mismatch"):
+            vf.radon_nikodym(F3, xp)
+
+
 class TestVariationSemivariation:
     def test_zero_measure(self, z2, linf2):
         nu = VectorMeasure.zero(z2, linf2)
