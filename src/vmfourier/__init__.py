@@ -96,7 +96,6 @@ from .spaces import (
     dual_norm,
     lp_dual_sup,
     lp_dual_sups,
-    matrix_pair,
     norm,
     pair,
     space_from_spec,

@@ -79,13 +79,14 @@ from .spaces import (
     ScalarSpace,
     WeightedL1Space,
     XVector,
+    _amplified_rows,
     _amplified_upper,
+    _dual_ball_rows,
+    _estimates,
+    _lp_rows,
     amplified_norm,
-    amplified_norms,
     dual_ball_sup,
-    dual_ball_sups,
     dual_norm,
-    lp_dual_sups,
     norm,
     pair,
     space_from_spec,
@@ -406,12 +407,15 @@ def _sup(space, stack, levels):  # ft_sup_norm of a stack whose blocks have thes
     return _product((space, _AMP, tuple(levels), stack.reshape(-1, space.dim), None))
 
 
-def _resolve(factors) -> list[NormEstimate]:
+def _resolve(factors, ascend=True) -> list[NormEstimate]:
     """The brackets of a list of factors, equal bit for bit to the single
-    calls, from one ``dual_ball_sups`` or ``lp_dual_sups`` call per (space, p,
-    T) key, T the number of atoms, and one ``amplified_norms`` call per block
-    level of a (space, _AMP, levels) key.  A request object listed more than
-    once is resolved once."""
+    calls (ascent-free unless ``ascend``), from one batch of rows per (space,
+    p, T) key, T the number of atoms, and one per block level of a (space,
+    _AMP, levels) key.  A request object listed more than once is resolved once."""
+
+    def brackets(ends, start, ascent):
+        return _estimates(ends, start, ascent if ascend else None)
+
     out = list(factors)
     keyed = {}
     for k, r in enumerate(factors):
@@ -421,16 +425,17 @@ def _resolve(factors) -> list[NormEstimate]:
         reqs = {id(factors[k]): factors[k] for k in ks}
         vecs = np.array([r[3] for r in reqs.values()])
         if p is None:
-            ests = dual_ball_sups(space, np.array([r[2] for r in reqs.values()]), vecs)
+            ests = brackets(*_dual_ball_rows(space, np.array([r[2] for r in reqs.values()]), vecs))
         elif p is _AMP:  # t is the block levels; each request takes the max over its blocks
             starts, cols = np.cumsum([0, *(n * n for n in t)]), []
             for n in dict.fromkeys(t):
                 blocks = [vecs[:, a:b] for a, b, m in zip(starts, starts[1:], t) if m == n]
-                ests = amplified_norms(space, np.concatenate(blocks).reshape(-1, n, n, space.dim))
+                ests = brackets(*_amplified_rows(
+                    space, np.concatenate(blocks).reshape(-1, n, n, space.dim)))
                 cols += [ests[i : i + len(vecs)] for i in range(0, len(ests), len(vecs))]
             ests = [NormEstimate.max_of(col) for col in zip(*cols)]
         else:
-            ests = lp_dual_sups(space, vecs, p)
+            ests = brackets(*_lp_rows(space, vecs, p))
         ests = dict(zip(reqs, ests))
         for k in ks:
             est, root = ests[id(factors[k])], factors[k][4]
@@ -438,10 +443,10 @@ def _resolve(factors) -> list[NormEstimate]:
     return out
 
 
-def _sides(sides) -> list[NormEstimate]:
+def _sides(sides, ascend=True) -> list[NormEstimate]:
     """The brackets of a list of claim sides, their requests resolved together."""
     sides = [s if isinstance(s, tuple) else _product(s) for s in sides]
-    ests = iter(_resolve([f for factors, _ in sides for f in factors]))
+    ests = iter(_resolve([f for factors, _ in sides for f in factors], ascend))
     return [
         functools.reduce(NormEstimate.times, [next(ests) for _ in factors]).scaled(scale)
         for factors, scale in sides
@@ -454,10 +459,13 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
     combo i % len(combos); ``check(combo, nu, dual, rng, fault)`` draws the
     rest and returns a residual (against ``tol_exact``), an (lhs, rhs) pair
     of sides (at ``tol_bracket``), or a list of such checks.  Instances run in
-    blocks of ``_BLOCK``, whose sides are resolved together and then tallied
-    in instance order.  A violation's note formats ``note``, or its k-th
-    entry for the k-th check when it is a tuple, with the suite name, g and s
-    (group and space labels), c (the combo) and i."""
+    blocks of ``_BLOCK``, whose sides are resolved together in two passes and
+    then tallied in instance order: a pair whose ascent-free brackets give
+    ``lhs.upper <= rhs.lower`` passes from those as from the full ones (same
+    upper ends, lower ends no lower); every other pair's sides are resolved
+    in full.  A violation's note formats ``note``, or its k-th entry for the
+    k-th check when it is a tuple, with the suite name, g and s (group and
+    space labels), c (the combo) and i."""
     notes = note if isinstance(note, tuple) else (note,)
     if spaces_fastest:
         cells = [(g, dual, s) for g, dual in ctx.groups for s in ctx.spaces]
@@ -470,7 +478,13 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
             rng, nu = _instance(ctx, name, i, kind, g, space)
             out = check(combos[i % len(combos)], nu, dual, rng, ctx.fault)
             block.append(out if isinstance(out, list) else [out])
-        ests = iter(_sides([s for outs in block for c in outs if isinstance(c, tuple) for s in c]))
+        sides = [s for outs in block for c in outs if isinstance(c, tuple) for s in c]
+        ests = _sides(sides, ascend=False)
+        redo = [j for k in range(0, len(ests), 2) if ests[k].upper > ests[k + 1].lower
+                for j in (k, k + 1)]
+        for j, est in zip(redo, _sides([sides[j] for j in redo])):
+            ests[j] = est
+        ests = iter(ests)
         for i, outs in enumerate(block, start):
             g, _, space = cells[i % len(cells)]
             for n, out in zip(notes, outs):

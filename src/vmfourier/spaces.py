@@ -61,7 +61,6 @@ __all__ = [
     "lp_dual_sups",
     "amplified_norm",
     "amplified_norms",
-    "matrix_pair",
     "space_from_spec",
 ]
 
@@ -586,32 +585,32 @@ def _ascend(ascent, caps) -> np.ndarray:
     return best
 
 
-def _estimates(ends, ascent) -> list[NormEstimate]:
-    """Certified brackets of a batch of rows, in input order.
-
-    ``ends[b]`` is the ``NormEstimate`` of a row known without an ascent, or
-    ``(upper, floor, arrays)`` for a row that gets ``bracket(max(lower, floor),
-    upper)`` with ``lower`` from ``ascent(*arrays)`` capped at ``upper``.  Rows
-    whose arrays share shapes are stacked into one vectorised ascent, run in
-    chunks of about ``_CHUNK_ENTRIES`` entries of its [rows, restarts, ...]
-    working arrays as sized by the first array.
-    """
+def _estimates(ends, start, ascent=None) -> list[NormEstimate]:
+    """Certified brackets of a batch of rows, in input order: ``ends[b]`` is
+    the ``NormEstimate`` of a row known without an ascent, or ``(upper,
+    arrays)``.  Rows whose arrays share shapes are stacked; ``start(*arrays)``
+    gives their floors, values attained at dual-ball points, row by row.  A
+    row gets bracket(floor, upper) without ``ascent``, else bracket(max(lower,
+    floor), upper) with ``lower`` from ``ascent(*arrays)`` capped at ``upper``,
+    run in chunks of about ``_CHUNK_ENTRIES`` entries of its [rows, restarts,
+    ...] working arrays as sized by the first array."""
     out = list(ends)
     groups = {}  # array shapes -> ascent rows
     for b, end in enumerate(ends):
         if not isinstance(end, NormEstimate):
-            groups.setdefault(tuple(a.shape for a in end[2]), []).append(b)
+            groups.setdefault(tuple(a.shape for a in end[1]), []).append(b)
     for rows in groups.values():
         uppers = np.array([ends[b][0] for b in rows])
-        arrays = [np.stack(a) for a in zip(*(ends[b][2] for b in rows))]
-        step = max(1, _CHUNK_ENTRIES // (ASCENT_RESTARTS * arrays[0][0].size))
-        lowers = np.concatenate([
-            _ascend(ascent(*(a[i : i + step] for a in arrays)), uppers[i : i + step])
-            for i in range(0, len(rows), step)
-        ])
-        for b, lower in zip(rows, lowers):
-            upper, floor, _ = ends[b]
-            out[b] = NormEstimate.bracket(max(lower, floor), upper)
+        arrays = [np.stack(a) for a in zip(*(ends[b][1] for b in rows))]
+        lowers = start(*arrays)
+        if ascent is not None:
+            step = max(1, _CHUNK_ENTRIES // (ASCENT_RESTARTS * arrays[0][0].size))
+            lowers = np.maximum(lowers, np.concatenate([
+                _ascend(ascent(*(a[i : i + step] for a in arrays)), uppers[i : i + step])
+                for i in range(0, len(rows), step)
+            ]))
+        for b, lower in zip(rows, lowers.tolist()):
+            out[b] = NormEstimate.bracket(lower, ends[b][0])
     return out
 
 
@@ -639,11 +638,17 @@ def _phase_ascent(space, weights, vecs):
         eps = np.where(ap > 0, np.conj(p) / np.maximum(ap, 1e-300), 1.0)
 
 
-def dual_ball_sups(space: CoefficientSpace, weights, vecs) -> list[NormEstimate]:
-    """``dual_ball_sup`` of each row: ``weights`` is [B, T] and ``vecs`` is
-    [B, T, space.dim].  Equal, row by row and bit for bit, to single calls:
-    each row drops its zero-weight atoms and rows with the same number of
-    kept atoms share one vectorised ascent."""
+def _aligned_start(space, vecs, weights=None, p=1.0):
+    """(sum_t w_t |<v_t, xp0>|^p)^(1/p) at xp0 = norming(sum_t w_t v_t) for
+    [B, T, dim] vectors and [B, T] weights (1/T if None): the first value of
+    the aligned restart of ``_phase_ascent`` (p = 1) or ``_lp_ascent``."""
+    w = np.full(vecs.shape[:2], 1.0 / vecs.shape[1]) if weights is None else weights
+    xp = space.norming_dual_many((w[:, :, None] * vecs).sum(axis=1))[:, None, :]
+    return ((np.abs(space.pair_many(vecs, xp)) ** p @ w[:, :, None])[:, 0, 0]) ** (1.0 / p)
+
+
+def _dual_ball_rows(space, weights, vecs):
+    """The rows of ``dual_ball_sups``, their start and their ascent."""
     weights = np.asarray(weights, dtype=float)
     vecs = np.asarray(vecs, dtype=complex)
     if weights.ndim != 2 or vecs.shape != weights.shape + (space.dim,):
@@ -662,8 +667,17 @@ def dual_ball_sups(space: CoefficientSpace, weights, vecs) -> list[NormEstimate]
             ends.append(NormEstimate.of_exact(closed))
             continue
         upper = float(w @ space.norm_many(v))
-        ends.append(NormEstimate.bracket(upper, upper) if len(w) == 1 else (upper, 0.0, (v, w)))
-    return _estimates(ends, lambda v, w: _phase_ascent(space, w, v))
+        ends.append(NormEstimate.bracket(upper, upper) if len(w) == 1 else (upper, (v, w)))
+    return (ends, lambda v, w: _aligned_start(space, v, w),
+            lambda v, w: _phase_ascent(space, w, v))
+
+
+def dual_ball_sups(space: CoefficientSpace, weights, vecs) -> list[NormEstimate]:
+    """``dual_ball_sup`` of each row: ``weights`` is [B, T] and ``vecs`` is
+    [B, T, space.dim].  Equal, row by row and bit for bit, to single calls:
+    each row drops its zero-weight atoms and rows with the same number of
+    kept atoms share one vectorised ascent."""
+    return _estimates(*_dual_ball_rows(space, weights, vecs))
 
 
 def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
@@ -672,9 +686,9 @@ def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
     ``weights`` is a length-T vector of nonnegative weights and ``vecs`` the
     [T, space.dim] coordinates of the vectors v_t.  Exact for ``ScalarSpace``
     and ``LinfSpace``.  Otherwise returns a bracket: the lower end from phase
-    ascent (which starts at the all-aligned phase configuration, so it always
-    dominates ||sum w_t v_t||), the upper end from the variation bound
-    sum_t w_t ||v_t||.  ``dual_ball_sups`` evaluates many at once.
+    ascent, at least sum_t w_t |<v_t, xp0>| at its aligned start xp0 =
+    norming(sum_t w_t v_t) (so >= ||sum w_t v_t||), the upper end from the
+    variation bound sum_t w_t ||v_t||.  ``dual_ball_sups`` evaluates many at once.
     """
     return dual_ball_sups(space, np.asarray(weights, dtype=float)[None], np.asarray(vecs)[None])[0]
 
@@ -702,9 +716,8 @@ def _lp_ascent(space, vecs, p):
         beta = sgn * ah ** (p - 1.0) / np.maximum(val, 1e-300)[:, :, None] ** (p - 1.0)
 
 
-def lp_dual_sups(space: CoefficientSpace, vecs, p: float) -> list[NormEstimate]:
-    """``lp_dual_sup`` of each row of a [B, T, space.dim] stack, equal bit for
-    bit to single calls; the ascent rows run vectorised."""
+def _lp_rows(space, vecs, p):
+    """The rows of ``lp_dual_sups``, their start and their ascent."""
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 3 or vecs.shape[2] != space.dim:
         raise ValueError(f"expected vecs (B, T, {space.dim}), got {vecs.shape}")
@@ -712,19 +725,25 @@ def lp_dual_sups(space: CoefficientSpace, vecs, p: float) -> list[NormEstimate]:
         raise ValueError("p must be >= 1")
     B, T = vecs.shape[:2]
     if T == 0:
-        return [NormEstimate.of_exact(0.0)] * B
+        return [NormEstimate.of_exact(0.0)] * B, None, None
     if np.isinf(p):
-        return [NormEstimate.of_exact(float(space.norm_many(v).max())) for v in vecs]
+        return [NormEstimate.of_exact(float(space.norm_many(v).max())) for v in vecs], None, None
     if p == 1:
-        return dual_ball_sups(space, np.full((B, T), 1.0 / T), vecs)
+        return _dual_ball_rows(space, np.full((B, T), 1.0 / T), vecs)
     ends = []
     for v in vecs:
         closed = space.closed_lp_sup(v, p)
         if closed is not None:
             ends.append(NormEstimate.of_exact(closed))
         else:
-            ends.append((float(np.mean(space.norm_many(v) ** p) ** (1.0 / p)), 0.0, (v,)))
-    return _estimates(ends, lambda v: _lp_ascent(space, v, p))
+            ends.append((float(np.mean(space.norm_many(v) ** p) ** (1.0 / p)), (v,)))
+    return ends, lambda v: _aligned_start(space, v, p=p), lambda v: _lp_ascent(space, v, p)
+
+
+def lp_dual_sups(space: CoefficientSpace, vecs, p: float) -> list[NormEstimate]:
+    """``lp_dual_sup`` of each row of a [B, T, space.dim] stack, equal bit for
+    bit to single calls; the ascent rows run vectorised."""
+    return _estimates(*_lp_rows(space, vecs, p))
 
 
 def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEstimate:
@@ -732,8 +751,9 @@ def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEsti
     probability weight 1/T) of t -> <v_t, xp>.
 
     p = 1 reduces to ``dual_ball_sup`` with weights 1/T; p = inf is the exact
-    max of ||v_t||.  The upper end for brackets is the L^p norm of t -> ||v_t||.
-    ``lp_dual_sups`` evaluates many at once.
+    max of ||v_t||.  The upper end for brackets is the L^p norm of t -> ||v_t||,
+    the lower end the ascent's best, at least the value at its beta = 1 start
+    xp0 = norming(mean_t v_t).  ``lp_dual_sups`` evaluates many at once.
     """
     return lp_dual_sups(space, np.asarray(vecs)[None], p)[0]
 
@@ -775,19 +795,25 @@ def _amplified_upper(space: CoefficientSpace, entries: np.ndarray):
     return upper, np.where(floor == 0.0, np.nan, floor)
 
 
-def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
-    """``amplified_norm`` of each n x n matrix over ``space`` in a
-    [B, n, n, space.dim] stack, equal bit for bit to single calls; the ascent
-    rows run vectorised."""
+def _amplified_rows(space, entries):
+    """The rows of ``amplified_norms`` (each with its floor as a 0-d array),
+    their start, which returns those floors, and their ascent."""
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 4 or entries.shape[1] != entries.shape[2] or entries.shape[3] != space.dim:
         raise ValueError(f"expected entries (B, n, n, {space.dim}), got {entries.shape}")
     uppers, floors = _amplified_upper(space, entries)
     ends = [
-        NormEstimate.of_exact(upper) if math.isnan(floor) else (upper, floor, (e,))
-        for upper, floor, e in zip(uppers.tolist(), floors.tolist(), entries)
+        NormEstimate.of_exact(upper) if math.isnan(floor) else (upper, (e, floor))
+        for upper, floor, e in zip(uppers.tolist(), floors, entries)
     ]
-    return _estimates(ends, lambda e: _amplified_ascent(space, e))
+    return ends, lambda e, floor: floor, lambda e, floor: _amplified_ascent(space, e)
+
+
+def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
+    """``amplified_norm`` of each n x n matrix over ``space`` in a
+    [B, n, n, space.dim] stack, equal bit for bit to single calls; the ascent
+    rows run vectorised."""
+    return _estimates(*_amplified_rows(space, entries))
 
 
 def amplified_norm(m: MatrixOverX) -> NormEstimate:
@@ -803,22 +829,6 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
     the vector norm.  ``amplified_norms`` evaluates many at once.
     """
     return amplified_norms(m.space, m.entries[None])[0]
-
-
-def matrix_pair(m: MatrixOverX, mp: MatrixOverX) -> np.ndarray:
-    """Matrix pairing of an n-level matrix over X with an m-level dual matrix.
-
-    Returns the nm x nm complex matrix whose (i, j) block of size m x m is
-    [<x_ij, xp_kl>]_{kl}.
-    """
-    _require_same_space(m.space, mp.space)
-    n, mm = m.level, mp.level
-    space = m.space
-    p = space.pair_many(
-        m.entries.reshape(n * n, space.dim), mp.entries.reshape(mm * mm, space.dim)
-    )  # [mm*mm, n*n]
-    p = p.T.reshape(n, n, mm, mm)
-    return p.transpose(0, 2, 1, 3).reshape(n * mm, n * mm)
 
 
 def space_from_spec(spec: str) -> CoefficientSpace:

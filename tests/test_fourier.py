@@ -205,8 +205,8 @@ class TestWeakTransform:
         assert c.blocks[1][0, 0] == pytest.approx(1.0)
 
     def test_pairing_compatibility(self, builtin_groups, all_spaces):
-        # the matrix pairing of the vector transform with a functional matches
-        # the weak transform, entry by entry
+        # pairing each entry of the vector transform's blocks with a
+        # functional gives the weak transform, entry by entry
         for k, (g, dual) in enumerate(builtin_groups[:5]):
             for si, space in enumerate(all_spaces):
                 nu = random_measure(g, space, seed=7 * k + si)
@@ -215,11 +215,10 @@ class TestWeakTransform:
                 xp = XVector(space, 1.3 * space.sample_dual(rng, 1)[0])
                 vec = vf.ft_vector(f, nu, dual)
                 weak = vf.ft_weak(f, nu, xp, dual)
-                xpm = vf.MatrixOverX(space, xp.coords[None, None, :])
-                for r in range(len(dual.irreps)):
-                    assert np.allclose(
-                        vf.matrix_pair(vec.blocks[r], xpm), weak.blocks[r], atol=1e-10
-                    )
+                for vb, wb in zip(vec.blocks, weak.blocks):
+                    flat = vb.entries.reshape(-1, space.dim)
+                    paired = space.pair_many(flat, xp.coords[None, :])[0].reshape(wb.shape)
+                    assert np.allclose(paired, wb, atol=1e-10)
 
     def test_density_measure_identity(self, s3, s3_dual, all_spaces):
         # transforming f against nu equals transforming the density measure

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -355,20 +356,89 @@ class TestNormRequests:
         # blocks of 4 over 6 trials: one full block and one partial
         blocked = brackets(4)
         resolve = harness._resolve
-        monkeypatch.setattr(harness, "_resolve", lambda fs: [e for f in fs for e in resolve([f])])
+        monkeypatch.setattr(
+            harness, "_resolve", lambda fs, *a: [e for f in fs for e in resolve([f], *a)]
+        )
         assert brackets(1) == blocked
 
     def test_estimator_calls_bounded_by_keys_not_trials(self, monkeypatch):
         # each young-6.5 request is an lp_nu_norm, so the 64 instances, one
-        # block, make one dual_ball_sups call per (space, group order) key
-        calls = []
+        # block, make one batch of dual_ball_sups rows per (space, group
+        # order) key in each of the two passes
+        calls = {False: 0, True: 0}
         estimates = vf.spaces._estimates
-        monkeypatch.setattr(
-            vf.spaces, "_estimates", lambda *args: calls.append(1) or estimates(*args)
-        )
+
+        def counted(ends, start, ascent=None):
+            calls[ascent is not None] += 1
+            return estimates(ends, start, ascent)
+
+        monkeypatch.setattr(harness, "_estimates", counted)
         cfg = small_config(trials=64)
         vf.run_suite("young-6.5", cfg)
-        assert 0 < len(calls) <= len(cfg.spaces) * len(cfg.groups)
+        keys = len(cfg.spaces) * len(cfg.groups)
+        assert 0 < calls[False] <= keys and calls[True] <= keys
+
+
+class TestTwoPasses:
+    """Claim rows tally a pair from ascent-free brackets when those pass it
+    and resolve the rest in full; the reports equal a tally of full brackets."""
+
+    @staticmethod
+    def halved_rhs(runner):
+        """A claim row like ``runner`` whose rhs sides are scaled by 0.5."""
+        kind, check, combos, spaces_fastest, note = runner.args
+
+        def halved(*args):
+            out = check(*args)
+            pairs = [(lhs, (rhs[0], 0.5 * rhs[1])) for lhs, rhs in (
+                out if isinstance(out, list) else [out])]
+            return pairs if isinstance(out, list) else pairs[0]
+
+        return harness._claim(halved, combos, kind, spaces_fastest, note)
+
+    @pytest.mark.parametrize("name", ["young-6.4", "ft-norm-bounds"])
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_reports_equal_full_resolution(self, name, scale, monkeypatch):
+        cfg = small_config(
+            groups=["cyclic:3", "symmetric:3"], spaces=["matop:2", "weighted_l1:2"], trials=64
+        )
+        if scale != 1.0 and name == "ft-norm-bounds":
+            monkeypatch.setattr(
+                harness, "_FT_NORM_BOUNDS", self.halved_rhs(harness._FT_NORM_BOUNDS)
+            )
+        elif scale != 1.0:
+            spec = harness._SUITES[name]
+            runner = self.halved_rhs(spec.runner)
+            monkeypatch.setitem(harness._SUITES, name, dataclasses.replace(spec, runner=runner))
+
+        def fields(rep):
+            return (rep.instances, rep.violations, rep.near_misses, rep.max_residual.hex(),
+                    rep.detail)
+
+        # the reference tallies every pair from full brackets
+        sides = harness._sides
+        monkeypatch.setattr(harness, "_sides", lambda s, ascend=True: sides(s))
+        reference = vf.run_suite(name, cfg)
+        monkeypatch.setattr(harness, "_sides", sides)
+
+        eligible, reached = [], []
+        estimates, ascend = vf.spaces._estimates, vf.spaces._ascend
+
+        def counted(ends, start, ascent=None):
+            if ascent is None:
+                eligible.extend(e for e in ends if not isinstance(e, vf.NormEstimate))
+            return estimates(ends, start, ascent)
+
+        monkeypatch.setattr(harness, "_estimates", counted)
+        monkeypatch.setattr(
+            vf.spaces, "_ascend",
+            lambda ascent, caps: reached.append(len(caps)) or ascend(ascent, caps),
+        )
+        assert fields(vf.run_suite(name, cfg)) == fields(reference)
+        if scale == 1.0:
+            assert 4 * sum(reached) < len(eligible)
+        else:
+            assert reference.violations > 0
 
 
 class TestFaultInjection:

@@ -14,12 +14,11 @@ from vmfourier import (
     amplified_norm,
     dual_ball_sup,
     dual_norm,
-    matrix_pair,
     norm,
     pair,
 )
 from vmfourier import spaces
-from vmfourier.harness import grid_dual_points, grid_dual_sup
+from vmfourier.harness import _grid_supported, grid_dual_points, grid_dual_sup
 from vmfourier.spaces import (
     ASCENT_ITERS,
     ASCENT_RESTARTS,
@@ -397,41 +396,6 @@ def assert_norming_rows_pair_to_norm(s, ys):
     assert np.allclose(paired, s.norm_many(ys), rtol=1e-12, atol=0)
 
 
-class TestMatrixPair:
-    def test_level_one(self):
-        s = LinfSpace(2)
-        m = MatrixOverX(s, np.array([[[1, 2]]], dtype=complex))
-        mp = MatrixOverX(s, np.array([[[1, 1]]], dtype=complex))
-        out = matrix_pair(m, mp)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == pytest.approx(3)
-
-    def test_identity_dual_recovers_scalar_entries(self):
-        s = ScalarSpace()
-        entries = np.arange(4, dtype=complex).reshape(2, 2, 1)
-        m = MatrixOverX(s, entries)
-        mp = MatrixOverX(s, np.ones((1, 1, 1), dtype=complex))
-        assert np.allclose(matrix_pair(m, mp), entries[:, :, 0])
-
-    def test_linf_coordinate_extraction(self):
-        s = LinfSpace(2)
-        rng = np.random.default_rng(0)
-        entries = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-        m = MatrixOverX(s, entries)
-        mp = MatrixOverX(s, np.array([[[1, 0]]], dtype=complex))
-        assert np.allclose(matrix_pair(m, mp), entries[:, :, 0])
-
-    def test_block_layout(self):
-        # block (i, j) of the result is the m x m pairing matrix of entry (i, j)
-        s = ScalarSpace()
-        m = MatrixOverX(s, np.array([[[1], [2]], [[3], [4]]], dtype=complex))
-        mp = MatrixOverX(s, np.array([[[1], [10]], [[100], [1000]]], dtype=complex))
-        out = matrix_pair(m, mp)
-        assert out.shape == (4, 4)
-        assert np.allclose(out[:2, :2], np.array([[1, 10], [100, 1000]]))
-        assert np.allclose(out[:2, 2:], 2 * np.array([[1, 10], [100, 1000]]))
-
-
 class TestNormEstimate:
     def test_invariants(self):
         e = NormEstimate.of_exact(2.0)
@@ -630,23 +594,32 @@ class TestEstimates:
             caps.append(list(c))
             return _ascend(ascent, c)
 
-        def ascent(table, pad):
+        def ascent(table, pad, floor):
             chunks.append(table.tolist())
             return scripted(table, [])
 
+        def start(table, pad, floor):
+            return floor
+
         monkeypatch.setattr(spaces, "_ascend", capped)
-        pad = np.zeros(50)
+        pad, zero = np.zeros(50), np.float64(0.0)
         known = [NormEstimate.of_exact(7.0), NormEstimate.bracket(1.0, 2.0)]
         ends = [
-            (5.0, 0.0, (np.array([1.0, 2.0, 3.0]), pad)),
+            (5.0, (np.array([1.0, 2.0, 3.0]), pad, zero)),
             known[0],
-            (2.5, 0.0, (np.array([1.0, 2.5, 9.0, 9.0]), pad)),  # stops at its cap
-            (6.0, 4.0, (np.array([1.0, 2.0, 3.0]), pad)),  # floor above the ascent
-            (9.0, 0.0, (np.array([2.0, 1.0, 1.0, 1.0]), pad)),
+            (2.5, (np.array([1.0, 2.5, 9.0, 9.0]), pad, zero)),  # stops at its cap
+            (6.0, (np.array([1.0, 2.0, 3.0]), pad, np.float64(4.0))),  # floor above the ascent
+            (9.0, (np.array([2.0, 1.0, 1.0, 1.0]), pad, np.float64(1.5))),
             known[1],
-            (8.0, 0.0, (np.array([3.0, 2.0, 1.0]), pad)),
+            (8.0, (np.array([3.0, 2.0, 1.0]), pad, zero)),
         ]
-        out = spaces._estimates(ends, ascent)
+        # without an ascent each row gets bracket(floor, upper)
+        free = spaces._estimates(ends, start)
+        assert [(e.lower, e.upper) for e in free if not e.exact] == [
+            (0.0, 5.0), (0.0, 2.5), (4.0, 6.0), (1.5, 9.0), (1.0, 2.0), (0.0, 8.0)
+        ]
+        assert caps == chunks == []
+        out = spaces._estimates(ends, start, ascent)
         assert out[1] is known[0] and out[5] is known[1]
         got = [(e.lower, e.upper, e.exact) for e in out]
         assert got[0] == (3.0, 5.0, False)
@@ -661,3 +634,78 @@ class TestEstimates:
             [[1.0, 2.5, 9.0, 9.0], [2.0, 1.0, 1.0, 1.0]],
         ]
         assert caps == [[5.0, 6.0], [8.0], [2.5, 9.0]]
+
+
+CONTAIN_SPECS = ["scalar", "linf:2", "matop:2", "weighted_l1:2", "matop:3", "weighted_l1:3"]
+# the phase grid's best value lies within this factor of the dual-ball sup,
+# the allowance calibration grants the full lower ends
+GRID_SLACK = 1.02
+
+
+def grid_best(space, value):
+    """The largest ``value`` of the [P, ...] pairings over the phase grid."""
+    return float(value(grid_dual_points(space)).max())
+
+
+class TestAscentFree:
+    """Each ascent-free bracket contains the full one: its lower end is no
+    higher, its upper end the same, and it is a value some dual-ball point
+    attains (within the grid's resolution)."""
+
+    def assert_contains(self, quick, full):
+        assert all(q.lower <= f.lower for q, f in zip(quick, full))
+        assert [q.upper for q in quick] == [f.upper for f in full]
+
+    @pytest.mark.parametrize("spec", CONTAIN_SPECS)
+    def test_dual_ball_sups(self, spec):
+        space = space_from_spec(spec)
+        rng = np.random.default_rng(21)
+        vecs = scaled_rows(rng, space, 12, 5)
+        weights = rng.uniform(0.1, 2.0, (12, 5))
+        weights[0] = 0  # a zero row
+        weights[1, 1:] = 0  # a one-atom row
+        quick = spaces._estimates(*spaces._dual_ball_rows(space, weights, vecs)[:2])
+        self.assert_contains(quick, dual_ball_sups(space, weights, vecs))
+        for q, w, v in zip(quick, weights, vecs):
+            # the all-aligned start dominates ||sum_t w_t v_t||
+            assert q.lower >= (1 - 1e-12) * space.norm_of(w @ v)
+            if _grid_supported(space):
+                assert q.lower <= GRID_SLACK * grid_dual_sup(space, w, v)
+
+    @pytest.mark.parametrize("spec", CONTAIN_SPECS)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_lp_dual_sups(self, spec, p):
+        space = space_from_spec(spec)
+        rng = np.random.default_rng(22)
+        vecs = scaled_rows(rng, space, 12, 5)
+        vecs[0] = 0
+        vecs[1, 1:] = 0
+        quick = spaces._estimates(*spaces._lp_rows(space, vecs, p)[:2])
+        self.assert_contains(quick, lp_dual_sups(space, vecs, p))
+        if _grid_supported(space):
+            for q, v in zip(quick, vecs):
+                best = grid_best(
+                    space, lambda xp: np.mean(np.abs(space.pair_many(v, xp)) ** p, axis=1)
+                ) ** (1.0 / p)
+                assert q.lower <= GRID_SLACK * best
+
+    @pytest.mark.parametrize("spec", CONTAIN_SPECS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_amplified_norms(self, spec, n):
+        space = space_from_spec(spec)
+        rng = np.random.default_rng(23)
+        entries = scaled_rows(rng, space, 12, n, n)
+        entries[0] = 0
+        entries[1, 1:] = 0
+        entries[1, 0, 1:] = 0  # a single nonzero entry
+        quick = spaces._estimates(*spaces._amplified_rows(space, entries)[:2])
+        self.assert_contains(quick, amplified_norms(space, entries))
+        # on a matrix space the matrix norm is the block operator norm, not a
+        # sup over dual-ball points
+        if _grid_supported(space) and not isinstance(space, MatOpSpace):
+            for q, e in zip(quick, entries):
+                best = grid_best(space, lambda xp: np.linalg.svd(
+                    space.pair_many(e.reshape(n * n, -1), xp).reshape(-1, n, n),
+                    compute_uv=False,
+                )[:, 0])
+                assert q.lower <= GRID_SLACK * best
