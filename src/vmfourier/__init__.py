@@ -90,12 +90,9 @@ from .spaces import (
     WeightedL1Space,
     XVector,
     amplified_norm,
-    amplified_norms,
     dual_ball_sup,
-    dual_ball_sups,
     dual_norm,
     lp_dual_sup,
-    lp_dual_sups,
     norm,
     pair,
     space_from_spec,

@@ -23,13 +23,7 @@ import numpy as np
 from .groups import UnitaryDual, require_same_group
 from .lpspaces import ScalarFunction
 from .measures import VectorMeasure, radon_nikodym
-from .spaces import (
-    CoefficientSpace,
-    MatrixOverX,
-    NormEstimate,
-    XVector,
-    amplified_norm,
-)
+from .spaces import _AMP, CoefficientSpace, MatrixOverX, NormEstimate, XVector, _resolve
 
 __all__ = [
     "FourierCoefficients",
@@ -152,7 +146,13 @@ def ft_weak(
 
 def ft_sup_norm(c: VectorFourierCoefficients) -> NormEstimate:
     """Sup over irreps of the matrix-level norms of the blocks, as a bracket."""
-    return NormEstimate.max_of(amplified_norm(b) for b in c.blocks)
+    return _resolve([_sup(c.space, c.stack, c.dual.dims())])[0]
+
+
+def _sup(space: CoefficientSpace, stack: np.ndarray, levels):
+    """The norm request of ``ft_sup_norm`` for a [sum n^2, ...] stack of n x n
+    blocks over ``space``, n in ``levels``, in the row order of ``_blocks``."""
+    return space, _AMP, tuple(levels), stack.reshape(-1, space.dim), None
 
 
 def uniqueness_rank(

@@ -31,6 +31,7 @@ from .convolve import (
 )
 from .fourier import (
     _blocks,
+    _sup,
     ft_classical,
     ft_inverse,
     ft_measure,
@@ -50,23 +51,25 @@ from .groups import (
 )
 from .lpspaces import (
     MatrixFunction,
-    N_norm,
     ScalarFunction,
+    _lp_nu,
+    _n_norm,
+    _pp,
     function_pushforward,
     lp_norm_haar,
-    lp_nu_norm,
     pettis_integral,
     reflect,
 )
 from .measures import (
     GroupMap,
     VectorMeasure,
+    _p_semi,
+    _semi,
     check_semivariation_invariance,
     evaluate,
     integrate,
     is_k_scalarly_bounded,
     measure_from_density,
-    p_semivariation,
     pushforward,
     radon_nikodym,
 )
@@ -79,11 +82,8 @@ from .spaces import (
     ScalarSpace,
     WeightedL1Space,
     XVector,
-    _amplified_rows,
     _amplified_upper,
-    _dual_ball_rows,
-    _estimates,
-    _lp_rows,
+    _resolve,
     amplified_norm,
     dual_ball_sup,
     dual_norm,
@@ -362,85 +362,18 @@ def _instance(ctx: _Ctx, name: str, i: int, kind: str, g: FiniteGroup, space):
     return rng, generate_fixture(kind, g, space, seed=int(rng.integers(2**32)))
 
 
-# -- norm requests -------------------------------------------------------------
+# -- claim sides ---------------------------------------------------------------
 #
-# A claim states each side of lhs <= rhs as data: a known NormEstimate,
-# ``_product(a[, b], scale=c)`` for the bracket a.times(b).scaled(c) built the
-# way the single estimator calls build it, or ``_sup(space, stack, levels)``
-# for the sup over the blocks of a transform's stack of their matrix-level
-# norms.  A factor is a NormEstimate or a norm request
-# ``(space, p, weights, vecs, root)``: the ``dual_ball_sup`` of
-# (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p, then
-# ``rooted(root)`` unless root is None; or the amplified request
-# ``(space, _AMP, levels, stack, None)`` of a sup side, whose stack holds the
-# n x n blocks (n in levels) one after another, flattened to rows.
+# A claim states each side of lhs <= rhs as data: a known NormEstimate, or
+# ``_product(a[, b], scale=c)`` for the bracket a.times(b).scaled(c), whose
+# factors are norm requests (see ``spaces._resolve``) made by the builders
+# beside the norms' public functions.
 
-_AMP = "amplified"
 _SCALAR = ScalarSpace()
-
-
-def _lp_nu(f, nu, p):  # lp_nu_norm(f, nu, p)
-    if np.isinf(p):
-        return lp_nu_norm(f, nu, p)
-    return nu.space, None, np.abs(f.values) ** p, nu.atoms, p
-
-
-def _semi(nu):  # semivariation(nu)
-    return nu.space, None, np.ones(nu.group.order), nu.atoms, None
-
-
-def _p_semi(nu, p):  # p_semivariation(nu, p)
-    if np.isinf(p):
-        return p_semivariation(nu, p)
-    return nu.space, p, None, nu.group.order * nu.atoms, None
-
-
-def _pp(phi, r):  # Pp_norm(phi, r)
-    return phi.space, r, None, phi.values, None
 
 
 def _product(*factors, scale=1.0):
     return factors, scale
-
-
-def _sup(space, stack, levels):  # ft_sup_norm of a stack whose blocks have these levels
-    return _product((space, _AMP, tuple(levels), stack.reshape(-1, space.dim), None))
-
-
-def _resolve(factors, ascend=True) -> list[NormEstimate]:
-    """The brackets of a list of factors, equal bit for bit to the single
-    calls (ascent-free unless ``ascend``), from one batch of rows per (space,
-    p, T) key, T the number of atoms, and one per block level of a (space,
-    _AMP, levels) key.  A request object listed more than once is resolved once."""
-
-    def brackets(ends, start, ascent):
-        return _estimates(ends, start, ascent if ascend else None)
-
-    out = list(factors)
-    keyed = {}
-    for k, r in enumerate(factors):
-        if not isinstance(r, NormEstimate):
-            keyed.setdefault((r[0], r[1], r[2] if r[1] is _AMP else len(r[3])), []).append(k)
-    for (space, p, t), ks in keyed.items():
-        reqs = {id(factors[k]): factors[k] for k in ks}
-        vecs = np.array([r[3] for r in reqs.values()])
-        if p is None:
-            ests = brackets(*_dual_ball_rows(space, np.array([r[2] for r in reqs.values()]), vecs))
-        elif p is _AMP:  # t is the block levels; each request takes the max over its blocks
-            starts, cols = np.cumsum([0, *(n * n for n in t)]), []
-            for n in dict.fromkeys(t):
-                blocks = [vecs[:, a:b] for a, b, m in zip(starts, starts[1:], t) if m == n]
-                ests = brackets(*_amplified_rows(
-                    space, np.concatenate(blocks).reshape(-1, n, n, space.dim)))
-                cols += [ests[i : i + len(vecs)] for i in range(0, len(ests), len(vecs))]
-            ests = [NormEstimate.max_of(col) for col in zip(*cols)]
-        else:
-            ests = brackets(*_lp_rows(space, vecs, p))
-        ests = dict(zip(reqs, ests))
-        for k in ks:
-            est, root = ests[id(factors[k])], factors[k][4]
-            out[k] = est if root is None else est.rooted(root)
-    return out
 
 
 def _sides(sides, ascend=True) -> list[NormEstimate]:
@@ -542,10 +475,10 @@ def _ft_norm_bounds(combo, nu, dual, rng, fault):
     f_nu_1 = _lp_nu(f, nu, 1.0)
     dims = dual.dims()
     return [
-        (_sup(nu.space, ft_vector(f, nu, dual).stack, dims), _product(f_nu_1)),
-        (_sup(_SCALAR, ft_weak(f, nu, xp, dual).stack, dims),
+        (_product(_sup(nu.space, ft_vector(f, nu, dual).stack, dims)), _product(f_nu_1)),
+        (_product(_sup(_SCALAR, ft_weak(f, nu, xp, dual).stack, dims)),
          _product(f_nu_1, scale=dual_norm(xp))),
-        (_sup(nu.space, ft_measure(nu, dual).stack, dims), _product(_semi(nu))),
+        (_product(_sup(nu.space, ft_measure(nu, dual).stack, dims)), _product(_semi(nu))),
     ]
 
 
@@ -570,7 +503,7 @@ def _cb_amplification(combo, nu, dual, rng, fault):
             g, n, rng.standard_normal((g.order, n, n)) + 1j * rng.standard_normal((g.order, n, n))
         )
         hats = [[ft_vector(fmat.entry(a, b), nu, dual) for b in range(n)] for a in range(n)]
-        rhs = N_norm(fmat, nu)
+        rhs = _product(_n_norm(fmat, nu))
     else:
         nus = [
             [generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
@@ -583,7 +516,7 @@ def _cb_amplification(combo, nu, dual, rng, fault):
     # columns b*d..; _blocks views the [sum d^2, n, n, dim] stack per irrep
     stacks = np.array([[h.stack for h in row] for row in hats]).transpose(2, 0, 1, 3)
     blocks = [b.transpose(2, 0, 3, 1, 4).reshape(-1, space.dim) for b in _blocks(dual, stacks)]
-    return _sup(space, np.concatenate(blocks), [n * d for d in dual.dims()]), rhs
+    return _product(_sup(space, np.concatenate(blocks), [n * d for d in dual.dims()])), rhs
 
 
 def _amplified_measure_semivariation(space, nus) -> NormEstimate:
@@ -836,7 +769,7 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
                 rep = check_semivariation_invariance(nu, hmap, trials=2, seed=ctx.cfg.seed)
                 tally.residual_check(rep.max_discrepancy, tol_b, f"semivar {g.label}")
                 nu_h = pushforward(nu, hmap)
-                # the 27 norms of this map, one batched dual_ball_sups call
+                # the 27 norms of this map, resolved in one batch
                 ests = iter(_resolve([
                     _lp_nu(f, m, p)
                     for phi in phis

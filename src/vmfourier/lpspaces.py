@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import FiniteGroup, require_same_group
 from .measures import GroupMap, VectorMeasure, _subset_indices
-from .spaces import CoefficientSpace, NormEstimate, XVector, dual_ball_sup, lp_dual_sup
+from .spaces import CoefficientSpace, NormEstimate, XVector, _resolve
 
 __all__ = [
     "ScalarFunction",
@@ -110,6 +110,11 @@ def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0) -> NormEsti
     p = inf is the exact max of |f| over atoms where the measure is nonzero
     (atoms with x_t = 0 are null and excluded).
     """
+    return _resolve([_lp_nu(f, nu, p)])[0]
+
+
+def _lp_nu(f: ScalarFunction, nu: VectorMeasure, p: float):
+    """The norm request of ``lp_nu_norm(f, nu, p)``."""
     require_same_group(f.group, nu.group)
     if not p >= 1:
         raise ValueError("p must be >= 1")
@@ -117,24 +122,34 @@ def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0) -> NormEsti
         live = nu.space.norm_many(nu.atoms) > 0
         vals = np.abs(f.values[live])
         return NormEstimate.of_exact(float(vals.max()) if vals.size else 0.0)
-    return dual_ball_sup(nu.space, np.abs(f.values) ** p, nu.atoms).rooted(p)
+    return nu.space, None, np.abs(f.values) ** p, nu.atoms, p
 
 
 def N_norm(F: MatrixFunction, nu: VectorMeasure) -> NormEstimate:
     """Matrix-level integrand norm: the dual-ball sup of the scalarized
     integrals of t -> ||F(t)||_op; collapses to ``lp_nu_norm`` at level 1."""
+    return _resolve([_n_norm(F, nu)])[0]
+
+
+def _n_norm(F: MatrixFunction, nu: VectorMeasure):
+    """The norm request of ``N_norm(F, nu)``."""
     require_same_group(F.group, nu.group)
     opnorms = np.linalg.svd(F.values, compute_uv=False)[:, 0] if F.n > 1 else np.abs(
         F.values[:, 0, 0]
     )
-    return dual_ball_sup(nu.space, opnorms, nu.atoms)
+    return nu.space, None, opnorms, nu.atoms, None
 
 
 def Pp_norm(phi: VectorFunction, p: float) -> NormEstimate:
     """Weak p-norm of a vector-valued function: sup over the dual ball of the
     L^p(Haar) norm of the scalarized function.  Exact for the closed-form
     spaces; otherwise bracketed above by the L^p norm of t -> ||phi(t)||."""
-    return lp_dual_sup(phi.space, phi.values, p)
+    return _resolve([_pp(phi, p)])[0]
+
+
+def _pp(phi: VectorFunction, p: float):
+    """The norm request of ``Pp_norm(phi, p)``."""
+    return phi.space, p, None, phi.values, None
 
 
 def pettis_integral(phi: VectorFunction, subset=None) -> XVector:

@@ -25,9 +25,7 @@ from .spaces import (
     ScalarSpace,
     XVector,
     _require_same_space,
-    dual_ball_sup,
-    dual_ball_sups,
-    lp_dual_sup,
+    _resolve,
     space_from_spec,
 )
 
@@ -158,8 +156,13 @@ def semivariation(nu: VectorMeasure, subset: Iterable[int] | None = None) -> Nor
     Sandwiched between ||nu(A)|| and |nu|(A); exact for scalar / max-norm
     coefficient spaces, a certified bracket otherwise.
     """
+    return _resolve([_semi(nu, subset)])[0]
+
+
+def _semi(nu: VectorMeasure, subset: Iterable[int] | None = None):
+    """The norm request of ``semivariation(nu, subset)``."""
     idx = _subset_indices(nu.group, subset)
-    return dual_ball_sup(nu.space, np.ones(idx.size), nu.atoms[idx])
+    return nu.space, None, np.ones(idx.size), nu.atoms[idx], None
 
 
 def p_semivariation(nu: VectorMeasure, p: float) -> NormEstimate:
@@ -171,12 +174,17 @@ def p_semivariation(nu: VectorMeasure, p: float) -> NormEstimate:
     closed-form spaces and a bracket otherwise (the upper end is the L^p norm
     of t -> |G| ||nu({t})||, a pointwise majorant of every density).
     """
+    return _resolve([_p_semi(nu, p)])[0]
+
+
+def _p_semi(nu: VectorMeasure, p: float):
+    """The norm request of ``p_semivariation(nu, p)``."""
     if not p > 1:
         raise ValueError("p-semivariation requires p > 1")
     n = nu.group.order
     if np.isinf(p):
         return NormEstimate.of_exact(float(n * nu.space.norm_many(nu.atoms).max()))
-    return lp_dual_sup(nu.space, n * nu.atoms, p)
+    return nu.space, p, None, n * nu.atoms, None
 
 
 def radon_nikodym(nu: VectorMeasure, xp: XVector) -> np.ndarray:
@@ -270,9 +278,8 @@ def check_semivariation_invariance(
         densities.append(mask)
     for _ in range(trials):
         densities.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    # the semivariations of every nu_phi, then of every (nu_h)_phi, in one call
-    vecs = [measure_from_density(m, phi).atoms for m in (nu, nu_h) for phi in densities]
-    ests = dual_ball_sups(nu.space, np.ones((len(vecs), n)), np.array(vecs))
+    # the semivariations of every nu_phi, then of every (nu_h)_phi, in one batch
+    ests = _resolve([_semi(measure_from_density(m, phi)) for m in (nu, nu_h) for phi in densities])
     worst = max(a.gap(b) for a, b in zip(ests[: len(densities)], ests[len(densities) :]))
     return InvarianceReport(worst > 0, worst, len(densities))
 

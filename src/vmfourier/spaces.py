@@ -56,11 +56,8 @@ __all__ = [
     "dual_norm",
     "pair",
     "dual_ball_sup",
-    "dual_ball_sups",
     "lp_dual_sup",
-    "lp_dual_sups",
     "amplified_norm",
-    "amplified_norms",
     "space_from_spec",
 ]
 
@@ -648,7 +645,7 @@ def _aligned_start(space, vecs, weights=None, p=1.0):
 
 
 def _dual_ball_rows(space, weights, vecs):
-    """The rows of ``dual_ball_sups``, their start and their ascent."""
+    """The rows of ``dual_ball_sup`` requests, their start and their ascent."""
     weights = np.asarray(weights, dtype=float)
     vecs = np.asarray(vecs, dtype=complex)
     if weights.ndim != 2 or vecs.shape != weights.shape + (space.dim,):
@@ -672,14 +669,6 @@ def _dual_ball_rows(space, weights, vecs):
             lambda v, w: _phase_ascent(space, w, v))
 
 
-def dual_ball_sups(space: CoefficientSpace, weights, vecs) -> list[NormEstimate]:
-    """``dual_ball_sup`` of each row: ``weights`` is [B, T] and ``vecs`` is
-    [B, T, space.dim].  Equal, row by row and bit for bit, to single calls:
-    each row drops its zero-weight atoms and rows with the same number of
-    kept atoms share one vectorised ascent."""
-    return _estimates(*_dual_ball_rows(space, weights, vecs))
-
-
 def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
     """sup over the dual unit ball of sum_t w_t |<v_t, xp>|.
 
@@ -688,9 +677,9 @@ def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
     and ``LinfSpace``.  Otherwise returns a bracket: the lower end from phase
     ascent, at least sum_t w_t |<v_t, xp0>| at its aligned start xp0 =
     norming(sum_t w_t v_t) (so >= ||sum w_t v_t||), the upper end from the
-    variation bound sum_t w_t ||v_t||.  ``dual_ball_sups`` evaluates many at once.
+    variation bound sum_t w_t ||v_t||.  ``_resolve`` evaluates many at once.
     """
-    return dual_ball_sups(space, np.asarray(weights, dtype=float)[None], np.asarray(vecs)[None])[0]
+    return _resolve([(space, None, weights, vecs, None)])[0]
 
 
 def _lp_ascent(space, vecs, p):
@@ -717,7 +706,7 @@ def _lp_ascent(space, vecs, p):
 
 
 def _lp_rows(space, vecs, p):
-    """The rows of ``lp_dual_sups``, their start and their ascent."""
+    """The rows of ``lp_dual_sup`` requests, their start and their ascent."""
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 3 or vecs.shape[2] != space.dim:
         raise ValueError(f"expected vecs (B, T, {space.dim}), got {vecs.shape}")
@@ -740,12 +729,6 @@ def _lp_rows(space, vecs, p):
     return ends, lambda v: _aligned_start(space, v, p=p), lambda v: _lp_ascent(space, v, p)
 
 
-def lp_dual_sups(space: CoefficientSpace, vecs, p: float) -> list[NormEstimate]:
-    """``lp_dual_sup`` of each row of a [B, T, space.dim] stack, equal bit for
-    bit to single calls; the ascent rows run vectorised."""
-    return _estimates(*_lp_rows(space, vecs, p))
-
-
 def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEstimate:
     """sup over the dual unit ball of the L^p norm (w.r.t. the uniform
     probability weight 1/T) of t -> <v_t, xp>.
@@ -753,9 +736,9 @@ def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEsti
     p = 1 reduces to ``dual_ball_sup`` with weights 1/T; p = inf is the exact
     max of ||v_t||.  The upper end for brackets is the L^p norm of t -> ||v_t||,
     the lower end the ascent's best, at least the value at its beta = 1 start
-    xp0 = norming(mean_t v_t).  ``lp_dual_sups`` evaluates many at once.
+    xp0 = norming(mean_t v_t).  ``_resolve`` evaluates many at once.
     """
-    return lp_dual_sups(space, np.asarray(vecs)[None], p)[0]
+    return _resolve([(space, p, None, vecs, None)])[0]
 
 
 def _amplified_ascent(space, entries):
@@ -796,7 +779,7 @@ def _amplified_upper(space: CoefficientSpace, entries: np.ndarray):
 
 
 def _amplified_rows(space, entries):
-    """The rows of ``amplified_norms`` (each with its floor as a 0-d array),
+    """The rows of ``amplified_norm`` requests (each with its floor as a 0-d array),
     their start, which returns those floors, and their ascent."""
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 4 or entries.shape[1] != entries.shape[2] or entries.shape[3] != space.dim:
@@ -809,13 +792,6 @@ def _amplified_rows(space, entries):
     return ends, lambda e, floor: floor, lambda e, floor: _amplified_ascent(space, e)
 
 
-def amplified_norms(space: CoefficientSpace, entries) -> list[NormEstimate]:
-    """``amplified_norm`` of each n x n matrix over ``space`` in a
-    [B, n, n, space.dim] stack, equal bit for bit to single calls; the ascent
-    rows run vectorised."""
-    return _estimates(*_amplified_rows(space, entries))
-
-
 def amplified_norm(m: MatrixOverX) -> NormEstimate:
     """Matrix-level norm of an n x n matrix over X.
 
@@ -826,9 +802,59 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
     min(n * max ||x_ij||, sum_c w_c ||A_c||_op), where A_c = [x_ij]_c is the
     c-th coordinate slice.  Ascent steps on 2 x 2 and 3 x 3 paired matrices
     take the top singular pair in closed form.  Level 1 always collapses to
-    the vector norm.  ``amplified_norms`` evaluates many at once.
+    the vector norm.  ``_resolve`` evaluates many at once.
     """
-    return amplified_norms(m.space, m.entries[None])[0]
+    return _resolve([(m.space, _AMP, (m.level,), m.entries.reshape(-1, m.space.dim), None)])[0]
+
+
+# -- norm requests -------------------------------------------------------------
+#
+# A norm request states a norm as data: a NormEstimate known without an
+# estimator, or ``(space, p, weights, vecs, root)``, the ``dual_ball_sup`` of
+# (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p, then
+# ``rooted(root)`` unless root is None; or ``(space, _AMP, levels, stack,
+# None)``, the max of the matrix-level norms of the n x n blocks (n in levels)
+# that ``stack`` holds one after another, flattened to rows.  Each norm of the
+# package builds its request in one private function beside its public one.
+
+_AMP = "amplified"
+
+
+def _resolve(requests, ascend=True) -> list[NormEstimate]:
+    """The brackets of a list of norm requests, each equal bit for bit to its
+    bracket resolved alone (ascent-free unless ``ascend``), from one batch of
+    rows per (space, p, T) key, T the number of atoms, and one per block level
+    of a (space, _AMP, levels) key.  A request object listed more than once is
+    resolved once."""
+
+    def brackets(ends, start, ascent):
+        return _estimates(ends, start, ascent if ascend else None)
+
+    out = list(requests)
+    keyed = {}
+    for k, r in enumerate(requests):
+        if not isinstance(r, NormEstimate):
+            keyed.setdefault((r[0], r[1], r[2] if r[1] is _AMP else len(r[3])), []).append(k)
+    for (space, p, t), ks in keyed.items():
+        reqs = {id(requests[k]): requests[k] for k in ks}
+        vecs = np.array([r[3] for r in reqs.values()])
+        if p is None:
+            ests = brackets(*_dual_ball_rows(space, np.array([r[2] for r in reqs.values()]), vecs))
+        elif p is _AMP:  # t is the block levels; each request takes the max over its blocks
+            starts, cols = np.cumsum([0, *(n * n for n in t)]), []
+            for n in dict.fromkeys(t):
+                blocks = [vecs[:, a:b] for a, b, m in zip(starts, starts[1:], t) if m == n]
+                ests = brackets(*_amplified_rows(
+                    space, np.concatenate(blocks).reshape(-1, n, n, space.dim)))
+                cols += [ests[i : i + len(vecs)] for i in range(0, len(ests), len(vecs))]
+            ests = [NormEstimate.max_of(col) for col in zip(*cols)]
+        else:
+            ests = brackets(*_lp_rows(space, vecs, p))
+        ests = dict(zip(reqs, ests))
+        for k in ks:
+            est, root = ests[id(requests[k])], requests[k][4]
+            out[k] = est if root is None else est.rooted(root)
+    return out
 
 
 def space_from_spec(spec: str) -> CoefficientSpace:

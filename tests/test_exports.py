@@ -29,3 +29,24 @@ def test_bench_traced_names_exist():
         if not hasattr(importlib.import_module(f"vmfourier.{mod}"), attr)
     ]
     assert spans.TRACED and missing == []
+
+
+# each norm's request builder -> the public function that resolves it
+BUILDERS = {
+    "_lp_nu": "lp_nu_norm",
+    "_pp": "Pp_norm",
+    "_n_norm": "N_norm",
+    "_semi": "semivariation",
+    "_p_semi": "p_semivariation",
+    "_sup": "ft_sup_norm",
+}
+
+
+def test_norm_requests_built_beside_their_norms():
+    # the harness uses the builders and resolves through spaces._resolve
+    # only; it builds no request and runs no estimator row step itself
+    harness = importlib.import_module("vmfourier.harness")
+    for builder, public in BUILDERS.items():
+        assert getattr(harness, builder).__module__ == getattr(vmfourier, public).__module__
+    steps = {"_estimates", "_dual_ball_rows", "_lp_rows", "_amplified_rows"}
+    assert steps.isdisjoint(vars(harness))

@@ -9,7 +9,11 @@ import pytest
 
 import vmfourier as vf
 from vmfourier import GroupMap, RunConfig, harness
+from vmfourier.fourier import _sup
 from vmfourier.harness import classify, grid_dual_sup
+from vmfourier.lpspaces import _lp_nu, _n_norm, _pp
+from vmfourier.measures import _p_semi, _semi
+from vmfourier.spaces import _resolve
 
 
 def small_config(**overrides):
@@ -209,9 +213,9 @@ class TestRunSuite:
                 (name, i, kind, g.label, space.label)
             ) or instance(ctx, name, i, kind, g, space),
         )
-        n_norm, measure_sv = harness.N_norm, harness._amplified_measure_semivariation
+        n_norm, measure_sv = harness._n_norm, harness._amplified_measure_semivariation
         monkeypatch.setattr(
-            harness, "N_norm", lambda fmat, nu: levels.append((fmat.n, "fn")) or n_norm(fmat, nu)
+            harness, "_n_norm", lambda fmat, nu: levels.append((fmat.n, "fn")) or n_norm(fmat, nu)
         )
         monkeypatch.setattr(
             harness, "_amplified_measure_semivariation",
@@ -276,22 +280,24 @@ class TestNormRequests:
                     )
                     for p in (1.0, 1.5, 2.0, 3.0, np.inf):
                         singles += [vf.lp_nu_norm(f, nu, p), vf.Pp_norm(phi, p)]
-                        factors += [harness._lp_nu(f, nu, p), harness._pp(phi, p)]
+                        factors += [_lp_nu(f, nu, p), _pp(phi, p)]
                         if p > 1:
                             singles.append(vf.p_semivariation(nu, p))
-                            factors.append(harness._p_semi(nu, p))
+                            factors.append(_p_semi(nu, p))
                     singles.append(vf.semivariation(nu))
-                    factors.append(harness._semi(nu))
+                    factors.append(_semi(nu))
                     for n in (1, 2, 3):
                         shape = (n, n, space.dim)
                         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                         if (n, seed) == (2, 1):
                             m[:] = 0
                         singles.append(vf.amplified_norm(vf.MatrixOverX(space, m)))
-                        ((request,), _) = harness._sup(space, m, [n])
-                        factors.append(request)
+                        factors.append(_sup(space, m, [n]))
+                        fmat = vf.MatrixFunction(g, n, rng.standard_normal((g.order, n, n)))
+                        singles.append(vf.N_norm(fmat, nu))
+                        factors.append(_n_norm(fmat, nu))
         assert not all(e.exact for e in singles)
-        assert ends(harness._resolve(factors)) == ends(singles)
+        assert ends(_resolve(factors)) == ends(singles)
         # a side multiplies its factors in order, then scales; a known
         # bracket passes through
         sides = [harness._product(a, b, scale=0.7) for a, b in zip(factors[::2], factors[1::2])]
@@ -300,8 +306,12 @@ class TestNormRequests:
 
     def test_sup_sides_equal_ft_sup_norm(self, all_spaces):
         # a sup side over a transform's blocks, in one block of sides over
-        # groups with different irrep dimensions, against ft_sup_norm; the
-        # weak transform's complex blocks count as matrices over the scalars
+        # groups with different irrep dimensions, against ft_sup_norm and
+        # against the max of its blocks' matrix-level norms; the weak
+        # transform's complex blocks count as matrices over the scalars
+        def reference(c):
+            return vf.NormEstimate.max_of(vf.amplified_norm(b) for b in c.blocks)
+
         sides, singles = [], []
         scalar = vf.ScalarSpace()
         for spec in ("cyclic:4", "symmetric:3", "symmetric:4", "quaternion8"):
@@ -311,14 +321,15 @@ class TestNormRequests:
             for space in all_spaces:
                 nu = vf.generate_fixture("random-gaussian", g, space, seed=g.order)
                 for c in (vf.ft_vector(f, nu, dual), vf.ft_measure(nu, dual)):
-                    sides.append(harness._sup(space, c.stack, dual.dims()))
-                    singles.append(vf.ft_sup_norm(c))
+                    sides.append(harness._product(_sup(space, c.stack, dual.dims())))
+                    singles.append(c)
                 weak = vf.ft_weak(f, nu, harness._random_dual(space, rng), dual).stack
-                sides.append(harness._sup(scalar, weak, dual.dims()))
-                weak_c = vf.VectorFourierCoefficients(dual, scalar, weak[:, None])
-                singles.append(vf.ft_sup_norm(weak_c))
-        assert not all(e.exact for e in singles)
-        assert ends(harness._sides(sides)) == ends(singles)
+                sides.append(harness._product(_sup(scalar, weak, dual.dims())))
+                singles.append(vf.VectorFourierCoefficients(dual, scalar, weak[:, None]))
+        refs = [reference(c) for c in singles]
+        assert not all(e.exact for e in refs)
+        assert ends(harness._sides(sides)) == ends(refs)
+        assert ends(vf.ft_sup_norm(c) for c in singles) == ends(refs)
 
     def test_shared_request_runs_one_ascent_row(self, monkeypatch):
         # ft-norm-bounds' fn and weak bounds share one ||f||_{L^1(nu)} request
@@ -330,7 +341,7 @@ class TestNormRequests:
         monkeypatch.setattr(
             vf.spaces, "_ascend", lambda ascent, cap: rows.append(len(cap)) or ascend(ascent, cap)
         )
-        request = harness._lp_nu(f, nu, 1.0)
+        request = _lp_nu(f, nu, 1.0)
         sides = harness._sides([harness._product(request), harness._product(request, scale=2.0)])
         assert rows == [1]
         assert ends(sides) == ends([single, single.scaled(2.0)])
@@ -363,8 +374,8 @@ class TestNormRequests:
 
     def test_estimator_calls_bounded_by_keys_not_trials(self, monkeypatch):
         # each young-6.5 request is an lp_nu_norm, so the 64 instances, one
-        # block, make one batch of dual_ball_sups rows per (space, group
-        # order) key in each of the two passes
+        # block, make one batch of dual-ball rows per (space, group order)
+        # key in each of the two passes
         calls = {False: 0, True: 0}
         estimates = vf.spaces._estimates
 
@@ -372,11 +383,25 @@ class TestNormRequests:
             calls[ascent is not None] += 1
             return estimates(ends, start, ascent)
 
-        monkeypatch.setattr(harness, "_estimates", counted)
+        monkeypatch.setattr(vf.spaces, "_estimates", counted)
         cfg = small_config(trials=64)
         vf.run_suite("young-6.5", cfg)
         keys = len(cfg.spaces) * len(cfg.groups)
         assert 0 < calls[False] <= keys and calls[True] <= keys
+
+
+class TestClaimBuilders:
+    def test_claim_requests_get_the_public_checks(self, s3, z2):
+        # the builders the claim rows use raise where their public norms do
+        nu = vf.generate_fixture("random-gaussian", s3, vf.MatOpSpace(2), seed=1)
+        f = harness._random_function(s3, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="p > 1"):
+            harness._p_semi(nu, 1.0)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            harness._lp_nu(f, nu, 0.5)
+        other = harness._random_function(z2, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="group mismatch"):
+            harness._lp_nu(other, nu, 1.0)
 
 
 class TestTwoPasses:
@@ -429,7 +454,7 @@ class TestTwoPasses:
                 eligible.extend(e for e in ends if not isinstance(e, vf.NormEstimate))
             return estimates(ends, start, ascent)
 
-        monkeypatch.setattr(harness, "_estimates", counted)
+        monkeypatch.setattr(vf.spaces, "_estimates", counted)
         monkeypatch.setattr(
             vf.spaces, "_ascend",
             lambda ascent, caps: reached.append(len(caps)) or ascend(ascent, caps),

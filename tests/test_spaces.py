@@ -18,17 +18,16 @@ from vmfourier import (
     pair,
 )
 from vmfourier import spaces
+from vmfourier.fourier import _sup
 from vmfourier.harness import _grid_supported, grid_dual_points, grid_dual_sup
 from vmfourier.spaces import (
     ASCENT_ITERS,
     ASCENT_RESTARTS,
     ASCENT_TOL,
     _ascend,
+    _resolve,
     _top_singular_pairs,
-    amplified_norms,
-    dual_ball_sups,
     lp_dual_sup,
-    lp_dual_sups,
     space_from_spec,
 )
 
@@ -518,7 +517,8 @@ def record_norming(monkeypatch, space):
 
 
 class TestBatched:
-    """The batched estimators against a Python loop of single calls, bit for bit."""
+    """Blocks of norm requests through ``_resolve`` against a Python loop of
+    single calls, bit for bit."""
 
     @pytest.mark.parametrize("spec", BATCH_SPECS)
     def test_dual_ball_sups_equal_single_calls(self, spec, monkeypatch):
@@ -532,7 +532,7 @@ class TestBatched:
         for b in range(2, 8):  # mixed kept atom counts
             weights[b, rng.random(T) < 0.4] = 0
         sizes = record_norming(monkeypatch, space)
-        batched = dual_ball_sups(space, weights, vecs)
+        batched = _resolve([(space, None, w, v, None) for w, v in zip(weights, vecs)])
         singles = [dual_ball_sup(space, w, v) for w, v in zip(weights, vecs)]
         assert [bits(e) for e in batched] == [bits(e) for e in singles]
         assert batched[0].exact and batched[0].upper == 0.0
@@ -550,7 +550,7 @@ class TestBatched:
         for T in (1, 7):
             vecs = scaled_rows(rng, space, 30, T)
             vecs[0] = 0
-            batched = lp_dual_sups(space, vecs, p)
+            batched = _resolve([(space, p, None, v, None) for v in vecs])
             singles = [lp_dual_sup(space, v, p) for v in vecs]
             assert [bits(e) for e in batched] == [bits(e) for e in singles]
 
@@ -562,23 +562,23 @@ class TestBatched:
         entries = scaled_rows(rng, space, 40, n, n)
         entries[0] = 0
         entries[1:5, :, :, 1:] = 0  # a single nonzero coordinate slice
-        batched = amplified_norms(space, entries)
+        batched = _resolve([_sup(space, e, [n]) for e in entries])
         singles = [amplified_norm(MatrixOverX(space, e)) for e in entries]
         assert [bits(e) for e in batched] == [bits(e) for e in singles]
 
     def test_batched_shapes_rejected(self):
         s = MatOpSpace(2)
         with pytest.raises(ValueError):
-            dual_ball_sups(s, np.ones(3), np.zeros((3, 4)))
+            spaces._dual_ball_rows(s, np.ones(3), np.zeros((3, 4)))
         with pytest.raises(ValueError):
-            lp_dual_sups(s, np.zeros((3, 4)), 2.0)
+            spaces._lp_rows(s, np.zeros((3, 4)), 2.0)
         with pytest.raises(ValueError):
-            amplified_norms(s, np.zeros((3, 2, 3, 4)))
+            spaces._amplified_rows(s, np.zeros((3, 2, 3, 4)))
 
     def test_lp_p_checked_before_empty_rows(self):
         # rows without atoms are exact zeros only for a valid p
         with pytest.raises(ValueError, match="p must be"):
-            lp_dual_sups(MatOpSpace(2), np.zeros((2, 0, 4)), 0.5)
+            lp_dual_sup(MatOpSpace(2), np.zeros((0, 4)), 0.5)
 
 
 class TestEstimates:
@@ -665,7 +665,7 @@ class TestAscentFree:
         weights[0] = 0  # a zero row
         weights[1, 1:] = 0  # a one-atom row
         quick = spaces._estimates(*spaces._dual_ball_rows(space, weights, vecs)[:2])
-        self.assert_contains(quick, dual_ball_sups(space, weights, vecs))
+        self.assert_contains(quick, [dual_ball_sup(space, w, v) for w, v in zip(weights, vecs)])
         for q, w, v in zip(quick, weights, vecs):
             # the all-aligned start dominates ||sum_t w_t v_t||
             assert q.lower >= (1 - 1e-12) * space.norm_of(w @ v)
@@ -681,7 +681,7 @@ class TestAscentFree:
         vecs[0] = 0
         vecs[1, 1:] = 0
         quick = spaces._estimates(*spaces._lp_rows(space, vecs, p)[:2])
-        self.assert_contains(quick, lp_dual_sups(space, vecs, p))
+        self.assert_contains(quick, [lp_dual_sup(space, v, p) for v in vecs])
         if _grid_supported(space):
             for q, v in zip(quick, vecs):
                 best = grid_best(
@@ -699,7 +699,7 @@ class TestAscentFree:
         entries[1, 1:] = 0
         entries[1, 0, 1:] = 0  # a single nonzero entry
         quick = spaces._estimates(*spaces._amplified_rows(space, entries)[:2])
-        self.assert_contains(quick, amplified_norms(space, entries))
+        self.assert_contains(quick, [amplified_norm(MatrixOverX(space, e)) for e in entries])
         # on a matrix space the matrix norm is the block operator norm, not a
         # sup over dual-ball points
         if _grid_supported(space) and not isinstance(space, MatOpSpace):
