@@ -2,18 +2,19 @@
 
 Groups are Cayley tables over dense element indices 0..order-1; the table is
 the single source of truth and is validated exhaustively at construction
-(supported orders are <= 24).  Irreducible representation tables are curated
-constants per built-in family rather than outputs of a general character-table
-algorithm; their correctness is enforced by ``validate_dual``.
+(supported orders are <= 24).  The unitary dual of every group, built-in or
+loaded from a table file, is computed from that table by splitting the left
+regular representation (``unitary_dual``); ``validate_dual`` checks any dual,
+computed or read from a dual table file.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +51,6 @@ class FiniteGroup:
     identity: int
     inverses: np.ndarray
     label: str
-    family: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         self.cayley = np.asarray(self.cayley, dtype=np.int64)
@@ -104,7 +104,7 @@ def _check_group_axioms(g: FiniteGroup):
         raise ValueError("multiplication is not associative")
 
 
-def _group_from_cayley(cayley: np.ndarray, label: str, family=None) -> FiniteGroup:
+def _group_from_cayley(cayley: np.ndarray, label: str) -> FiniteGroup:
     cayley = np.asarray(cayley, dtype=np.int64)
     n = cayley.shape[0]
     rng = np.arange(n)
@@ -116,7 +116,7 @@ def _group_from_cayley(cayley: np.ndarray, label: str, family=None) -> FiniteGro
     if ident is None:
         raise ValueError("table has no identity element")
     inv = np.argmax(cayley == ident, axis=1)
-    return FiniteGroup(n, cayley, ident, inv, label, family)
+    return FiniteGroup(n, cayley, ident, inv, label)
 
 
 # ---------------------------------------------------------------------------
@@ -124,26 +124,12 @@ def _group_from_cayley(cayley: np.ndarray, label: str, family=None) -> FiniteGro
 # ---------------------------------------------------------------------------
 
 
-def _radix_digits(ns: tuple[int, ...]) -> np.ndarray:
-    """[order, len(ns)] mixed-radix digits of every element, most significant first."""
-    idx = np.arange(int(np.prod(ns)))
-    digits = np.zeros((idx.size, len(ns)), dtype=np.int64)
-    for j in range(len(ns) - 1, -1, -1):
-        digits[:, j] = idx % ns[j]
-        idx //= ns[j]
-    return digits
-
-
 def _cyclic_product(ns: tuple[int, ...]) -> FiniteGroup:
-    order = int(np.prod(ns))
-    radix = np.array(ns, dtype=np.int64)
-    digits = _radix_digits(ns)
-    summed = (digits[:, None, :] + digits[None, :, :]) % radix
-    cayley = np.zeros((order, order), dtype=np.int64)
-    for j in range(len(ns)):
-        cayley = cayley * radix[j] + summed[:, :, j]
-    label = "Z" + "xZ".join(str(n) for n in ns)
-    return _group_from_cayley(cayley, label, ("cyclic", ns))
+    # element index = mixed-radix digits, most significant first
+    digits = np.unravel_index(np.arange(int(np.prod(ns))), ns)
+    summed = tuple(np.add.outer(a, a) % n for a, n in zip(digits, ns))
+    cayley = np.ravel_multi_index(summed, ns)
+    return _group_from_cayley(cayley, "Z" + "xZ".join(str(n) for n in ns))
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -156,7 +142,7 @@ def _dihedral(n: int) -> FiniteGroup:
             cayley[a, n + b] = n + (b - a) % n
             cayley[n + a, b] = n + (a + b) % n
             cayley[n + a, n + b] = (b - a) % n
-    return _group_from_cayley(cayley, f"D{n}", ("dihedral", n))
+    return _group_from_cayley(cayley, f"D{n}")
 
 
 def _symmetric(n: int) -> FiniteGroup:
@@ -167,10 +153,7 @@ def _symmetric(n: int) -> FiniteGroup:
     for i, p in enumerate(perms):
         for j, q in enumerate(perms):
             cayley[i, j] = index[tuple(p[q[x]] for x in range(n))]
-    return _group_from_cayley(cayley, f"S{n}", ("symmetric", n))
-
-
-_QUAT_LABELS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    return _group_from_cayley(cayley, f"S{n}")
 
 
 def _quaternion_matrices() -> np.ndarray:
@@ -191,7 +174,7 @@ def _quaternion() -> FiniteGroup:
             prod = mats[a] @ mats[b]
             hits = [c for c in range(order) if np.allclose(prod, mats[c])]
             cayley[a, b] = hits[0]
-    return _group_from_cayley(cayley, "Q8", ("quaternion", 8))
+    return _group_from_cayley(cayley, "Q8")
 
 
 def build_group(spec: str) -> FiniteGroup:
@@ -291,149 +274,55 @@ class UnitaryDual:
         return rows
 
 
-def _char_irreps(values: np.ndarray, labels: Sequence[str]) -> list[UnitaryIrrep]:
-    return [
-        UnitaryIrrep(1, values[r][:, None, None], labels[r]) for r in range(values.shape[0])
-    ]
-
-
-def _cyclic_dual(g: FiniteGroup) -> list[UnitaryIrrep]:
-    ns = g.family[1]
-    digits = _radix_digits(ns)
-    chars = []
-    labels = []
-    for kidx in range(g.order):
-        k = digits[kidx]
-        phase = np.exp(2j * np.pi * (digits @ (k / np.array(ns, dtype=float))))
-        chars.append(phase)
-        labels.append("chi" + "".join(str(v) for v in k))
-    return _char_irreps(np.asarray(chars), labels)
-
-
-def _dihedral_dual(g: FiniteGroup) -> list[UnitaryIrrep]:
-    n = g.family[1]
-    order = 2 * n
-    k = np.arange(n)
-    irreps = []
-    alphas = [1, -1] if n % 2 == 0 else [1]
-    for alpha in alphas:
-        for beta in (1, -1):
-            vals = np.empty(order, dtype=complex)
-            vals[:n] = float(alpha) ** k
-            vals[n:] = beta * vals[:n]
-            irreps.append(
-                UnitaryIrrep(1, vals[:, None, None], f"chi_a{alpha:+d}_b{beta:+d}")
-            )
-    omega = np.exp(2j * np.pi / n)
-    for h in range(1, (n + 1) // 2):
-        mats = np.zeros((order, 2, 2), dtype=complex)
-        mats[:n, 0, 0] = omega ** (h * k)
-        mats[:n, 1, 1] = omega ** (-h * k)
-        mats[n:, 0, 1] = omega ** (-h * k)
-        mats[n:, 1, 0] = omega ** (h * k)
-        irreps.append(UnitaryIrrep(2, mats, f"rho{h}"))
-    return irreps
-
-
-def _helmert_basis(n: int) -> np.ndarray:
-    """Orthonormal columns spanning the sum-zero subspace of R^n."""
-    b = np.zeros((n, n - 1))
-    for k in range(1, n):
-        b[:k, k - 1] = 1.0
-        b[k, k - 1] = -float(k)
-        b[:, k - 1] /= np.sqrt(k * (k + 1))
-    return b
-
-
-def _perm_matrices(perms: list[tuple[int, ...]]) -> np.ndarray:
-    n = len(perms[0])
-    mats = np.zeros((len(perms), n, n))
-    for i, p in enumerate(perms):
-        mats[i, list(p), range(n)] = 1.0
-    return mats
-
-
-def _standard_rep(perms: list[tuple[int, ...]]) -> np.ndarray:
-    n = len(perms[0])
-    b = _helmert_basis(n)
-    pm = _perm_matrices(perms)
-    return np.einsum("ia,tij,jb->tab", b, pm, b).astype(complex)
-
-
-def _symmetric_dual(g: FiniteGroup) -> list[UnitaryIrrep]:
-    n = g.family[1]
-    perms = list(itertools.permutations(range(n)))
-    # the sign of a permutation is the determinant of its matrix
-    signs = np.linalg.det(_perm_matrices(perms)).astype(complex)
-    triv = np.ones(len(perms), dtype=complex)
-    irreps = [UnitaryIrrep(1, triv[:, None, None], "trivial")]
-    if n >= 2:
-        irreps.append(UnitaryIrrep(1, signs[:, None, None], "sign"))
-    if n >= 3:
-        std = _standard_rep(perms)
-        if n == 4:
-            # two-dimensional irrep pulled back along the pairing-partition
-            # action S4 -> S3 (kernel: the double transpositions)
-            perms3 = list(itertools.permutations(range(3)))
-            idx3 = {p: i for i, p in enumerate(perms3)}
-            std3 = _standard_rep(perms3)
-            mats = np.zeros((len(perms), 2, 2), dtype=complex)
-            for t, p in enumerate(perms):
-                image = []
-                for m in range(3):
-                    a, bb = p[0], p[m + 1]
-                    partner = bb if a == 0 else (a if bb == 0 else None)
-                    if partner is None:
-                        # 0 lies in the complementary pair of {p(0), p(m+1)}
-                        rest = [x for x in range(4) if x not in (a, bb, 0)]
-                        partner = rest[0]
-                    image.append(partner - 1)
-                mats[t] = std3[idx3[tuple(image)]]
-            irreps.append(UnitaryIrrep(2, mats, "two_dim"))
-        irreps.append(UnitaryIrrep(n - 1, std, "standard"))
-        if n == 4:
-            irreps.append(
-                UnitaryIrrep(n - 1, signs[:, None, None] * std, "sign_x_standard")
-            )
-    return irreps
-
-
-def _quaternion_dual(g: FiniteGroup) -> list[UnitaryIrrep]:
-    # one-dim characters factor through the quotient by {1, -1}
-    chars = []
-    labels = []
-    for si in (1, -1):
-        for sj in (1, -1):
-            vals = np.array([1, 1, si, si, sj, sj, si * sj, si * sj], dtype=complex)
-            chars.append(vals)
-            labels.append(f"chi_i{si:+d}_j{sj:+d}")
-    irreps = _char_irreps(np.asarray(chars), labels)
-    irreps.append(UnitaryIrrep(2, _quaternion_matrices(), "spin"))
-    return irreps
+def _generic(k: int) -> np.ndarray:
+    """k fixed, generic complex weights.  Fixed rather than random so that
+    duals are deterministic and numpy.random stays unloaded."""
+    t = np.arange(1.0, k + 1.0)
+    return np.cos(np.sqrt(2.0) * t * t) + 1j * np.sin(np.sqrt(3.0) * t + 0.5)
 
 
 def unitary_dual(g: FiniteGroup) -> UnitaryDual:
-    """Curated complete dual of a built-in group.
+    """The complete unitary dual of any finite group, split off its left
+    regular representation L (Serre 1977, sections 2.6-2.7).
 
-    Groups loaded from table files carry no curated dual; supply one with
-    ``load_dual_file`` instead.
+    A generic class function w gives a normal central element, z[u, t] =
+    w(u t^-1); a generic real mix of its Hermitian and anti-Hermitian parts has
+    the isotypic components as eigenspaces, of dimension d^2 each.  On one
+    component, a generic Hermitian element of the commutant (the right action,
+    b(h^-1) = conj(b(h))) has a d-dimensional lowest eigenspace Q: one
+    irreducible copy, and pi(s) = Q^H L(s) Q.  The basis of Q is fixed by the
+    eigenvectors of a generic Hermitian group-algebra element, each column
+    phased so that its largest-modulus entry is positive.  Irreps come trivial
+    first, then by dimension.  A component whose dimension is not a square
+    (two irreps merged) raises ``ValueError``.
     """
-    if g.family is None:
-        raise ValueError(
-            "no curated dual for this group; load one from a dual table file"
-        )
-    kind = g.family[0]
-    if kind == "cyclic":
-        irreps = _cyclic_dual(g)
-    elif kind == "dihedral":
-        irreps = _dihedral_dual(g)
-    elif kind == "symmetric":
-        irreps = _symmetric_dual(g)
-    elif kind == "quaternion":
-        irreps = _quaternion_dual(g)
-    else:  # pragma: no cover - families are closed
-        raise ValueError(f"no curated dual for family {kind!r}")
-    return UnitaryDual(g, irreps)
+    quot = g.right_quotient_table()  # u t^-1
+    left = g.cayley[g.inverses]  # s^-1 t
+    conj = g.cayley[g.cayley, g.inverses[:, None]]  # h x h^-1
+    classes = np.unique(conj.min(axis=0), return_inverse=True)[1]
+    z = _generic(classes.max() + 1)[classes[quot]]
+    zh = z.conj().T
+    beta = _generic(2 * g.order)[g.order :]
+    herm = beta + beta[g.inverses].conj()
+    vals, vecs = np.linalg.eigh((z + zh) / 2 + np.sqrt(0.5) * (z - zh) / 2j)
+    # one component's eigenvalues agree to rounding; distinct ones sit far apart
+    cuts = np.flatnonzero(np.diff(vals) > 1e-8 * (1.0 + np.abs(vals).max())) + 1
+    blocks = []
+    for comp in np.split(vecs, cuts, axis=1):
+        d = math.isqrt(comp.shape[1])
+        if d * d != comp.shape[1]:
+            raise ValueError(
+                f"isotypic component of dimension {comp.shape[1]} is not a square"
+            )
+        q = comp @ np.linalg.eigh(comp.conj().T @ herm[left] @ comp)[1][:, :d]
+        q = q @ np.linalg.eigh(q.conj().T @ herm[quot] @ q)[1]
+        top = q[np.abs(q).argmax(axis=0), np.arange(d)]
+        q = q * (top.conj() / np.abs(top))
+        blocks.append(q.conj().T @ q[left])
+    blocks.sort(key=lambda m: (m.shape[1], not np.allclose(m, 1)))
+    return UnitaryDual(
+        g, [UnitaryIrrep(m.shape[1], m, f"irrep{k}") for k, m in enumerate(blocks)]
+    )
 
 
 # ---------------------------------------------------------------------------

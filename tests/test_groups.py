@@ -6,6 +6,49 @@ import pytest
 import vmfourier as vf
 from vmfourier.groups import UnitaryDual, UnitaryIrrep
 
+# S4's character table, rows the irreps (trivial, sign, two-dimensional,
+# standard, sign x standard), columns the cycle types of S4_CYCLE_TYPES
+S4_CYCLE_TYPES = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+S4_CHARACTERS = np.array(
+    [
+        [1, 1, 1, 1, 1],
+        [1, -1, 1, 1, -1],
+        [2, 0, 2, -1, 0],
+        [3, 1, -1, 0, -1],
+        [3, -1, -1, 0, 1],
+    ]
+)
+
+
+def _cycle_type(p):
+    seen, lengths = set(), []
+    for start in range(len(p)):
+        k = 0
+        while start not in seen:
+            seen.add(start)
+            start = p[start]
+            k += 1
+        if k:
+            lengths.append(k)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _sl23_group():
+    """SL(2,3) from its 24 integer matrices mod 3, as a bare Cayley table."""
+    mats = np.array(
+        [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
+    ).reshape(-1, 2, 2)
+    code = np.full(81, -1)
+    code[mats.reshape(-1, 4) @ [27, 9, 3, 1]] = np.arange(len(mats))
+    prods = np.einsum("aij,bjk->abik", mats, mats) % 3
+    cayley = code[prods.reshape(len(mats), len(mats), 4) @ [27, 9, 3, 1]]
+    e = int(code[np.array([1, 0, 0, 1]) @ [27, 9, 3, 1]])
+    return vf.FiniteGroup(len(mats), cayley, e, np.argmax(cayley == e, axis=1), "SL(2,3)")
+
+
+def _frobenius_schur(g, p):
+    return float(p.characters()[g.cayley[np.arange(g.order), np.arange(g.order)]].mean().real)
+
 
 class TestBuildGroup:
     def test_trivial_group(self):
@@ -116,18 +159,46 @@ class TestDuals:
         with pytest.raises(ValueError):
             vf.validate_dual(s3, z2_dual, 1e-10)
 
-    def test_no_curated_dual_for_loaded_groups(self, tmp_path, z2):
-        path = tmp_path / "g.txt"
-        path.write_text(vf.dump_group_file(z2))
-        loaded = vf.load_group_file(path)
-        with pytest.raises(ValueError, match="dual"):
-            vf.unitary_dual(loaded)
+    def test_dual_of_loaded_group(self, tmp_path):
+        # SL(2,3) is no built-in family: its dual comes from the table alone
+        path = tmp_path / "sl23.txt"
+        path.write_text(vf.dump_group_file(_sl23_group()))
+        g = vf.load_group_file(path)
+        dual = vf.unitary_dual(g)
+        rep = vf.validate_dual(g, dual, 1e-13)
+        assert rep.passed, rep.residuals()
+        assert dual.dims() == [1, 1, 1, 2, 2, 2, 3]
+        # complex (0) and quaternionic (-1) types, both among the 2-dim irreps
+        indicators = {round(_frobenius_schur(g, p)) for p in dual.irreps if p.dim == 2}
+        assert {0, -1} <= indicators
 
     def test_dihedral_family_duals(self):
-        for n in (2, 3, 5, 6, 12):
-            g = vf.build_group(f"dihedral:{n}")
-            rep = vf.validate_dual(g, vf.unitary_dual(g), 1e-10)
-            assert rep.passed, (n, rep.residuals())
+        specs = [f"dihedral:{n}" for n in (2, 3, 5, 6, 12)]
+        for spec in specs + ["cyclic:1", "cyclic:2x3x4", "cyclic:24"]:
+            g = vf.build_group(spec)
+            rep = vf.validate_dual(g, vf.unitary_dual(g), 1e-13)
+            assert rep.passed, (spec, rep.residuals())
+
+    def test_s4_characters_match_the_table(self):
+        g = vf.build_group("symmetric:4")
+        perms = itertools.permutations(range(4))
+        classes = [S4_CYCLE_TYPES.index(_cycle_type(p)) for p in perms]
+        expected = S4_CHARACTERS[:, classes]
+        chars = np.array([p.characters() for p in vf.unitary_dual(g)])
+        match = np.abs(chars[:, None, :] - expected[None, :, :]).max(axis=2) < 1e-12
+        # a one-to-one match: equal up to the order of the irreps
+        assert (match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()
+
+    @pytest.mark.parametrize(
+        "spec", vf.builtin_group_specs() + ["dihedral:6", "cyclic:2x3x4", "cyclic:1"]
+    )
+    def test_dual_is_deterministic_and_ordered(self, spec):
+        g = vf.build_group(spec)
+        first, second = vf.unitary_dual(g), vf.unitary_dual(g)
+        for a, b in zip(first.irreps, second.irreps, strict=True):
+            assert np.array_equal(a.matrices, b.matrices)
+        assert np.abs(first.irreps[0].matrices - 1).max() < 1e-12
+        assert first.dims() == sorted(first.dims())
 
 
 class TestMatrixCoefficients:
