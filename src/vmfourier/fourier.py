@@ -23,7 +23,7 @@ import numpy as np
 from .groups import UnitaryDual, require_same_group
 from .lpspaces import ScalarFunction
 from .measures import VectorMeasure, radon_nikodym
-from .spaces import _AMP, CoefficientSpace, MatrixOverX, NormEstimate, XVector, _resolve
+from .spaces import _AMP, CoefficientSpace, MatrixOverX, NormEstimate, XVector, _resolve_one
 
 __all__ = [
     "FourierCoefficients",
@@ -146,7 +146,7 @@ def ft_weak(
 
 def ft_sup_norm(c: VectorFourierCoefficients) -> NormEstimate:
     """Sup over irreps of the matrix-level norms of the blocks, as a bracket."""
-    return _resolve([_sup(c.space, c.stack, c.dual.dims())])[0]
+    return _resolve_one(_sup(c.space, c.stack, c.dual.dims()))
 
 
 def _sup(space: CoefficientSpace, stack: np.ndarray, levels):

@@ -133,27 +133,20 @@ def _cyclic_product(ns: tuple[int, ...]) -> FiniteGroup:
 
 
 def _dihedral(n: int) -> FiniteGroup:
-    # elements: r^k at index k, s r^k at index n + k
-    order = 2 * n
-    cayley = np.zeros((order, order), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            cayley[a, b] = (a + b) % n
-            cayley[a, n + b] = n + (b - a) % n
-            cayley[n + a, b] = n + (a + b) % n
-            cayley[n + a, n + b] = (b - a) % n
+    # index f * n + k is s^f r^k, and s^f r^a s^g r^b = s^(f xor g) r^(b + (-1)^g a)
+    f, a = np.divmod(np.arange(2 * n), n)
+    sign = 1 - 2 * f
+    cayley = (f[:, None] ^ f[None, :]) * n + (a[None, :] + sign[None, :] * a[:, None]) % n
     return _group_from_cayley(cayley, f"D{n}")
 
 
 def _symmetric(n: int) -> FiniteGroup:
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    cayley = np.zeros((order, order), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            cayley[i, j] = index[tuple(p[q[x]] for x in range(n))]
-    return _group_from_cayley(cayley, f"S{n}")
+    # (p q)(x) = p(q(x)); permutations come in lexicographic order, so their
+    # base-n codes are sorted
+    perms = np.array(list(itertools.permutations(range(n)))).reshape(-1, n)
+    code = n ** np.arange(n)[::-1]
+    prods = perms[np.arange(len(perms))[:, None, None], perms[None]]
+    return _group_from_cayley(np.searchsorted(perms @ code, prods @ code), f"S{n}")
 
 
 def _quaternion_matrices() -> np.ndarray:
@@ -167,14 +160,9 @@ def _quaternion_matrices() -> np.ndarray:
 
 def _quaternion() -> FiniteGroup:
     mats = _quaternion_matrices()
-    order = 8
-    cayley = np.zeros((order, order), dtype=np.int64)
-    for a in range(order):
-        for b in range(order):
-            prod = mats[a] @ mats[b]
-            hits = [c for c in range(order) if np.allclose(prod, mats[c])]
-            cayley[a, b] = hits[0]
-    return _group_from_cayley(cayley, "Q8")
+    # entry [a, b] is the first c with mats[a] @ mats[b] == mats[c]
+    prods = (mats[:, None] @ mats[None, :])[:, :, None]
+    return _group_from_cayley(np.isclose(prods, mats).all(axis=(3, 4)).argmax(axis=2), "Q8")
 
 
 def build_group(spec: str) -> FiniteGroup:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import FiniteGroup, require_same_group
 from .measures import GroupMap, VectorMeasure, _subset_indices
-from .spaces import CoefficientSpace, NormEstimate, XVector, _resolve
+from .spaces import CoefficientSpace, NormEstimate, XVector, _resolve_one
 
 __all__ = [
     "ScalarFunction",
@@ -110,7 +110,7 @@ def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0) -> NormEsti
     p = inf is the exact max of |f| over atoms where the measure is nonzero
     (atoms with x_t = 0 are null and excluded).
     """
-    return _resolve([_lp_nu(f, nu, p)])[0]
+    return _resolve_one(_lp_nu(f, nu, p))
 
 
 def _lp_nu(f: ScalarFunction, nu: VectorMeasure, p: float):
@@ -128,7 +128,7 @@ def _lp_nu(f: ScalarFunction, nu: VectorMeasure, p: float):
 def N_norm(F: MatrixFunction, nu: VectorMeasure) -> NormEstimate:
     """Matrix-level integrand norm: the dual-ball sup of the scalarized
     integrals of t -> ||F(t)||_op; collapses to ``lp_nu_norm`` at level 1."""
-    return _resolve([_n_norm(F, nu)])[0]
+    return _resolve_one(_n_norm(F, nu))
 
 
 def _n_norm(F: MatrixFunction, nu: VectorMeasure):
@@ -144,7 +144,7 @@ def Pp_norm(phi: VectorFunction, p: float) -> NormEstimate:
     """Weak p-norm of a vector-valued function: sup over the dual ball of the
     L^p(Haar) norm of the scalarized function.  Exact for the closed-form
     spaces; otherwise bracketed above by the L^p norm of t -> ||phi(t)||."""
-    return _resolve([_pp(phi, p)])[0]
+    return _resolve_one(_pp(phi, p))
 
 
 def _pp(phi: VectorFunction, p: float):

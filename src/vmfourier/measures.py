@@ -26,6 +26,7 @@ from .spaces import (
     XVector,
     _require_same_space,
     _resolve,
+    _resolve_one,
     space_from_spec,
 )
 
@@ -156,7 +157,7 @@ def semivariation(nu: VectorMeasure, subset: Iterable[int] | None = None) -> Nor
     Sandwiched between ||nu(A)|| and |nu|(A); exact for scalar / max-norm
     coefficient spaces, a certified bracket otherwise.
     """
-    return _resolve([_semi(nu, subset)])[0]
+    return _resolve_one(_semi(nu, subset))
 
 
 def _semi(nu: VectorMeasure, subset: Iterable[int] | None = None):
@@ -174,7 +175,7 @@ def p_semivariation(nu: VectorMeasure, p: float) -> NormEstimate:
     closed-form spaces and a bracket otherwise (the upper end is the L^p norm
     of t -> |G| ||nu({t})||, a pointwise majorant of every density).
     """
-    return _resolve([_p_semi(nu, p)])[0]
+    return _resolve_one(_p_semi(nu, p))
 
 
 def _p_semi(nu: VectorMeasure, p: float):
@@ -268,20 +269,18 @@ def check_semivariation_invariance(
     rng = np.random.default_rng(seed)
     n = nu.group.order
     nu_h = pushforward(nu, h)
-    densities = []
-    for t in range(n):
-        ind = np.zeros(n)
-        ind[t] = 1.0
-        densities.append(ind)
-    for _ in range(min(trials, 4)):
-        mask = rng.integers(0, 2, size=n).astype(float)
-        densities.append(mask)
-    for _ in range(trials):
-        densities.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    densities = [
+        *np.eye(n),
+        *(rng.integers(0, 2, size=n).astype(float) for _ in range(min(trials, 4))),
+        *(rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(trials)),
+    ]
     # the semivariations of every nu_phi, then of every (nu_h)_phi, in one batch
-    ests = _resolve([_semi(measure_from_density(m, phi)) for m in (nu, nu_h) for phi in densities])
-    worst = max(a.gap(b) for a, b in zip(ests[: len(densities)], ests[len(densities) :]))
-    return InvarianceReport(worst > 0, worst, len(densities))
+    lo, hi = _resolve(
+        [_semi(measure_from_density(m, phi)) for m in (nu, nu_h) for phi in densities]
+    )
+    k = len(densities)
+    worst = float(np.maximum(np.maximum(lo[:k] - hi[k:], lo[k:] - hi[:k]), 0.0).max())
+    return InvarianceReport(worst > 0, worst, k)
 
 
 # ---------------------------------------------------------------------------

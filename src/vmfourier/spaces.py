@@ -102,10 +102,6 @@ class NormEstimate:
         """Apply x -> x**(1/p) to both ends (monotone, bracket-preserving)."""
         return NormEstimate(self.lower ** (1.0 / p), self.upper ** (1.0 / p), self.exact)
 
-    def gap(self, other: "NormEstimate") -> float:
-        """Certified distance between the two brackets; 0 when they overlap."""
-        return max(0.0, self.lower - other.upper, other.lower - self.upper)
-
     def times(self, other: "NormEstimate") -> "NormEstimate":
         return NormEstimate(
             self.lower * other.lower, self.upper * other.upper, self.exact and other.exact
@@ -156,9 +152,10 @@ class CoefficientSpace:
         """Random extreme points of the dual unit ball, as [count, dim] rows."""
         raise NotImplementedError
 
-    # -- optional closed forms ----------------------------------------------
+    # -- optional closed forms: [B] arrays of values, or None ---------------
 
     def closed_dual_sup(self, weights: np.ndarray, vecs: np.ndarray):
+        """For [B, T] weights and [B, T, dim] vectors."""
         return None
 
     def closed_lp_sup(self, vecs: np.ndarray, p: float):
@@ -215,11 +212,10 @@ class ScalarSpace(CoefficientSpace):
         return np.exp(2j * np.pi * rng.random((count, 1)))
 
     def closed_dual_sup(self, weights, vecs):
-        return float(weights @ np.abs(vecs[:, 0]))
+        return (weights * np.abs(vecs[..., 0])).sum(axis=-1)
 
     def closed_lp_sup(self, vecs, p):
-        a = np.abs(vecs[:, 0])
-        return float(np.mean(a**p) ** (1.0 / p))
+        return np.mean(np.abs(vecs[..., 0]) ** p, axis=-1) ** (1.0 / p)
 
     def closed_amplified(self, entries):
         return np.linalg.svd(entries[..., 0], compute_uv=False)[:, 0]
@@ -262,11 +258,10 @@ class LinfSpace(CoefficientSpace):
 
     def closed_dual_sup(self, weights, vecs):
         # per-coordinate column sums; phases align against e_j functionals
-        return float((weights @ np.abs(vecs)).max())
+        return (weights[..., None] * np.abs(vecs)).sum(axis=-2).max(axis=-1)
 
     def closed_lp_sup(self, vecs, p):
-        a = np.abs(vecs)
-        return float((np.mean(a**p, axis=0) ** (1.0 / p)).max())
+        return (np.mean(np.abs(vecs) ** p, axis=-2) ** (1.0 / p)).max(axis=-1)
 
     def closed_amplified(self, entries):
         # the dual ball's extreme points are phases times e_c, so the sup sits
@@ -288,7 +283,13 @@ class MatOpSpace(CoefficientSpace):
         return vecs.reshape(*vecs.shape[:-1], self.d, self.d)
 
     def norm_many(self, vecs):
-        return np.linalg.svd(self._mats(vecs), compute_uv=False)[..., 0]
+        mats = self._mats(vecs)
+        if self.d != 2:
+            return np.linalg.svd(mats, compute_uv=False)[..., 0]
+        # sqrt of M^H M's top eigenvalue, M scaled so that squaring stays in range
+        scale = np.abs(mats).max(axis=(-2, -1))
+        a, b, c = _gram2(mats / np.where(scale > 0, scale, 1.0)[..., None, None])
+        return scale * np.sqrt(0.5 * (a + b) + np.hypot(0.5 * (a - b), np.abs(c)))
 
     def dual_norm_of(self, coords):
         m = np.asarray(coords, dtype=complex).reshape(self.d, self.d)
@@ -471,13 +472,17 @@ def _lapack_top_pairs(mats):
     return u[:, :, 0], s[:, 0], np.conj(vh[:, 0, :])
 
 
-def _top_eigvec2(m):
-    """Unit top eigenvector of M^H M for a scaled [R, 2, 2] stack."""
-    m00, m01, m10, m11 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-    # M^H M = [[a, c], [conj(c), b]]; its top eigenvalue is (a + b) / 2 + r
+def _gram2(m):
+    """(a, b, c) with M^H M = [[a, c], [conj(c), b]] for a [..., 2, 2] stack."""
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     a = (m00 * m00.conj() + m10 * m10.conj()).real
     b = (m01 * m01.conj() + m11 * m11.conj()).real
-    c = m00.conj() * m01 + m10.conj() * m11
+    return a, b, m00.conj() * m01 + m10.conj() * m11
+
+
+def _top_eigvec2(m):
+    """Unit top eigenvector of M^H M for a scaled [R, 2, 2] stack."""
+    a, b, c = _gram2(m)
     half = 0.5 * (a - b)
     r = np.hypot(half, np.abs(c))
     # of the two eigenvector formulas, take the one without cancellation
@@ -582,33 +587,29 @@ def _ascend(ascent, caps) -> np.ndarray:
     return best
 
 
-def _estimates(ends, start, ascent=None) -> list[NormEstimate]:
-    """Certified brackets of a batch of rows, in input order: ``ends[b]`` is
-    the ``NormEstimate`` of a row known without an ascent, or ``(upper,
-    arrays)``.  Rows whose arrays share shapes are stacked; ``start(*arrays)``
-    gives their floors, values attained at dual-ball points, row by row.  A
-    row gets bracket(floor, upper) without ``ascent``, else bracket(max(lower,
-    floor), upper) with ``lower`` from ``ascent(*arrays)`` capped at ``upper``,
-    run in chunks of about ``_CHUNK_ENTRIES`` entries of its [rows, restarts,
-    ...] working arrays as sized by the first array."""
-    out = list(ends)
-    groups = {}  # array shapes -> ascent rows
-    for b, end in enumerate(ends):
-        if not isinstance(end, NormEstimate):
-            groups.setdefault(tuple(a.shape for a in end[1]), []).append(b)
-    for rows in groups.values():
-        uppers = np.array([ends[b][0] for b in rows])
-        arrays = [np.stack(a) for a in zip(*(ends[b][1] for b in rows))]
-        lowers = start(*arrays)
+def _estimates(ends, start, ascent=None):
+    """Certified brackets of a batch of rows as (lower, upper) arrays, from
+    ``ends = (lower, upper, todo, arrays)``: the rows' upper ends, the lower
+    ends of rows known without an ascent, and the other rows' indices and
+    stacked arrays.  ``start(*arrays)`` gives those rows' floors, values
+    attained at dual-ball points; with ``ascent`` a lower end is the max of
+    the floor and the ascent's value capped at the upper end, run in chunks of
+    about ``_CHUNK_ENTRIES`` entries of the [rows, restarts, ...] working
+    arrays as sized by the first array.  Ends are clamped as in NormEstimate."""
+    lower, upper, todo, arrays = ends
+    if len(todo):
+        floors = start(*arrays)
         if ascent is not None:
             step = max(1, _CHUNK_ENTRIES // (ASCENT_RESTARTS * arrays[0][0].size))
-            lowers = np.maximum(lowers, np.concatenate([
-                _ascend(ascent(*(a[i : i + step] for a in arrays)), uppers[i : i + step])
-                for i in range(0, len(rows), step)
+            caps = upper[todo]
+            floors = np.maximum(floors, np.concatenate([
+                _ascend(ascent(*(a[i : i + step] for a in arrays)), caps[i : i + step])
+                for i in range(0, len(todo), step)
             ]))
-        for b, lower in zip(rows, lowers.tolist()):
-            out[b] = NormEstimate.bracket(lower, ends[b][0])
-    return out
+        lower = lower.copy()
+        lower[todo] = floors
+    lower = np.maximum(np.minimum(lower, upper), 0.0)
+    return lower, np.maximum(lower, upper)
 
 
 def _norming(space, ys):
@@ -645,7 +646,9 @@ def _aligned_start(space, vecs, weights=None, p=1.0):
 
 
 def _dual_ball_rows(space, weights, vecs):
-    """The rows of ``dual_ball_sup`` requests, their start and their ascent."""
+    """The rows of ``dual_ball_sup`` requests (see ``_estimates``), their
+    start and their ascent.  Zero-weight atoms add nothing to any value and
+    stay in place; a row with at most one live atom is known exactly."""
     weights = np.asarray(weights, dtype=float)
     vecs = np.asarray(vecs, dtype=complex)
     if weights.ndim != 2 or vecs.shape != weights.shape + (space.dim,):
@@ -655,18 +658,19 @@ def _dual_ball_rows(space, weights, vecs):
         )
     if np.any(weights < 0):
         raise ValueError("atom weights must be nonnegative")
-    ends = []
-    for w, v in zip(weights, vecs):
-        keep = w > 0
-        w, v = w[keep], v[keep]
-        closed = space.closed_dual_sup(w, v) if len(w) else 0.0
-        if closed is not None:
-            ends.append(NormEstimate.of_exact(closed))
-            continue
-        upper = float(w @ space.norm_many(v))
-        ends.append(NormEstimate.bracket(upper, upper) if len(w) == 1 else (upper, (v, w)))
-    return (ends, lambda v, w: _aligned_start(space, v, w),
-            lambda v, w: _phase_ascent(space, w, v))
+    closed = space.closed_dual_sup(weights, vecs)
+    if closed is not None:
+        return _exact_rows(closed), None, None
+    # elementwise products and axis sums: a [B, T] @ [T] product rounds by B
+    upper = (weights * space.norm_many(vecs)).sum(axis=1)
+    todo = np.flatnonzero((weights > 0).sum(axis=1) > 1)
+    return ((upper, upper, todo, (vecs[todo], weights[todo])),
+            lambda v, w: _aligned_start(space, v, w), lambda v, w: _phase_ascent(space, w, v))
+
+
+def _exact_rows(values):
+    """The ``_estimates`` ends of rows whose values are known exactly."""
+    return values, values, np.arange(0), ()
 
 
 def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
@@ -679,7 +683,7 @@ def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
     norming(sum_t w_t v_t) (so >= ||sum w_t v_t||), the upper end from the
     variation bound sum_t w_t ||v_t||.  ``_resolve`` evaluates many at once.
     """
-    return _resolve([(space, None, weights, vecs, None)])[0]
+    return _resolve_one((space, None, weights, vecs, None))
 
 
 def _lp_ascent(space, vecs, p):
@@ -706,7 +710,7 @@ def _lp_ascent(space, vecs, p):
 
 
 def _lp_rows(space, vecs, p):
-    """The rows of ``lp_dual_sup`` requests, their start and their ascent."""
+    """The rows of ``lp_dual_sup`` requests (see ``_estimates``), start and ascent."""
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 3 or vecs.shape[2] != space.dim:
         raise ValueError(f"expected vecs (B, T, {space.dim}), got {vecs.shape}")
@@ -714,19 +718,17 @@ def _lp_rows(space, vecs, p):
         raise ValueError("p must be >= 1")
     B, T = vecs.shape[:2]
     if T == 0:
-        return [NormEstimate.of_exact(0.0)] * B, None, None
+        return _exact_rows(np.zeros(B)), None, None
     if np.isinf(p):
-        return [NormEstimate.of_exact(float(space.norm_many(v).max())) for v in vecs], None, None
+        return _exact_rows(space.norm_many(vecs).max(axis=1)), None, None
     if p == 1:
         return _dual_ball_rows(space, np.full((B, T), 1.0 / T), vecs)
-    ends = []
-    for v in vecs:
-        closed = space.closed_lp_sup(v, p)
-        if closed is not None:
-            ends.append(NormEstimate.of_exact(closed))
-        else:
-            ends.append((float(np.mean(space.norm_many(v) ** p) ** (1.0 / p)), (v,)))
-    return ends, lambda v: _aligned_start(space, v, p=p), lambda v: _lp_ascent(space, v, p)
+    closed = space.closed_lp_sup(vecs, p)
+    if closed is not None:
+        return _exact_rows(closed), None, None
+    upper = np.mean(space.norm_many(vecs) ** p, axis=1) ** (1.0 / p)
+    return ((upper, upper, np.arange(B), (vecs,)),
+            lambda v: _aligned_start(space, v, p=p), lambda v: _lp_ascent(space, v, p))
 
 
 def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEstimate:
@@ -738,7 +740,7 @@ def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEsti
     the lower end the ascent's best, at least the value at its beta = 1 start
     xp0 = norming(mean_t v_t).  ``_resolve`` evaluates many at once.
     """
-    return _resolve([(space, p, None, vecs, None)])[0]
+    return _resolve_one((space, p, None, vecs, None))
 
 
 def _amplified_ascent(space, entries):
@@ -779,17 +781,15 @@ def _amplified_upper(space: CoefficientSpace, entries: np.ndarray):
 
 
 def _amplified_rows(space, entries):
-    """The rows of ``amplified_norm`` requests (each with its floor as a 0-d array),
-    their start, which returns those floors, and their ascent."""
+    """The rows of ``amplified_norm`` requests (see ``_estimates``), each todo
+    row with its floor, their start, which returns those floors, and ascent."""
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 4 or entries.shape[1] != entries.shape[2] or entries.shape[3] != space.dim:
         raise ValueError(f"expected entries (B, n, n, {space.dim}), got {entries.shape}")
-    uppers, floors = _amplified_upper(space, entries)
-    ends = [
-        NormEstimate.of_exact(upper) if math.isnan(floor) else (upper, (e, floor))
-        for upper, floor, e in zip(uppers.tolist(), floors, entries)
-    ]
-    return ends, lambda e, floor: floor, lambda e, floor: _amplified_ascent(space, e)
+    upper, floors = _amplified_upper(space, entries)
+    todo = np.flatnonzero(~np.isnan(floors))
+    return ((upper, upper, todo, (entries[todo], floors[todo])),
+            lambda e, floor: floor, lambda e, floor: _amplified_ascent(space, e))
 
 
 def amplified_norm(m: MatrixOverX) -> NormEstimate:
@@ -804,7 +804,7 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
     take the top singular pair in closed form.  Level 1 always collapses to
     the vector norm.  ``_resolve`` evaluates many at once.
     """
-    return _resolve([(m.space, _AMP, (m.level,), m.entries.reshape(-1, m.space.dim), None)])[0]
+    return _resolve_one((m.space, _AMP, (m.level,), m.entries.reshape(-1, m.space.dim), None))
 
 
 # -- norm requests -------------------------------------------------------------
@@ -820,41 +820,54 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
 _AMP = "amplified"
 
 
-def _resolve(requests, ascend=True) -> list[NormEstimate]:
-    """The brackets of a list of norm requests, each equal bit for bit to its
-    bracket resolved alone (ascent-free unless ``ascend``), from one batch of
-    rows per (space, p, T) key, T the number of atoms, and one per block level
-    of a (space, _AMP, levels) key.  A request object listed more than once is
-    resolved once."""
+def _resolve(requests, ascend=True):
+    """The brackets of a list of norm requests as (lower, upper) arrays, each
+    row equal bit for bit to its request resolved alone (ascent-free unless
+    ``ascend``), from one batch of rows per (space, p, T) key, T the number
+    of atoms, and one per block level of a (space, _AMP, levels) key.  A
+    request object listed more than once is resolved once."""
 
-    def brackets(ends, start, ascent):
+    def brackets(rows):
+        ends, start, ascent = rows
         return _estimates(ends, start, ascent if ascend else None)
 
-    out = list(requests)
+    lower, upper = np.zeros(len(requests)), np.zeros(len(requests))
     keyed = {}
     for k, r in enumerate(requests):
-        if not isinstance(r, NormEstimate):
+        if isinstance(r, NormEstimate):
+            lower[k], upper[k] = r.lower, r.upper
+        else:
             keyed.setdefault((r[0], r[1], r[2] if r[1] is _AMP else len(r[3])), []).append(k)
     for (space, p, t), ks in keyed.items():
         reqs = {id(requests[k]): requests[k] for k in ks}
         vecs = np.array([r[3] for r in reqs.values()])
         if p is None:
-            ests = brackets(*_dual_ball_rows(space, np.array([r[2] for r in reqs.values()]), vecs))
+            ends = brackets(_dual_ball_rows(space, np.array([r[2] for r in reqs.values()]), vecs))
         elif p is _AMP:  # t is the block levels; each request takes the max over its blocks
-            starts, cols = np.cumsum([0, *(n * n for n in t)]), []
+            ends, starts = np.zeros((2, len(vecs))), np.cumsum([0, *(n * n for n in t)])
             for n in dict.fromkeys(t):
                 blocks = [vecs[:, a:b] for a, b, m in zip(starts, starts[1:], t) if m == n]
-                ests = brackets(*_amplified_rows(
+                level = brackets(_amplified_rows(
                     space, np.concatenate(blocks).reshape(-1, n, n, space.dim)))
-                cols += [ests[i : i + len(vecs)] for i in range(0, len(ests), len(vecs))]
-            ests = [NormEstimate.max_of(col) for col in zip(*cols)]
+                # the rows are block-major: [blocks, requests]
+                ends = np.maximum(ends, np.reshape(level, (2, len(blocks), -1)).max(axis=1))
         else:
-            ests = brackets(*_lp_rows(space, vecs, p))
-        ests = dict(zip(reqs, ests))
-        for k in ks:
-            est, root = ests[id(requests[k])], requests[k][4]
-            out[k] = est if root is None else est.rooted(root)
-    return out
+            ends = brackets(_lp_rows(space, vecs, p))
+        slot = {i: j for j, i in enumerate(reqs)}
+        rows = [slot[id(requests[k])] for k in ks]
+        lower[ks], upper[ks] = ends[0][rows], ends[1][rows]
+        rooted = [k for k in ks if requests[k][4] is not None]
+        inv = 1.0 / np.array([requests[k][4] for k in rooted], dtype=float)
+        lower[rooted], upper[rooted] = lower[rooted] ** inv, upper[rooted] ** inv
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("NaN end in a bracket")
+    return lower, upper
+
+
+def _resolve_one(request) -> NormEstimate:
+    """One request's bracket as a ``NormEstimate``, exact when its ends meet."""
+    lower, upper = _resolve([request])
+    return NormEstimate(lower[0], upper[0], bool(lower[0] == upper[0]))
 
 
 def space_from_spec(spec: str) -> CoefficientSpace:

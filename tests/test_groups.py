@@ -99,6 +99,38 @@ class TestBuildGroup:
                 assert g.mul(a, g.mul(b, c)) == g.mul(g.mul(a, b), c)
 
 
+class TestTablesEqualTheLoops:
+    """The vectorised Cayley tables against the element-by-element loops
+    they replaced, kept here as references."""
+
+    def test_quaternion(self):
+        mats = vf.groups._quaternion_matrices()
+        table = np.zeros((8, 8), dtype=np.int64)
+        for a in range(8):
+            for b in range(8):
+                prod = mats[a] @ mats[b]
+                table[a, b] = [c for c in range(8) if np.allclose(prod, mats[c])][0]
+        assert np.array_equal(vf.build_group("quaternion8").cayley, table)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
+    def test_dihedral(self, n):
+        table = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        for a in range(n):
+            for b in range(n):
+                table[a, b] = (a + b) % n
+                table[a, n + b] = n + (b - a) % n
+                table[n + a, b] = n + (a + b) % n
+                table[n + a, n + b] = (b - a) % n
+        assert np.array_equal(vf.build_group(f"dihedral:{n}").cayley, table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_symmetric(self, n):
+        perms = list(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+        assert np.array_equal(vf.build_group(f"symmetric:{n}").cayley, table)
+
+
 class TestDuals:
     def test_z2_characters(self, z2, z2_dual):
         vals = [p.matrices[:, 0, 0] for p in z2_dual.irreps]

@@ -257,7 +257,12 @@ class TestRunSuite:
 
 
 def ends(ests):
-    return [(e.lower, e.upper, e.exact) for e in ests]
+    return [(e.lower, e.upper) for e in ests]
+
+
+def array_ends(brackets):
+    """``ends`` of the (lower, upper) arrays of ``_resolve`` or ``_sides``."""
+    return list(zip(*(b.tolist() for b in brackets)))
 
 
 class TestNormRequests:
@@ -297,12 +302,13 @@ class TestNormRequests:
                         singles.append(vf.N_norm(fmat, nu))
                         factors.append(_n_norm(fmat, nu))
         assert not all(e.exact for e in singles)
-        assert ends(_resolve(factors)) == ends(singles)
+        assert all(e.exact == (e.lower == e.upper) for e in singles)
+        assert array_ends(_resolve(factors)) == ends(singles)
         # a side multiplies its factors in order, then scales; a known
         # bracket passes through
         sides = [harness._product(a, b, scale=0.7) for a, b in zip(factors[::2], factors[1::2])]
         products = [a.times(b).scaled(0.7) for a, b in zip(singles[::2], singles[1::2])]
-        assert ends(harness._sides([*sides, singles[0]])) == ends([*products, singles[0]])
+        assert array_ends(harness._sides([*sides, singles[0]])) == ends([*products, singles[0]])
 
     def test_sup_sides_equal_ft_sup_norm(self, all_spaces):
         # a sup side over a transform's blocks, in one block of sides over
@@ -328,7 +334,7 @@ class TestNormRequests:
                 singles.append(vf.VectorFourierCoefficients(dual, scalar, weak[:, None]))
         refs = [reference(c) for c in singles]
         assert not all(e.exact for e in refs)
-        assert ends(harness._sides(sides)) == ends(refs)
+        assert array_ends(harness._sides(sides)) == ends(refs)
         assert ends(vf.ft_sup_norm(c) for c in singles) == ends(refs)
 
     def test_shared_request_runs_one_ascent_row(self, monkeypatch):
@@ -344,7 +350,7 @@ class TestNormRequests:
         request = _lp_nu(f, nu, 1.0)
         sides = harness._sides([harness._product(request), harness._product(request, scale=2.0)])
         assert rows == [1]
-        assert ends(sides) == ends([single, single.scaled(2.0)])
+        assert array_ends(sides) == ends([single, single.scaled(2.0)])
         assert not single.exact
 
     @pytest.mark.parametrize(
@@ -352,25 +358,47 @@ class TestNormRequests:
         [*harness._YOUNG, "embedding-4.13", "invariance-5", "ft-norm-bounds", "cb-amplification"],
     )
     def test_brackets_equal_alone_and_in_blocks(self, name, monkeypatch):
-        def brackets(block):
-            seen = []
+        draw = harness._random_function
+
+        def brackets(block, sparse):
+            # with ``sparse``, the drawn functions take turns at a zero at one
+            # element, a single nonzero element and no zero, which gives
+            # dual-ball rows with zero-weight atoms and with one live atom; S4
+            # has enough atoms for numpy's pairwise sums to group them
+            seen, drawn = [], []
+
+            def sparsify(f):
+                if sparse and len(drawn) % 3 < 2:
+                    f.values[np.arange(len(f.values)) != 0 if len(drawn) % 3 else 0] = 0.0
+                drawn.append(f)
+                return f
+
+            monkeypatch.setattr(harness, "_random_function", lambda g, rng: sparsify(draw(g, rng)))
+            monkeypatch.setattr(
+                harness, "MatrixFunction", lambda *args: sparsify(vf.MatrixFunction(*args))
+            )
             monkeypatch.setattr(harness, "_BLOCK", block)
             monkeypatch.setattr(
-                harness._Tally, "compare", lambda self, lhs, rhs, tol, note: seen.append((lhs, rhs))
+                harness._Tally, "checks",
+                lambda self, *ends_and_tol: seen.extend(zip(*(e.tolist() for e in ends_and_tol[:4]))),
             )
             monkeypatch.setattr(
                 harness._Tally, "residual_check", lambda self, r, tol, note: seen.append(r)
             )
-            vf.run_suite(name, small_config())
+            groups = ["cyclic:2", "symmetric:4" if sparse else "symmetric:3"]
+            vf.run_suite(name, small_config(groups=groups))
             return seen
 
+        def one_by_one(fs, *a):
+            parts = [resolve([f], *a) for f in fs] or [resolve([], *a)]
+            return tuple(np.concatenate(x) for x in zip(*parts))
+
         # blocks of 4 over 6 trials: one full block and one partial
-        blocked = brackets(4)
         resolve = harness._resolve
-        monkeypatch.setattr(
-            harness, "_resolve", lambda fs, *a: [e for f in fs for e in resolve([f], *a)]
-        )
-        assert brackets(1) == blocked
+        blocked = [brackets(4, sparse) for sparse in (False, True)]
+        monkeypatch.setattr(harness, "_resolve", one_by_one)
+        assert [brackets(1, sparse) for sparse in (False, True)] == blocked
+        assert blocked[0] != blocked[1]
 
     def test_estimator_calls_bounded_by_keys_not_trials(self, monkeypatch):
         # each young-6.5 request is an lp_nu_norm, so the 64 instances, one
@@ -451,7 +479,7 @@ class TestTwoPasses:
 
         def counted(ends, start, ascent=None):
             if ascent is None:
-                eligible.extend(e for e in ends if not isinstance(e, vf.NormEstimate))
+                eligible.extend(ends[2])  # the rows an ascent would estimate
             return estimates(ends, start, ascent)
 
         monkeypatch.setattr(vf.spaces, "_estimates", counted)
@@ -464,6 +492,36 @@ class TestTwoPasses:
             assert 4 * sum(reached) < len(eligible)
         else:
             assert reference.violations > 0
+
+
+class TestInvariancePartA:
+    """Part A of invariance-5 on its twisted fixture."""
+
+    def test_compares_unequal_measures_in_every_default_group(self, monkeypatch):
+        pairs, push = [], harness.pushforward
+        monkeypatch.setattr(
+            harness, "pushforward", lambda nu, h: pairs.append((nu, push(nu, h))) or pairs[-1][1]
+        )
+        vf.run_suite("invariance-5", RunConfig(spaces=["matop:2", "weighted_l1:2"], trials=1))
+        unequal = {nu.group.label for nu, nu_h in pairs if not np.array_equal(nu.atoms, nu_h.atoms)}
+        assert unequal == {harness.group_with_dual(s)[0].label for s in vf.builtin_group_specs()}
+
+    def test_pushforward_leaving_one_atom_in_place_fails(self, monkeypatch):
+        def stuck(nu, h):
+            atoms = nu.atoms[h.table]
+            atoms[-1] = nu.atoms[-1]
+            return vf.VectorMeasure(nu.group, nu.space, atoms)
+
+        cfg = small_config(groups=["cyclic:3", "symmetric:3"], trials=1)
+        assert vf.run_suite("invariance-5", cfg).violations == 0
+        monkeypatch.setattr(harness, "pushforward", stuck)
+        rep = vf.run_suite("invariance-5", cfg)
+        assert rep.violations > 0 and rep.detail.startswith("semivar")
+
+    def test_perturbed_irrep_keeps_the_counts(self):
+        # chi comes from the unperturbed dual: the fault moves no part A check
+        rep = vf.run_suite("invariance-5", RunConfig(trials=40), fault="perturb-irrep")
+        assert (rep.instances, rep.violations, rep.near_misses) == (2720, 0, 0)
 
 
 class TestFaultInjection:

@@ -193,6 +193,31 @@ def cplx(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+class TestMatOpNorm2:
+    """``MatOpSpace(2).norm_many``'s closed form against LAPACK's top singular
+    value.  Without the max-modulus scaling the squares overflow at 1e170
+    and underflow at 1e-170; at 1e+-150 they still fit."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e170, 1e-170, 1e300, 1e-300])
+    def test_against_svd(self, scale):
+        rng = np.random.default_rng(5)
+        B = 2000
+        u, v = cplx(rng, B, 2), cplx(rng, B, 2)
+        phases = rng.uniform(0.1, 10.0, B) * np.exp(2j * np.pi * rng.random(B))
+        stacks = {
+            "random": cplx(rng, B, 2, 2),
+            "rank one": u[:, :, None] * np.conj(v)[:, None, :],
+            "zero": np.zeros((3, 2, 2), dtype=complex),
+            # two equal singular values
+            "unitary multiples": np.linalg.qr(cplx(rng, B, 2, 2))[0] * phases[:, None, None],
+        }
+        for name, mats in stacks.items():
+            mats = scale * mats
+            ref = np.linalg.svd(mats, compute_uv=False)[:, 0]
+            got = MatOpSpace(2).norm_many(mats.reshape(-1, 4))
+            assert np.all(np.abs(got - ref) <= 1e-15 * ref), name
+
+
 class TestAmplified:
     def test_level_one_collapse(self):
         for space in SPACES:
@@ -497,6 +522,13 @@ def bits(est):
     return (est.lower.hex(), est.upper.hex(), est.exact)
 
 
+def estimates(brackets):
+    """The (lower, upper) arrays of ``_resolve`` or ``_estimates`` as one
+    ``NormEstimate`` per row, exact when its ends meet, as the public norms
+    wrap them."""
+    return [NormEstimate(lo, hi, lo == hi) for lo, hi in zip(*(b.tolist() for b in brackets))]
+
+
 def scaled_rows(rng, space, B, *shape):
     """B random stacks of the given shape, row b scaled by 10**u, u in [-3, 3]."""
     scales = 10.0 ** rng.uniform(-3, 3, B)
@@ -532,7 +564,7 @@ class TestBatched:
         for b in range(2, 8):  # mixed kept atom counts
             weights[b, rng.random(T) < 0.4] = 0
         sizes = record_norming(monkeypatch, space)
-        batched = _resolve([(space, None, w, v, None) for w, v in zip(weights, vecs)])
+        batched = estimates(_resolve([(space, None, w, v, None) for w, v in zip(weights, vecs)]))
         singles = [dual_ball_sup(space, w, v) for w, v in zip(weights, vecs)]
         assert [bits(e) for e in batched] == [bits(e) for e in singles]
         assert batched[0].exact and batched[0].upper == 0.0
@@ -550,7 +582,7 @@ class TestBatched:
         for T in (1, 7):
             vecs = scaled_rows(rng, space, 30, T)
             vecs[0] = 0
-            batched = _resolve([(space, p, None, v, None) for v in vecs])
+            batched = estimates(_resolve([(space, p, None, v, None) for v in vecs]))
             singles = [lp_dual_sup(space, v, p) for v in vecs]
             assert [bits(e) for e in batched] == [bits(e) for e in singles]
 
@@ -562,7 +594,7 @@ class TestBatched:
         entries = scaled_rows(rng, space, 40, n, n)
         entries[0] = 0
         entries[1:5, :, :, 1:] = 0  # a single nonzero coordinate slice
-        batched = _resolve([_sup(space, e, [n]) for e in entries])
+        batched = estimates(_resolve([_sup(space, e, [n]) for e in entries]))
         singles = [amplified_norm(MatrixOverX(space, e)) for e in entries]
         assert [bits(e) for e in batched] == [bits(e) for e in singles]
 
@@ -602,38 +634,32 @@ class TestEstimates:
             return floor
 
         monkeypatch.setattr(spaces, "_ascend", capped)
-        pad, zero = np.zeros(50), np.float64(0.0)
-        known = [NormEstimate.of_exact(7.0), NormEstimate.bracket(1.0, 2.0)]
-        ends = [
-            (5.0, (np.array([1.0, 2.0, 3.0]), pad, zero)),
-            known[0],
-            (2.5, (np.array([1.0, 2.5, 9.0, 9.0]), pad, zero)),  # stops at its cap
-            (6.0, (np.array([1.0, 2.0, 3.0]), pad, np.float64(4.0))),  # floor above the ascent
-            (9.0, (np.array([2.0, 1.0, 1.0, 1.0]), pad, np.float64(1.5))),
-            known[1],
-            (8.0, (np.array([3.0, 2.0, 1.0]), pad, zero)),
-        ]
-        # without an ascent each row gets bracket(floor, upper)
-        free = spaces._estimates(ends, start)
-        assert [(e.lower, e.upper) for e in free if not e.exact] == [
-            (0.0, 5.0), (0.0, 2.5), (4.0, 6.0), (1.5, 9.0), (1.0, 2.0), (0.0, 8.0)
-        ]
+        # rows 1, 5 and 7 are known: a value, a bracket and a negative
+        # lower end; the other five are estimated, their arrays in row order
+        upper = np.array([5.0, 7.0, 2.5, 6.0, 9.0, 2.0, 8.0, 3.0])
+        lower = np.array([np.nan, 7.0, np.nan, np.nan, np.nan, 1.0, np.nan, -1.0])
+        todo = np.array([0, 2, 3, 4, 6])
+        table = np.array([
+            [1.0, 2.0, 3.0],
+            [1.0, 2.5, 9.0],  # stops at its cap
+            [1.0, 2.0, 3.0],  # floor above the ascent
+            [2.0, 1.0, 1.0],
+            [3.0, 2.0, 1.0],
+        ])
+        floor = np.array([0.0, 0.0, 4.0, 1.5, 0.0])
+        ends = (lower, upper, todo, (table, np.zeros((5, 50)), floor))
+        # without an ascent each estimated row gets bracket(floor, upper)
+        lo, hi = spaces._estimates(ends, start)
+        assert lo.tolist() == [0.0, 7.0, 0.0, 4.0, 1.5, 1.0, 0.0, 0.0]
+        assert hi.tolist() == upper.tolist()
         assert caps == chunks == []
-        out = spaces._estimates(ends, start, ascent)
-        assert out[1] is known[0] and out[5] is known[1]
-        got = [(e.lower, e.upper, e.exact) for e in out]
-        assert got[0] == (3.0, 5.0, False)
-        assert got[2] == (2.5, 2.5, False)
-        assert got[3] == (4.0, 6.0, False)
-        assert got[4] == (2.0, 9.0, False)
-        assert got[6] == (3.0, 8.0, False)
-        # one ascent per array shape, the three-entry group split in two chunks
-        assert chunks == [
-            [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]],
-            [[3.0, 2.0, 1.0]],
-            [[1.0, 2.5, 9.0, 9.0], [2.0, 1.0, 1.0, 1.0]],
-        ]
-        assert caps == [[5.0, 6.0], [8.0], [2.5, 9.0]]
+        lo, hi = spaces._estimates(ends, start, ascent)
+        assert lo.tolist() == [3.0, 7.0, 2.5, 4.0, 2.0, 1.0, 3.0, 0.0]
+        assert hi.tolist() == upper.tolist()
+        assert np.isnan(lower[todo]).all()  # the input is left as it was
+        # the estimated rows in chunks of two, each capped at its upper ends
+        assert chunks == [table[0:2].tolist(), table[2:4].tolist(), table[4:].tolist()]
+        assert caps == [[5.0, 2.5], [6.0, 9.0], [8.0]]
 
 
 CONTAIN_SPECS = ["scalar", "linf:2", "matop:2", "weighted_l1:2", "matop:3", "weighted_l1:3"]
@@ -664,7 +690,7 @@ class TestAscentFree:
         weights = rng.uniform(0.1, 2.0, (12, 5))
         weights[0] = 0  # a zero row
         weights[1, 1:] = 0  # a one-atom row
-        quick = spaces._estimates(*spaces._dual_ball_rows(space, weights, vecs)[:2])
+        quick = estimates(spaces._estimates(*spaces._dual_ball_rows(space, weights, vecs)[:2]))
         self.assert_contains(quick, [dual_ball_sup(space, w, v) for w, v in zip(weights, vecs)])
         for q, w, v in zip(quick, weights, vecs):
             # the all-aligned start dominates ||sum_t w_t v_t||
@@ -680,7 +706,7 @@ class TestAscentFree:
         vecs = scaled_rows(rng, space, 12, 5)
         vecs[0] = 0
         vecs[1, 1:] = 0
-        quick = spaces._estimates(*spaces._lp_rows(space, vecs, p)[:2])
+        quick = estimates(spaces._estimates(*spaces._lp_rows(space, vecs, p)[:2]))
         self.assert_contains(quick, [lp_dual_sup(space, v, p) for v in vecs])
         if _grid_supported(space):
             for q, v in zip(quick, vecs):
@@ -698,7 +724,7 @@ class TestAscentFree:
         entries[0] = 0
         entries[1, 1:] = 0
         entries[1, 0, 1:] = 0  # a single nonzero entry
-        quick = spaces._estimates(*spaces._amplified_rows(space, entries)[:2])
+        quick = estimates(spaces._estimates(*spaces._amplified_rows(space, entries)[:2]))
         self.assert_contains(quick, [amplified_norm(MatrixOverX(space, e)) for e in entries])
         # on a matrix space the matrix norm is the block operator norm, not a
         # sup over dual-ball points
