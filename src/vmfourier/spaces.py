@@ -287,8 +287,8 @@ class MatOpSpace(CoefficientSpace):
         if self.d != 2:
             return np.linalg.svd(mats, compute_uv=False)[..., 0]
         # sqrt of M^H M's top eigenvalue, M scaled so that squaring stays in range
-        scale = np.abs(mats).max(axis=(-2, -1))
-        a, b, c = _gram2(mats / np.where(scale > 0, scale, 1.0)[..., None, None])
+        scale, scaled = _scale_by_max(mats)
+        a, b, c = _gram2(scaled)
         return scale * np.sqrt(0.5 * (a + b) + np.hypot(0.5 * (a - b), np.abs(c)))
 
     def dual_norm_of(self, coords):
@@ -454,8 +454,7 @@ def _top_singular_pairs(mats: np.ndarray):
     n = mats.shape[1]
     if n not in (2, 3):
         return _lapack_top_pairs(mats)
-    scale = np.abs(mats).max(axis=(1, 2))
-    m = mats / np.where(scale > 0, scale, 1.0)[:, None, None]
+    scale, m = _scale_by_max(mats)
     if n == 2:
         v = _top_eigvec2(m)
     else:
@@ -465,6 +464,16 @@ def _top_singular_pairs(mats: np.ndarray):
     if n == 3 and close.any():
         u[close], s[close], v[close] = _lapack_top_pairs(mats[close])
     return u, s, v
+
+
+def _scale_by_max(mats):
+    """Largest modulus of each matrix in a [..., n, n] stack, and the stack
+    divided by it (zero matrices left as they are).  Real and imaginary parts
+    are divided apart: a complex quotient would go through the reciprocal of
+    the modulus, which overflows when the modulus is subnormal."""
+    scale = np.abs(mats).max(axis=(-2, -1))
+    div = np.where(scale > 0, scale, 1.0)[..., None, None]
+    return scale, mats.real / div + 1j * (mats.imag / div)
 
 
 def _lapack_top_pairs(mats):

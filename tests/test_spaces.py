@@ -102,6 +102,12 @@ class TestNormAxioms:
         assert norm(scale * x) == pytest.approx(abs(scale) * norm(x), abs=1e-9)
         assert norm(x + y) <= norm(x) + norm(y) + 1e-9
 
+    def test_matop2_subnormal_entries(self):
+        # a subnormal largest modulus must scale without overflowing
+        x = xv(MatOpSpace(2), [0, 0, 0, 1])
+        tiny = 2.2250738585e-313
+        assert norm(tiny * x) == pytest.approx(tiny, rel=1e-12)
+
 
 def random_atoms(space, rng, m, low=0.1):
     """m weights in [low, 2) and m random vectors, drawn atom by atom."""
