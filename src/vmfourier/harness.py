@@ -67,7 +67,6 @@ from .measures import (
     _semi,
     evaluate,
     integrate,
-    is_k_scalarly_bounded,
     measure_from_density,
     pushforward,
     radon_nikodym,
@@ -102,7 +101,6 @@ __all__ = [
     "emit_report",
     "grid_dual_points",
     "grid_dual_sup",
-    "classify",
     "FAULTS",
 ]
 
@@ -115,8 +113,8 @@ FAULTS = (
     "perturb-irrep",
 )
 
-PASS, NEAR_MISS, VIOLATION = "pass", "near-miss", "violation"
-
+GRID_PHASES = 24  # phases per coordinate circle of the grid oracle
+_PERTURBATION = 1e-3  # how far the perturb-irrep fault moves one irrep entry
 # the oracles evaluate dual-ball points in slices of this many
 _POINT_SLICE = 4096
 # calibration on spaces outside the grid oracle samples this many dual-ball
@@ -172,15 +170,6 @@ class TheoremReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def classify(lhs: NormEstimate, rhs: NormEstimate, tol: float) -> str:
-    """Status of the claim lhs <= rhs given certified brackets for each side."""
-    if lhs.lower > rhs.upper + tol:
-        return VIOLATION
-    if lhs.upper <= rhs.lower + tol:
-        return PASS
-    return NEAR_MISS
 
 
 def _instance_rng(seed: int, suite: str, index: int) -> np.random.Generator:
@@ -260,20 +249,21 @@ def _grid_supported(space: CoefficientSpace) -> bool:
     return isinstance(space, (ScalarSpace, LinfSpace))
 
 
-def grid_dual_points(space: CoefficientSpace, phases: int = 24) -> np.ndarray:
-    """Extreme points of the dual unit ball on a finite phase grid, for the
-    spaces ``_grid_supported`` accepts.  The grid value is always a lower bound
-    for the true dual-ball supremum of any convex objective.
+def grid_dual_points(space: CoefficientSpace) -> np.ndarray:
+    """Extreme points of the dual unit ball on a finite phase grid of
+    ``GRID_PHASES`` phases, for the spaces ``_grid_supported`` accepts.  The
+    grid value is always a lower bound for the true dual-ball supremum of any
+    convex objective.
     """
     if not _grid_supported(space):
         raise ValueError(f"grid oracle does not support {space!r}")
-    ph = np.exp(2j * np.pi * np.arange(phases) / phases)
+    ph = np.exp(2j * np.pi * np.arange(GRID_PHASES) / GRID_PHASES)
     if isinstance(space, ScalarSpace) or (isinstance(space, MatOpSpace) and space.d == 1):
         return ph[:, None]
     if isinstance(space, LinfSpace):
-        pts = np.zeros((space.dim * phases, space.dim), dtype=complex)
+        pts = np.zeros((space.dim * GRID_PHASES, space.dim), dtype=complex)
         for j in range(space.dim):
-            pts[j * phases : (j + 1) * phases, j] = ph
+            pts[j * GRID_PHASES : (j + 1) * GRID_PHASES, j] = ph
         return pts
     if isinstance(space, WeightedL1Space):
         grids = np.meshgrid(*([ph] * space.dim), indexing="ij")
@@ -284,13 +274,13 @@ def grid_dual_points(space: CoefficientSpace, phases: int = 24) -> np.ndarray:
     return np.einsum("ua,vb->uvab", us, us.conj()).reshape(-1, 4)
 
 
-def grid_dual_sup(space, weights, vecs, phases: int = 24) -> float:
+def grid_dual_sup(space, weights, vecs) -> float:
     """Brute-force max of sum_t w_t |<v_t, xp>| over the phase-grid points."""
     weights = np.asarray(weights, dtype=float)
     if weights.size == 0:
         return 0.0
     vecs = np.asarray(vecs, dtype=complex)
-    return _points_dual_sup(space, weights, vecs, grid_dual_points(space, phases))
+    return _points_dual_sup(space, weights, vecs, grid_dual_points(space))
 
 
 def _points_dual_sup(space, weights, vecs, points) -> float:
@@ -316,38 +306,39 @@ class _Ctx:
     fault: str | None
 
 
+@dataclass
 class _Tally:
-    def __init__(self):
-        self.instances = 0
-        self.violations = 0
-        self.near_misses = 0
-        self.max_residual = 0.0
-        self.notes: list[str] = []
-
-    def residual_check(self, residual: float, tol: float, note: str):
-        self.instances += 1
-        self.max_residual = max(self.max_residual, residual)
-        if residual > tol:
-            self.violations += 1
-            self.notes.append(note)
+    instances: int = 0
+    violations: int = 0
+    near_misses: int = 0
+    max_residual: float = 0.0
+    notes: list[str] = field(default_factory=list)
 
     def checks(self, lhs_lower, lhs_upper, rhs_lower, rhs_upper, tol, note):
-        """Tally checks lhs <= rhs from arrays of bracket ends as ``classify``
-        rules them at tolerances ``tol``; ``note(j)`` is check j's note."""
-        violation = lhs_lower > rhs_upper + tol
+        """The verdict rule of every suite, on arrays of the checks lhs <= rhs:
+        a violation unless lhs.lower <= rhs.upper + tol, else a pass if
+        lhs.upper <= rhs.lower + tol, else a near miss, so a NaN end is never
+        a pass.  ``max_residual`` takes in lhs.lower - rhs.upper, NaN and all;
+        ``note(j)`` is check j's note."""
+        violation = ~(lhs_lower <= rhs_upper + tol)
         self.instances += len(violation)
         self.violations += int(violation.sum())
-        self.near_misses += int((~violation & (lhs_upper > rhs_lower + tol)).sum())
-        worst = float(np.maximum(lhs_lower - rhs_upper, 0.0).max(initial=0.0))
-        self.max_residual = max(self.max_residual, worst)
+        self.near_misses += int((~violation & ~(lhs_upper <= rhs_lower + tol)).sum())
+        residual = np.maximum(lhs_lower - rhs_upper, 0.0)
+        self.max_residual = float(residual.max(initial=self.max_residual))
         self.notes += [note(j) for j in np.flatnonzero(violation)]
 
+    def residuals(self, checks):
+        """Tally (residual r, tol, note) triples as the checks [r, r] <= [0, 0]."""
+        r, tol = np.array([c[:2] for c in checks], dtype=float).reshape(-1, 2).T
+        self.checks(r, r, np.zeros_like(r), np.zeros_like(r), tol, lambda j: checks[j][2])
 
-def _perturbed_dual(dual: UnitaryDual, magnitude: float = 1e-3) -> UnitaryDual:
+
+def _perturbed_dual(dual: UnitaryDual) -> UnitaryDual:
     """The dual with one entry of its last irrep moved off a homomorphism."""
     *irreps, last = dual.irreps
     mats = last.matrices.copy()
-    mats[1, 0, 0] += magnitude
+    mats[1, 0, 0] += _PERTURBATION
     return UnitaryDual(dual.group, [*irreps, UnitaryIrrep(last.dim, mats, last.label)])
 
 
@@ -361,9 +352,9 @@ def _instance(ctx: _Ctx, name: str, i: int, kind: str, g: FiniteGroup, space):
 # -- claim sides ---------------------------------------------------------------
 #
 # A claim states each side of lhs <= rhs as data: a known NormEstimate, or
-# ``_product(a[, b], scale=c)`` for the bracket a.times(b).scaled(c), whose
-# factors are norm requests (see ``spaces._resolve``) made by the builders
-# beside the norms' public functions.
+# ``_product(a[, b], scale=c)``, the norm c * a * b of the norm requests a and
+# b (see ``spaces._resolve``), which the builders beside the norms' public
+# functions make.  Its bracket ends are the products of a's and b's ends and c.
 
 _SCALAR = ScalarSpace()
 
@@ -374,8 +365,8 @@ def _product(*factors, scale=1.0):
 
 def _sides(sides, ascend=True):
     """The brackets of a list of claim sides as (lower, upper) arrays, their
-    requests resolved together: each side's factor ends multiplied in order,
-    then scaled, as ``NormEstimate.times`` and ``scaled`` would."""
+    requests resolved together: each end of a side is the product of its
+    factors' ends of that kind, taken in order, times the side's scale."""
     sides = [s if isinstance(s, tuple) else _product(s) for s in sides]
     ends = _resolve([f for factors, _ in sides for f in factors], ascend)
     starts = np.cumsum([0, *(len(factors) for factors, _ in sides)])[:-1]
@@ -437,15 +428,17 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
 
 
 def _suite_dual_validation(ctx: _Ctx, name: str, trials: int, tally: _Tally):
+    checks = []
     for g, dual in ctx.groups:
         rep = validate_dual(g, dual, ctx.cfg.tol_exact)
-        tally.residual_check(rep.max_residual, ctx.cfg.tol_exact, f"{g.label} residuals")
-        comp_ok = sum(p.dim**2 for p in dual.irreps) == g.order
-        tally.residual_check(0.0 if comp_ok else 1.0, 0.5, f"{g.label} completeness")
+        complete = sum(p.dim**2 for p in dual.irreps) == g.order
+        checks += [(rep.max_residual, ctx.cfg.tol_exact, f"{g.label} residuals"),
+                   (0.0 if complete else 1.0, 0.5, f"{g.label} completeness")]
+    tally.residuals(checks)
 
 
 def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
-    tol = ctx.cfg.tol_exact
+    checks = []
     for i in range(trials):
         g, dual = ctx.groups[i % len(ctx.groups)]
         rng = _instance_rng(ctx.cfg.seed, name, i)
@@ -458,14 +451,13 @@ def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             # scalarized density, for measures with bounded scalarizations
             space = ctx.spaces[(i // 4) % len(ctx.spaces)]
             nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
-            bound = g.order * float(np.max(nu.space.norm_many(nu.atoms)))
-            assert is_k_scalarly_bounded(nu, bound + 1e-12)
             xp = _random_dual(space, rng)
             fh = ScalarFunction(g, f.values * radon_nikodym(nu, xp))
             wl, wr = plancherel_check(fh, dual)
             wrt = ft_inverse(ft_weak(f, nu, xp, dual))
             resid = max(resid, abs(wl - wr), float(np.abs(wrt.values - fh.values).max()))
-        tally.residual_check(resid, tol, f"{g.label} trial {i}")
+        checks.append((resid, ctx.cfg.tol_exact, f"{g.label} trial {i}"))
+    tally.residuals(checks)
 
 
 def _ft_norm_bounds(combo, nu, dual, rng, fault):
@@ -613,6 +605,7 @@ def _duality_residual(combo, nu, dual, rng, fault) -> float:
 
 
 def _suite_uniqueness(ctx: _Ctx, name: str, trials: int, tally: _Tally):
+    checks = []
     for k, (g, dual) in enumerate(ctx.groups):
         for j, space in enumerate(ctx.spaces):
             # one stream per (group, space) pair, keyed by its place in the config
@@ -621,9 +614,9 @@ def _suite_uniqueness(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             if g.order > 1:  # nu without its atom at element 1
                 nu0 = measure_from_density(nu, np.arange(g.order) != 1)
                 targets.append((nu0, "fn kernel null-atom"))
-            for target, what in targets:
-                kdim = uniqueness_rank(dual, target)
-                tally.residual_check(float(kdim), 0.5, f"{what} {g.label} {space.label}")
+            checks += [(float(uniqueness_rank(dual, t)), 0.5, f"{what} {g.label} {space.label}")
+                       for t, what in targets]
+    tally.residuals(checks)
 
 
 # -- Young-type inequalities -------------------------------------------------
@@ -767,6 +760,7 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     of the gap between ||nu|| and ||nu_h|| and the upper end of ||nu_h -
     twist||.  Part B, containment in the Haar space, is a claim row."""
     tol_e, tol_b = ctx.cfg.tol_exact, ctx.cfg.tol_bracket
+    checks = []
     for k, (g, _) in enumerate(ctx.groups):
         # the unperturbed dual's character: a perturbed one is no homomorphism
         chi = _character(group_with_dual(ctx.cfg.groups[k])[1])
@@ -790,17 +784,17 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
                 def gap(a, b):  # certified distances between the brackets a and b
                     return np.maximum(np.maximum(lo[a] - hi[b], lo[b] - hi[a]), 0.0)
 
-                tally.residual_check(float(max(gap(0, 1), hi[2])), tol_b, f"semivar {g.label}")
+                checks.append((float(max(gap(0, 1), hi[2])), tol_b, f"semivar {g.label}"))
                 a = np.arange(3, len(lo), 3)
                 tol = tol_e if space.exact_dual_sup else tol_b
                 for r in np.maximum(gap(a, a + 1), gap(a, a + 2)).tolist():
-                    tally.residual_check(r, tol, f"norms {g.label} {space.label}")
+                    checks.append((r, tol, f"norms {g.label} {space.label}"))
+    tally.residuals(checks)
     _LP_CONTAINMENT(ctx, f"{name}:B", trials, tally)
 
 
 def _suite_commutativity(ctx: _Ctx, name: str, trials: int, tally: _Tally):
-    witness_notes = []
-    notes = []
+    checks, witness_notes, notes = [], [], []
     for g, dual in ctx.groups:
         space = ctx.spaces[0]
         if not g.is_abelian:
@@ -810,7 +804,7 @@ def _suite_commutativity(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             gap = float(
                 np.abs(conv_measure_sv(mu, nu).atoms - conv_measure_vs(nu, mu).atoms).max()
             )
-            tally.residual_check(0.0 if gap >= 0.5 else 1.0, 0.5, f"witness {g.label}")
+            checks.append((0.0 if gap >= 0.5 else 1.0, 0.5, f"witness {g.label}"))
             witness_notes.append(f"{g.label}: witness t={t} s={s} gap={gap:.3g}")
         else:
             worst = 0.0
@@ -827,9 +821,10 @@ def _suite_commutativity(ctx: _Ctx, name: str, trials: int, tally: _Tally):
                     np.abs(conv_measure_sv(mu, nu).atoms - conv_measure_vs(nu, mu).atoms).max()
                 )
                 worst = max(worst, diff)
-                tally.residual_check(diff, 1e-12, f"abelian commute {g.label} {i}")
+                checks.append((diff, 1e-12, f"abelian commute {g.label} {i}"))
             notes.append(f"{g.label}: abelian, max deviation {worst:.3g}")
     # violation notes, appended by the checks, come first
+    tally.residuals(checks)
     tally.notes += witness_notes + notes
 
 
@@ -837,7 +832,7 @@ def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     """Estimator brackets against an independent search: the phase grid where
     ``_grid_supported`` holds (both ends checked), otherwise the best of
     ``CALIBRATION_SAMPLES`` random dual-ball points (the upper end checked)."""
-    tol = ctx.cfg.tol_bracket
+    checks = []
     # each space's oracle points, built once per run
     points = {
         space: grid_dual_points(space) if _grid_supported(space)
@@ -855,13 +850,13 @@ def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             vecs[t] = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         est = dual_ball_sup(space, weights, vecs)
         bf = _points_dual_sup(space, weights, vecs, points[space])
-        if not _grid_supported(space):
-            tally.residual_check(max(0.0, bf - est.upper), tol, f"{space.label} m={m} {i}")
-            continue
-        resid = max(0.0, bf - est.upper, est.lower - 1.02 * bf)
-        if space.exact_dual_sup:
-            resid = max(resid, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))
-        tally.residual_check(resid, tol, f"{space.label} m={m} {i}")
+        resid = max(0.0, bf - est.upper)
+        if _grid_supported(space):
+            resid = max(resid, est.lower - 1.02 * bf)
+            if space.exact_dual_sup:
+                resid = max(resid, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))
+        checks.append((resid, ctx.cfg.tol_bracket, f"{space.label} m={m} {i}"))
+    tally.residuals(checks)
 
 
 # ---------------------------------------------------------------------------

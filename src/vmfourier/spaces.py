@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,15 +66,14 @@ __all__ = [
 class NormEstimate:
     """Certified bracket [lower, upper] for a nonnegative norm quantity.
 
-    ``exact`` implies lower == upper.  All estimators in this package keep
-    ``lower`` a true lower bound and ``upper`` a true upper bound, so
-    comparisons of the form lhs.lower > rhs.upper are sound certificates.
-    Negative ends are raised to 0; a NaN end raises ``ValueError``.
+    All estimators in this package keep ``lower`` a true lower bound and
+    ``upper`` a true upper bound, so comparisons of the form lhs.lower >
+    rhs.upper are sound certificates.  Negative ends are raised to 0; a NaN
+    end raises ``ValueError``.
     """
 
     lower: float
     upper: float
-    exact: bool
 
     def __post_init__(self):
         lo, hi = float(self.lower), float(self.upper)
@@ -85,36 +84,18 @@ class NormEstimate:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    @property
+    def exact(self) -> bool:
+        """Whether the ends meet."""
+        return self.lower == self.upper
+
     @staticmethod
     def of_exact(value: float) -> "NormEstimate":
-        return NormEstimate(value, value, True)
+        return NormEstimate(value, value)
 
     @staticmethod
     def bracket(lower: float, upper: float) -> "NormEstimate":
-        return NormEstimate(min(lower, upper), upper, False)
-
-    def scaled(self, c: float) -> "NormEstimate":
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return self if c == 1.0 else NormEstimate(self.lower * c, self.upper * c, self.exact)
-
-    def rooted(self, p: float) -> "NormEstimate":
-        """Apply x -> x**(1/p) to both ends (monotone, bracket-preserving)."""
-        return NormEstimate(self.lower ** (1.0 / p), self.upper ** (1.0 / p), self.exact)
-
-    def times(self, other: "NormEstimate") -> "NormEstimate":
-        return NormEstimate(
-            self.lower * other.lower, self.upper * other.upper, self.exact and other.exact
-        )
-
-    @staticmethod
-    def max_of(estimates: Iterable["NormEstimate"]) -> "NormEstimate":
-        items = list(estimates)
-        if not items:
-            return NormEstimate.of_exact(0.0)
-        lo = max(e.lower for e in items)
-        hi = max(e.upper for e in items)
-        return NormEstimate(lo, hi, all(e.exact for e in items))
+        return NormEstimate(min(lower, upper), upper)
 
 
 class CoefficientSpace:
@@ -596,27 +577,23 @@ def _ascend(ascent, caps) -> np.ndarray:
     return best
 
 
-def _estimates(ends, start, ascent=None):
+def _estimates(rows, ascend=True):
     """Certified brackets of a batch of rows as (lower, upper) arrays, from
-    ``ends = (lower, upper, todo, arrays)``: the rows' upper ends, the lower
-    ends of rows known without an ascent, and the other rows' indices and
-    stacked arrays.  ``start(*arrays)`` gives those rows' floors, values
-    attained at dual-ball points; with ``ascent`` a lower end is the max of
-    the floor and the ascent's value capped at the upper end, run in chunks of
-    about ``_CHUNK_ENTRIES`` entries of the [rows, restarts, ...] working
-    arrays as sized by the first array.  Ends are clamped as in NormEstimate."""
-    lower, upper, todo, arrays = ends
-    if len(todo):
-        floors = start(*arrays)
-        if ascent is not None:
-            step = max(1, _CHUNK_ENTRIES // (ASCENT_RESTARTS * arrays[0][0].size))
-            caps = upper[todo]
-            floors = np.maximum(floors, np.concatenate([
-                _ascend(ascent(*(a[i : i + step] for a in arrays)), caps[i : i + step])
-                for i in range(0, len(todo), step)
-            ]))
+    ``rows = (lower, upper, todo, arrays, ascent)``: the rows' ascent-free
+    ends, and the indices, stacked arrays and ascent of the rows an ascent
+    may raise, whose lower ends are floors, values attained at dual-ball
+    points.  With ``ascend`` such a lower end is the max of the floor and the
+    ascent's value capped at the upper end, run in chunks of about
+    ``_CHUNK_ENTRIES`` entries of the [rows, restarts, ...] working arrays as
+    sized by the first array.  Ends are clamped as in NormEstimate."""
+    lower, upper, todo, arrays, ascent = rows
+    if ascend and len(todo):
+        step = max(1, _CHUNK_ENTRIES // (ASCENT_RESTARTS * arrays[0][0].size))
         lower = lower.copy()
-        lower[todo] = floors
+        lower[todo] = np.maximum(lower[todo], np.concatenate([
+            _ascend(ascent(*(a[i : i + step] for a in arrays)), upper[todo[i : i + step]])
+            for i in range(0, len(todo), step)
+        ]))
     lower = np.maximum(np.minimum(lower, upper), 0.0)
     return lower, np.maximum(lower, upper)
 
@@ -655,8 +632,8 @@ def _aligned_start(space, vecs, weights=None, p=1.0):
 
 
 def _dual_ball_rows(space, weights, vecs):
-    """The rows of ``dual_ball_sup`` requests (see ``_estimates``), their
-    start and their ascent.  Zero-weight atoms add nothing to any value and
+    """The ``_estimates`` rows of ``dual_ball_sup`` requests, floored at their
+    aligned starts.  Zero-weight atoms add nothing to any value and
     stay in place; a row with at most one live atom is known exactly."""
     weights = np.asarray(weights, dtype=float)
     vecs = np.asarray(vecs, dtype=complex)
@@ -669,17 +646,19 @@ def _dual_ball_rows(space, weights, vecs):
         raise ValueError("atom weights must be nonnegative")
     closed = space.closed_dual_sup(weights, vecs)
     if closed is not None:
-        return _exact_rows(closed), None, None
+        return _exact_rows(closed)
     # elementwise products and axis sums: a [B, T] @ [T] product rounds by B
     upper = (weights * space.norm_many(vecs)).sum(axis=1)
     todo = np.flatnonzero((weights > 0).sum(axis=1) > 1)
-    return ((upper, upper, todo, (vecs[todo], weights[todo])),
-            lambda v, w: _aligned_start(space, v, w), lambda v, w: _phase_ascent(space, w, v))
+    lower = upper.copy()
+    if len(todo):
+        lower[todo] = _aligned_start(space, vecs[todo], weights[todo])
+    return lower, upper, todo, (vecs[todo], weights[todo]), lambda v, w: _phase_ascent(space, w, v)
 
 
 def _exact_rows(values):
-    """The ``_estimates`` ends of rows whose values are known exactly."""
-    return values, values, np.arange(0), ()
+    """The ``_estimates`` rows of values known exactly."""
+    return values, values, np.arange(0), (), None
 
 
 def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
@@ -719,7 +698,7 @@ def _lp_ascent(space, vecs, p):
 
 
 def _lp_rows(space, vecs, p):
-    """The rows of ``lp_dual_sup`` requests (see ``_estimates``), start and ascent."""
+    """The ``_estimates`` rows of ``lp_dual_sup`` requests, floored at their beta = 1 starts."""
     vecs = np.asarray(vecs, dtype=complex)
     if vecs.ndim != 3 or vecs.shape[2] != space.dim:
         raise ValueError(f"expected vecs (B, T, {space.dim}), got {vecs.shape}")
@@ -727,17 +706,17 @@ def _lp_rows(space, vecs, p):
         raise ValueError("p must be >= 1")
     B, T = vecs.shape[:2]
     if T == 0:
-        return _exact_rows(np.zeros(B)), None, None
+        return _exact_rows(np.zeros(B))
     if np.isinf(p):
-        return _exact_rows(space.norm_many(vecs).max(axis=1)), None, None
+        return _exact_rows(space.norm_many(vecs).max(axis=1))
     if p == 1:
         return _dual_ball_rows(space, np.full((B, T), 1.0 / T), vecs)
     closed = space.closed_lp_sup(vecs, p)
     if closed is not None:
-        return _exact_rows(closed), None, None
+        return _exact_rows(closed)
     upper = np.mean(space.norm_many(vecs) ** p, axis=1) ** (1.0 / p)
-    return ((upper, upper, np.arange(B), (vecs,)),
-            lambda v: _aligned_start(space, v, p=p), lambda v: _lp_ascent(space, v, p))
+    return (_aligned_start(space, vecs, p=p), upper, np.arange(B), (vecs,),
+            lambda v: _lp_ascent(space, v, p))
 
 
 def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEstimate:
@@ -790,15 +769,14 @@ def _amplified_upper(space: CoefficientSpace, entries: np.ndarray):
 
 
 def _amplified_rows(space, entries):
-    """The rows of ``amplified_norm`` requests (see ``_estimates``), each todo
-    row with its floor, their start, which returns those floors, and ascent."""
+    """The ``_estimates`` rows of ``amplified_norm`` requests, floored at max ||x_ij||."""
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 4 or entries.shape[1] != entries.shape[2] or entries.shape[3] != space.dim:
         raise ValueError(f"expected entries (B, n, n, {space.dim}), got {entries.shape}")
     upper, floors = _amplified_upper(space, entries)
     todo = np.flatnonzero(~np.isnan(floors))
-    return ((upper, upper, todo, (entries[todo], floors[todo])),
-            lambda e, floor: floor, lambda e, floor: _amplified_ascent(space, e))
+    lower = np.where(np.isnan(floors), upper, floors)
+    return lower, upper, todo, (entries[todo],), lambda e: _amplified_ascent(space, e)
 
 
 def amplified_norm(m: MatrixOverX) -> NormEstimate:
@@ -820,11 +798,12 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
 #
 # A norm request states a norm as data: a NormEstimate known without an
 # estimator, or ``(space, p, weights, vecs, root)``, the ``dual_ball_sup`` of
-# (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p, then
-# ``rooted(root)`` unless root is None; or ``(space, _AMP, levels, stack,
-# None)``, the max of the matrix-level norms of the n x n blocks (n in levels)
-# that ``stack`` holds one after another, flattened to rows.  Each norm of the
-# package builds its request in one private function beside its public one.
+# (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p, with
+# both ends raised to 1/root unless root is None; or ``(space, _AMP, levels,
+# stack, None)``, the max of the matrix-level norms of the n x n blocks (n in
+# levels) that ``stack`` holds one after another, flattened to rows.  Each
+# norm of the package builds its request in one private function beside its
+# public one.
 
 _AMP = "amplified"
 
@@ -835,10 +814,6 @@ def _resolve(requests, ascend=True):
     ``ascend``), from one batch of rows per (space, p, T) key, T the number
     of atoms, and one per block level of a (space, _AMP, levels) key.  A
     request object listed more than once is resolved once."""
-
-    def brackets(rows):
-        ends, start, ascent = rows
-        return _estimates(ends, start, ascent if ascend else None)
 
     lower, upper = np.zeros(len(requests)), np.zeros(len(requests))
     keyed = {}
@@ -851,17 +826,18 @@ def _resolve(requests, ascend=True):
         reqs = {id(requests[k]): requests[k] for k in ks}
         vecs = np.array([r[3] for r in reqs.values()])
         if p is None:
-            ends = brackets(_dual_ball_rows(space, np.array([r[2] for r in reqs.values()]), vecs))
+            ends = _estimates(
+                _dual_ball_rows(space, np.array([r[2] for r in reqs.values()]), vecs), ascend)
         elif p is _AMP:  # t is the block levels; each request takes the max over its blocks
             ends, starts = np.zeros((2, len(vecs))), np.cumsum([0, *(n * n for n in t)])
             for n in dict.fromkeys(t):
                 blocks = [vecs[:, a:b] for a, b, m in zip(starts, starts[1:], t) if m == n]
-                level = brackets(_amplified_rows(
-                    space, np.concatenate(blocks).reshape(-1, n, n, space.dim)))
+                level = _estimates(_amplified_rows(
+                    space, np.concatenate(blocks).reshape(-1, n, n, space.dim)), ascend)
                 # the rows are block-major: [blocks, requests]
                 ends = np.maximum(ends, np.reshape(level, (2, len(blocks), -1)).max(axis=1))
         else:
-            ends = brackets(_lp_rows(space, vecs, p))
+            ends = _estimates(_lp_rows(space, vecs, p), ascend)
         slot = {i: j for j, i in enumerate(reqs)}
         rows = [slot[id(requests[k])] for k in ks]
         lower[ks], upper[ks] = ends[0][rows], ends[1][rows]
@@ -874,9 +850,9 @@ def _resolve(requests, ascend=True):
 
 
 def _resolve_one(request) -> NormEstimate:
-    """One request's bracket as a ``NormEstimate``, exact when its ends meet."""
+    """One request's bracket as a ``NormEstimate``."""
     lower, upper = _resolve([request])
-    return NormEstimate(lower[0], upper[0], bool(lower[0] == upper[0]))
+    return NormEstimate(lower[0], upper[0])
 
 
 def space_from_spec(spec: str) -> CoefficientSpace:

@@ -10,7 +10,7 @@ import pytest
 import vmfourier as vf
 from vmfourier import GroupMap, RunConfig, harness
 from vmfourier.fourier import _sup
-from vmfourier.harness import classify, grid_dual_sup
+from vmfourier.harness import grid_dual_sup
 from vmfourier.lpspaces import _lp_nu, _n_norm, _pp
 from vmfourier.measures import _p_semi, _semi
 from vmfourier.spaces import _resolve
@@ -80,21 +80,76 @@ class TestFixtures:
             vf.generate_fixture("cauchy", z2, linf2)
 
 
+def verdict(lhs_lower, lhs_upper, rhs_lower, rhs_upper, tol=1e-8):
+    """(violations, near misses, max residual, notes) of one check lhs <= rhs
+    tallied by ``_Tally.checks``."""
+    tally = harness._Tally()
+    ends = (np.array([e], dtype=float) for e in (lhs_lower, lhs_upper, rhs_lower, rhs_upper))
+    tally.checks(*ends, tol, lambda j: f"check {j}")
+    assert tally.instances == 1
+    return tally.violations, tally.near_misses, tally.max_residual, tally.notes
+
+
 class TestClassify:
+    """The one verdict rule, ``_Tally.checks``."""
+
     def test_certified_violation(self):
         lhs = vf.NormEstimate.of_exact(2.0)
         rhs = vf.NormEstimate.bracket(0.5, 1.0)
-        assert classify(lhs, rhs, 1e-8) == "violation"
+        assert verdict(lhs.lower, lhs.upper, rhs.lower, rhs.upper) == (1, 0, 1.0, ["check 0"])
 
     def test_certified_pass(self):
         lhs = vf.NormEstimate.of_exact(1.0)
         rhs = vf.NormEstimate.of_exact(2.0)
-        assert classify(lhs, rhs, 1e-8) == "pass"
+        assert verdict(lhs.lower, lhs.upper, rhs.lower, rhs.upper) == (0, 0, 0.0, [])
 
     def test_overlap_is_near_miss(self):
         lhs = vf.NormEstimate.bracket(1.0, 3.0)
         rhs = vf.NormEstimate.bracket(2.0, 2.5)
-        assert classify(lhs, rhs, 1e-8) == "near-miss"
+        assert verdict(lhs.lower, lhs.upper, rhs.lower, rhs.upper) == (0, 1, 0.0, [])
+
+    def test_nan_is_never_a_pass(self):
+        # a NaN residual r, the check [r, r] <= [0, 0], is a violation with
+        # its note, and the worst residual stays NaN once a check made it so
+        violations, near_misses, worst, notes = verdict(np.nan, np.nan, 0.0, 0.0)
+        assert (violations, near_misses, notes) == (1, 0, ["check 0"]) and np.isnan(worst)
+        tally = harness._Tally()
+        tally.residuals([(1.0, 1e-10, "one"), (np.nan, 1e-10, "nan"), (0.0, 1e-10, "zero")])
+        tally.residuals([(2.0, 1e-10, "two")])
+        assert (tally.instances, tally.violations) == (4, 3)
+        assert tally.notes == ["one", "nan", "two"] and np.isnan(tally.max_residual)
+        # a NaN end that no violation certifies leaves a near miss
+        assert verdict(1.0, np.nan, 2.0, 3.0)[:2] == (0, 1)
+
+
+class TestOneVerdictRule:
+    def test_nan_pairing_residuals_are_violations(self, monkeypatch):
+        spec = harness._SUITES["pairing-compat"]
+        kind, check, combos, spaces_fastest, note = spec.runner.args
+        assert check is harness._pairing_residual
+        nan = harness._claim(lambda *a: check(*a) * np.nan, combos, kind, spaces_fastest, note)
+        monkeypatch.setitem(
+            harness._SUITES, "pairing-compat", dataclasses.replace(spec, runner=nan)
+        )
+        rep = vf.run_suite("pairing-compat", small_config())
+        assert rep.instances == 6 and rep.violations == rep.instances
+        assert np.isnan(rep.max_residual) and len(rep.detail.split("; ")) == 4
+
+    def test_every_suite_tallies_through_checks(self, monkeypatch):
+        tallied, checks = [], harness._Tally.checks
+
+        def counted(self, lhs_lower, *rest):
+            tallied.append(len(lhs_lower))
+            return checks(self, lhs_lower, *rest)
+
+        monkeypatch.setattr(harness._Tally, "checks", counted)
+        cfg = small_config(spaces=["linf:2", "matop:2"], trials=4)
+        for name in vf.suite_names():
+            tallied.clear()
+            instances = vf.run_suite(name, cfg).instances
+            assert sum(tallied) == instances > 0, name
+        assert not hasattr(harness, "classify")
+        assert not hasattr(harness._Tally, "residual_check")
 
 
 class TestRunSuite:
@@ -307,17 +362,19 @@ class TestNormRequests:
         # a side multiplies its factors in order, then scales; a known
         # bracket passes through
         sides = [harness._product(a, b, scale=0.7) for a, b in zip(factors[::2], factors[1::2])]
-        products = [a.times(b).scaled(0.7) for a, b in zip(singles[::2], singles[1::2])]
-        assert array_ends(harness._sides([*sides, singles[0]])) == ends([*products, singles[0]])
+        products = [
+            (a.lower * b.lower * 0.7, a.upper * b.upper * 0.7)
+            for a, b in zip(singles[::2], singles[1::2])
+        ]
+        assert array_ends(harness._sides([*sides, singles[0]])) == [
+            *products, *ends(singles[:1])
+        ]
 
     def test_sup_sides_equal_ft_sup_norm(self, all_spaces):
         # a sup side over a transform's blocks, in one block of sides over
         # groups with different irrep dimensions, against ft_sup_norm and
         # against the max of its blocks' matrix-level norms; the weak
         # transform's complex blocks count as matrices over the scalars
-        def reference(c):
-            return vf.NormEstimate.max_of(vf.amplified_norm(b) for b in c.blocks)
-
         sides, singles = [], []
         scalar = vf.ScalarSpace()
         for spec in ("cyclic:4", "symmetric:3", "symmetric:4", "quaternion8"):
@@ -332,10 +389,11 @@ class TestNormRequests:
                 weak = vf.ft_weak(f, nu, harness._random_dual(space, rng), dual).stack
                 sides.append(harness._product(_sup(scalar, weak, dual.dims())))
                 singles.append(vf.VectorFourierCoefficients(dual, scalar, weak[:, None]))
-        refs = [reference(c) for c in singles]
-        assert not all(e.exact for e in refs)
-        assert array_ends(harness._sides(sides)) == ends(refs)
-        assert ends(vf.ft_sup_norm(c) for c in singles) == ends(refs)
+        blocks = [[vf.amplified_norm(b) for b in c.blocks] for c in singles]
+        assert not all(e.exact for bs in blocks for e in bs)
+        refs = [(max(e.lower for e in bs), max(e.upper for e in bs)) for bs in blocks]
+        assert array_ends(harness._sides(sides)) == refs
+        assert ends(vf.ft_sup_norm(c) for c in singles) == refs
 
     def test_shared_request_runs_one_ascent_row(self, monkeypatch):
         # ft-norm-bounds' fn and weak bounds share one ||f||_{L^1(nu)} request
@@ -350,7 +408,7 @@ class TestNormRequests:
         request = _lp_nu(f, nu, 1.0)
         sides = harness._sides([harness._product(request), harness._product(request, scale=2.0)])
         assert rows == [1]
-        assert array_ends(sides) == ends([single, single.scaled(2.0)])
+        assert array_ends(sides) == [*ends([single]), (single.lower * 2.0, single.upper * 2.0)]
         assert not single.exact
 
     @pytest.mark.parametrize(
@@ -382,9 +440,6 @@ class TestNormRequests:
                 harness._Tally, "checks",
                 lambda self, *ends_and_tol: seen.extend(zip(*(e.tolist() for e in ends_and_tol[:4]))),
             )
-            monkeypatch.setattr(
-                harness._Tally, "residual_check", lambda self, r, tol, note: seen.append(r)
-            )
             groups = ["cyclic:2", "symmetric:4" if sparse else "symmetric:3"]
             vf.run_suite(name, small_config(groups=groups))
             return seen
@@ -407,9 +462,9 @@ class TestNormRequests:
         calls = {False: 0, True: 0}
         estimates = vf.spaces._estimates
 
-        def counted(ends, start, ascent=None):
-            calls[ascent is not None] += 1
-            return estimates(ends, start, ascent)
+        def counted(rows, ascend=True):
+            calls[ascend] += 1
+            return estimates(rows, ascend)
 
         monkeypatch.setattr(vf.spaces, "_estimates", counted)
         cfg = small_config(trials=64)
@@ -477,10 +532,10 @@ class TestTwoPasses:
         eligible, reached = [], []
         estimates, ascend = vf.spaces._estimates, vf.spaces._ascend
 
-        def counted(ends, start, ascent=None):
-            if ascent is None:
-                eligible.extend(ends[2])  # the rows an ascent would estimate
-            return estimates(ends, start, ascent)
+        def counted(rows, ascend=True):
+            if not ascend:
+                eligible.extend(rows[2])  # the rows an ascent would estimate
+            return estimates(rows, ascend)
 
         monkeypatch.setattr(vf.spaces, "_estimates", counted)
         monkeypatch.setattr(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from vmfourier import (
 )
 from vmfourier import spaces
 from vmfourier.fourier import _sup
-from vmfourier.harness import _grid_supported, grid_dual_points, grid_dual_sup
+from vmfourier.harness import _grid_supported, _product, _sides, grid_dual_points, grid_dual_sup
 from vmfourier.spaces import (
     ASCENT_ITERS,
     ASCENT_RESTARTS,
@@ -433,36 +435,29 @@ class TestNormEstimate:
         b = NormEstimate.bracket(3.0, 2.0)  # clamped
         assert b.lower <= b.upper
 
-    def test_rooted_and_scaled(self):
-        b = NormEstimate.bracket(4.0, 9.0)
-        r = b.rooted(2.0)
-        assert r.lower == pytest.approx(2.0) and r.upper == pytest.approx(3.0)
-        s = b.scaled(0.5)
-        assert s.lower == pytest.approx(2.0) and s.upper == pytest.approx(4.5)
-        with pytest.raises(ValueError):
-            b.scaled(-1.0)
-
-    def test_max_of(self):
-        a = NormEstimate.of_exact(1.0)
-        b = NormEstimate.bracket(0.5, 2.0)
-        m = NormEstimate.max_of([a, b])
-        assert m.lower == 1.0 and m.upper == 2.0 and not m.exact
+    def test_two_ends_and_exact_when_they_meet(self):
+        assert [f.name for f in dataclasses.fields(NormEstimate)] == ["lower", "upper"]
+        assert NormEstimate.bracket(3.0, 2.0).exact and not NormEstimate.bracket(2.0, 3.0).exact
+        for name in ("scaled", "rooted", "times", "max_of"):
+            assert not hasattr(NormEstimate, name)
 
     @pytest.mark.parametrize("ends", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)])
     def test_nan_end_rejected(self, ends):
         # a NaN end clamped to 0 would be an unsound upper end
         with pytest.raises(ValueError):
-            NormEstimate(*ends, False)
+            NormEstimate(*ends)
 
     def test_nan_scale_and_exact_value_rejected(self):
-        with pytest.raises(ValueError):
-            NormEstimate.bracket(1.0, 2.0).scaled(np.nan)
+        # claim sides carry the scale factors
+        for scale in (np.nan, -1.0):
+            with pytest.raises(ValueError, match="nonnegative"):
+                _sides([_product(NormEstimate.bracket(1.0, 2.0), scale=scale)])
         with pytest.raises(ValueError):
             NormEstimate.of_exact(np.nan)
 
     def test_negative_ends_raised_to_zero(self):
-        assert NormEstimate.of_exact(-1.0) == NormEstimate(0.0, 0.0, True)
-        assert NormEstimate.bracket(-2.0, -1.0) == NormEstimate(0.0, 0.0, False)
+        assert NormEstimate.of_exact(-1.0) == NormEstimate(0.0, 0.0)
+        assert NormEstimate.bracket(-2.0, -1.0) == NormEstimate(0.0, 0.0)
 
     @pytest.mark.parametrize("space", [LinfSpace(4), MatOpSpace(2)], ids=lambda s: s.label)
     def test_nan_exponent_rejected_by_lp_dual_sup(self, space):
@@ -530,9 +525,8 @@ def bits(est):
 
 def estimates(brackets):
     """The (lower, upper) arrays of ``_resolve`` or ``_estimates`` as one
-    ``NormEstimate`` per row, exact when its ends meet, as the public norms
-    wrap them."""
-    return [NormEstimate(lo, hi, lo == hi) for lo, hi in zip(*(b.tolist() for b in brackets))]
+    ``NormEstimate`` per row, as the public norms wrap them."""
+    return [NormEstimate(lo, hi) for lo, hi in zip(*(b.tolist() for b in brackets))]
 
 
 def scaled_rows(rng, space, B, *shape):
@@ -632,18 +626,16 @@ class TestEstimates:
             caps.append(list(c))
             return _ascend(ascent, c)
 
-        def ascent(table, pad, floor):
+        def ascent(table, pad):
             chunks.append(table.tolist())
             return scripted(table, [])
-
-        def start(table, pad, floor):
-            return floor
 
         monkeypatch.setattr(spaces, "_ascend", capped)
         # rows 1, 5 and 7 are known: a value, a bracket and a negative
         # lower end; the other five are estimated, their arrays in row order
+        # and their floors the lower ends
         upper = np.array([5.0, 7.0, 2.5, 6.0, 9.0, 2.0, 8.0, 3.0])
-        lower = np.array([np.nan, 7.0, np.nan, np.nan, np.nan, 1.0, np.nan, -1.0])
+        lower = np.array([0.0, 7.0, 0.0, 4.0, 1.5, 1.0, 0.0, -1.0])
         todo = np.array([0, 2, 3, 4, 6])
         table = np.array([
             [1.0, 2.0, 3.0],
@@ -652,17 +644,17 @@ class TestEstimates:
             [2.0, 1.0, 1.0],
             [3.0, 2.0, 1.0],
         ])
-        floor = np.array([0.0, 0.0, 4.0, 1.5, 0.0])
-        ends = (lower, upper, todo, (table, np.zeros((5, 50)), floor))
+        floor = lower[todo].tolist()
+        rows = (lower, upper, todo, (table, np.zeros((5, 50))), ascent)
         # without an ascent each estimated row gets bracket(floor, upper)
-        lo, hi = spaces._estimates(ends, start)
+        lo, hi = spaces._estimates(rows, ascend=False)
         assert lo.tolist() == [0.0, 7.0, 0.0, 4.0, 1.5, 1.0, 0.0, 0.0]
         assert hi.tolist() == upper.tolist()
         assert caps == chunks == []
-        lo, hi = spaces._estimates(ends, start, ascent)
+        lo, hi = spaces._estimates(rows)
         assert lo.tolist() == [3.0, 7.0, 2.5, 4.0, 2.0, 1.0, 3.0, 0.0]
         assert hi.tolist() == upper.tolist()
-        assert np.isnan(lower[todo]).all()  # the input is left as it was
+        assert lower[todo].tolist() == floor  # the input is left as it was
         # the estimated rows in chunks of two, each capped at its upper ends
         assert chunks == [table[0:2].tolist(), table[2:4].tolist(), table[4:].tolist()]
         assert caps == [[5.0, 2.5], [6.0, 9.0], [8.0]]
@@ -696,7 +688,8 @@ class TestAscentFree:
         weights = rng.uniform(0.1, 2.0, (12, 5))
         weights[0] = 0  # a zero row
         weights[1, 1:] = 0  # a one-atom row
-        quick = estimates(spaces._estimates(*spaces._dual_ball_rows(space, weights, vecs)[:2]))
+        rows = spaces._dual_ball_rows(space, weights, vecs)
+        quick = estimates(spaces._estimates(rows, ascend=False))
         self.assert_contains(quick, [dual_ball_sup(space, w, v) for w, v in zip(weights, vecs)])
         for q, w, v in zip(quick, weights, vecs):
             # the all-aligned start dominates ||sum_t w_t v_t||
@@ -712,7 +705,7 @@ class TestAscentFree:
         vecs = scaled_rows(rng, space, 12, 5)
         vecs[0] = 0
         vecs[1, 1:] = 0
-        quick = estimates(spaces._estimates(*spaces._lp_rows(space, vecs, p)[:2]))
+        quick = estimates(spaces._estimates(spaces._lp_rows(space, vecs, p), ascend=False))
         self.assert_contains(quick, [lp_dual_sup(space, v, p) for v in vecs])
         if _grid_supported(space):
             for q, v in zip(quick, vecs):
@@ -730,7 +723,7 @@ class TestAscentFree:
         entries[0] = 0
         entries[1, 1:] = 0
         entries[1, 0, 1:] = 0  # a single nonzero entry
-        quick = estimates(spaces._estimates(*spaces._amplified_rows(space, entries)[:2]))
+        quick = estimates(spaces._estimates(spaces._amplified_rows(space, entries), ascend=False))
         self.assert_contains(quick, [amplified_norm(MatrixOverX(space, e)) for e in entries])
         # on a matrix space the matrix norm is the block operator norm, not a
         # sup over dual-ball points
