@@ -169,7 +169,11 @@ class TheoremReport:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as JSON values, a non-finite ``max_residual`` as None (null)."""
+        doc = asdict(self)
+        if not np.isfinite(self.max_residual):
+            doc["max_residual"] = None
+        return doc
 
 
 def _instance_rng(seed: int, suite: str, index: int) -> np.random.Generator:
@@ -445,7 +449,7 @@ def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
         f = _random_function(g, rng)
         lhs, rhs = plancherel_check(f, dual)
         roundtrip = ft_inverse(ft_classical(f, dual))
-        resid = max(abs(lhs - rhs), float(np.abs(roundtrip.values - f.values).max()))
+        resid = np.maximum(abs(lhs - rhs), np.abs(roundtrip.values - f.values).max())
         if i % 4 == 3:
             # weak-transform variant: the identity applies to f times the
             # scalarized density, for measures with bounded scalarizations
@@ -455,8 +459,8 @@ def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             fh = ScalarFunction(g, f.values * radon_nikodym(nu, xp))
             wl, wr = plancherel_check(fh, dual)
             wrt = ft_inverse(ft_weak(f, nu, xp, dual))
-            resid = max(resid, abs(wl - wr), float(np.abs(wrt.values - fh.values).max()))
-        checks.append((resid, ctx.cfg.tol_exact, f"{g.label} trial {i}"))
+            resid = np.max([resid, abs(wl - wr), np.abs(wrt.values - fh.values).max()])
+        checks.append((float(resid), ctx.cfg.tol_exact, f"{g.label} trial {i}"))
     tally.residuals(checks)
 
 
@@ -539,7 +543,8 @@ def _density_residual(combo, nu, dual, rng, fault) -> float:
     lhs = ft_vector(f, nu, dual)
     rhs = ft_measure(measure_from_density(nu, f.values), dual)
     xp = _random_dual(nu.space, rng)
-    return max(lhs.max_abs_diff(rhs), _weak_block_gap(rhs, ft_weak(f, nu, xp, dual), xp))
+    weak = ft_weak(f, nu, xp, dual)
+    return float(np.maximum(lhs.max_abs_diff(rhs), _weak_block_gap(rhs, weak, xp)))
 
 
 def _scalarization_residual(combo, nu, dual, rng, fault) -> float:
@@ -562,8 +567,8 @@ def _ft_conv6_residual(f, g_fn, nu, xp, dual, fault=None) -> float:
             # ghat's block without the 1/d of definition 4.1
             scale *= p.dim
         rhs = scale * nu.space.pair_many(prod, xp.coords[None, :])[0]
-        resid = max(resid, float(np.abs(lb.reshape(-1) - rhs).max()))
-    return resid
+        resid = np.maximum(resid, np.abs(lb.reshape(-1) - rhs).max())
+    return float(resid)
 
 
 def _ft_conv6_instance(combo, nu, dual, rng, fault) -> float:
@@ -579,8 +584,8 @@ def _ft_conv8_residual(mu, nu, dual, fault=None) -> float:
     for p, lb, nb, mb in zip(dual.irreps, lhs.blocks, nuhat.blocks, muhat.blocks):
         scale = 1 if fault == "drop-dpi-conv8" else p.dim
         rhs = np.einsum("ikc,kj->ijc", nb.entries, scale * mb.entries[:, :, 0])
-        resid = max(resid, float(np.abs(lb.entries - rhs).max()))
-    return resid
+        resid = np.maximum(resid, np.abs(lb.entries - rhs).max())
+    return float(resid)
 
 
 def _ft_conv8_instance(combo, nu, dual, rng, fault) -> float:
@@ -784,7 +789,7 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
                 def gap(a, b):  # certified distances between the brackets a and b
                     return np.maximum(np.maximum(lo[a] - hi[b], lo[b] - hi[a]), 0.0)
 
-                checks.append((float(max(gap(0, 1), hi[2])), tol_b, f"semivar {g.label}"))
+                checks.append((float(np.maximum(gap(0, 1), hi[2])), tol_b, f"semivar {g.label}"))
                 a = np.arange(3, len(lo), 3)
                 tol = tol_e if space.exact_dual_sup else tol_b
                 for r in np.maximum(gap(a, a + 1), gap(a, a + 2)).tolist():
@@ -850,12 +855,12 @@ def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             vecs[t] = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         est = dual_ball_sup(space, weights, vecs)
         bf = _points_dual_sup(space, weights, vecs, points[space])
-        resid = max(0.0, bf - est.upper)
+        resid = np.maximum(0.0, bf - est.upper)
         if _grid_supported(space):
-            resid = max(resid, est.lower - 1.02 * bf)
+            resid = np.maximum(resid, est.lower - 1.02 * bf)
             if space.exact_dual_sup:
-                resid = max(resid, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))
-        checks.append((resid, ctx.cfg.tol_bracket, f"{space.label} m={m} {i}"))
+                resid = np.maximum(resid, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))
+        checks.append((float(resid), ctx.cfg.tol_bracket, f"{space.label} m={m} {i}"))
     tally.residuals(checks)
 
 
@@ -985,7 +990,7 @@ def emit_report(
             "violations": total,
             "suites": [r.to_dict() for r in reports],
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     elif fmt == "markdown":
         lines = [
             "# Verification report",

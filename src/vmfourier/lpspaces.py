@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import FiniteGroup, require_same_group
 from .measures import GroupMap, VectorMeasure, _subset_indices
-from .spaces import CoefficientSpace, NormEstimate, XVector, _resolve_one
+from .spaces import CoefficientSpace, NormEstimate, XVector, _lp, _resolve_one
 
 __all__ = [
     "ScalarFunction",
@@ -122,7 +122,7 @@ def _lp_nu(f: ScalarFunction, nu: VectorMeasure, p: float):
         live = nu.space.norm_many(nu.atoms) > 0
         vals = np.abs(f.values[live])
         return NormEstimate.of_exact(float(vals.max()) if vals.size else 0.0)
-    return nu.space, None, np.abs(f.values) ** p, nu.atoms, p
+    return nu.space, 1, np.abs(f.values) ** p, nu.atoms, p
 
 
 def N_norm(F: MatrixFunction, nu: VectorMeasure) -> NormEstimate:
@@ -137,7 +137,7 @@ def _n_norm(F: MatrixFunction, nu: VectorMeasure):
     opnorms = np.linalg.svd(F.values, compute_uv=False)[:, 0] if F.n > 1 else np.abs(
         F.values[:, 0, 0]
     )
-    return nu.space, None, opnorms, nu.atoms, None
+    return nu.space, 1, opnorms, nu.atoms, None
 
 
 def Pp_norm(phi: VectorFunction, p: float) -> NormEstimate:
@@ -149,7 +149,7 @@ def Pp_norm(phi: VectorFunction, p: float) -> NormEstimate:
 
 def _pp(phi: VectorFunction, p: float):
     """The norm request of ``Pp_norm(phi, p)``."""
-    return phi.space, p, None, phi.values, None
+    return _lp(phi.space, phi.values, p)
 
 
 def pettis_integral(phi: VectorFunction, subset=None) -> XVector:

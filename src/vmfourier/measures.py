@@ -24,6 +24,7 @@ from .spaces import (
     NormEstimate,
     ScalarSpace,
     XVector,
+    _lp,
     _require_same_space,
     _resolve,
     _resolve_one,
@@ -163,7 +164,7 @@ def semivariation(nu: VectorMeasure, subset: Iterable[int] | None = None) -> Nor
 def _semi(nu: VectorMeasure, subset: Iterable[int] | None = None):
     """The norm request of ``semivariation(nu, subset)``."""
     idx = _subset_indices(nu.group, subset)
-    return nu.space, None, np.ones(idx.size), nu.atoms[idx], None
+    return nu.space, 1, np.ones(idx.size), nu.atoms[idx], None
 
 
 def p_semivariation(nu: VectorMeasure, p: float) -> NormEstimate:
@@ -182,10 +183,7 @@ def _p_semi(nu: VectorMeasure, p: float):
     """The norm request of ``p_semivariation(nu, p)``."""
     if not p > 1:
         raise ValueError("p-semivariation requires p > 1")
-    n = nu.group.order
-    if np.isinf(p):
-        return NormEstimate.of_exact(float(n * nu.space.norm_many(nu.atoms).max()))
-    return nu.space, p, None, n * nu.atoms, None
+    return _lp(nu.space, nu.group.order * nu.atoms, p)
 
 
 def radon_nikodym(nu: VectorMeasure, xp: XVector) -> np.ndarray:

@@ -135,11 +135,9 @@ class CoefficientSpace:
 
     # -- optional closed forms: [B] arrays of values, or None ---------------
 
-    def closed_dual_sup(self, weights: np.ndarray, vecs: np.ndarray):
-        """For [B, T] weights and [B, T, dim] vectors."""
-        return None
-
-    def closed_lp_sup(self, vecs: np.ndarray, p: float):
+    def closed_sup(self, weights: np.ndarray, vecs: np.ndarray, q: float):
+        """sup over the dual ball of sum_t w_t |<v_t, xp>|^q, for [B, T]
+        weights and [B, T, dim] vectors."""
         return None
 
     def closed_amplified(self, entries: np.ndarray):
@@ -192,11 +190,8 @@ class ScalarSpace(CoefficientSpace):
     def sample_dual(self, rng, count):
         return np.exp(2j * np.pi * rng.random((count, 1)))
 
-    def closed_dual_sup(self, weights, vecs):
-        return (weights * np.abs(vecs[..., 0])).sum(axis=-1)
-
-    def closed_lp_sup(self, vecs, p):
-        return np.mean(np.abs(vecs[..., 0]) ** p, axis=-1) ** (1.0 / p)
+    def closed_sup(self, weights, vecs, q):
+        return (weights * np.abs(vecs[..., 0]) ** q).sum(axis=-1)
 
     def closed_amplified(self, entries):
         return np.linalg.svd(entries[..., 0], compute_uv=False)[:, 0]
@@ -237,12 +232,10 @@ class LinfSpace(CoefficientSpace):
         out[np.arange(count), j] = np.exp(2j * np.pi * rng.random(count))
         return out
 
-    def closed_dual_sup(self, weights, vecs):
-        # per-coordinate column sums; phases align against e_j functionals
-        return (weights[..., None] * np.abs(vecs)).sum(axis=-2).max(axis=-1)
-
-    def closed_lp_sup(self, vecs, p):
-        return (np.mean(np.abs(vecs) ** p, axis=-2) ** (1.0 / p)).max(axis=-1)
+    def closed_sup(self, weights, vecs, q):
+        # convex in xp, so the max sits at an extreme point phase * e_c, where
+        # the phases drop out: per-coordinate column sums
+        return (weights[..., None] * np.abs(vecs) ** q).sum(axis=-2).max(axis=-1)
 
     def closed_amplified(self, entries):
         # the dual ball's extreme points are phases times e_c, so the sup sits
@@ -603,11 +596,11 @@ def _norming(space, ys):
     return space.norming_dual_many(ys.reshape(-1, space.dim)).reshape(ys.shape)
 
 
-def _phase_ascent(space, weights, vecs):
-    """Values of sum_t w_t |<v_t, xp>| along an alternating ascent, for
-    [B, T] weights and [B, T, dim] vectors: freeze per-atom phases and move
-    xp to the norming functional of the phase-aligned sum, then realign
-    phases; monotone in each half-step."""
+def _ascent(space, weights, vecs, q):
+    """Values of sum_t w_t |<v_t, xp>|^q along an alternating ascent, for
+    [B, T] weights and [B, T, dim] vectors: freeze eps and move xp to the
+    norming functional of sum_t eps_t w_t v_t, then take Hoelder's eps_t =
+    conj(phase(h_t)) |h_t|^(q-1) at h_t = <v_t, xp>; monotone in each half-step."""
     rng = np.random.default_rng(ASCENT_SEED)
     T = weights.shape[1]
     eps = np.ones((ASCENT_RESTARTS, T), dtype=complex)
@@ -615,25 +608,27 @@ def _phase_ascent(space, weights, vecs):
     wv = weights[:, :, None] * vecs
     while True:
         xp = _norming(space, eps @ wv)
-        p = space.pair_many(vecs, xp)
-        ap = np.abs(p)
-        go = yield (ap @ weights[:, :, None])[:, :, 0].max(axis=1)
-        weights, vecs, wv, p, ap = weights[go], vecs[go], wv[go], p[go], ap[go]
-        eps = np.where(ap > 0, np.conj(p) / np.maximum(ap, 1e-300), 1.0)
+        h = space.pair_many(vecs, xp)
+        ah = np.abs(h)
+        go = yield (ah**q @ weights[:, :, None])[:, :, 0].max(axis=1)
+        weights, vecs, wv, h, ah = weights[go], vecs[go], wv[go], h[go], ah[go]
+        eps = np.where(ah > 0, np.conj(h) / np.maximum(ah, 1e-300), 1.0)
+        if q != 1:
+            eps *= ah ** (q - 1)
 
 
-def _aligned_start(space, vecs, weights=None, p=1.0):
-    """(sum_t w_t |<v_t, xp0>|^p)^(1/p) at xp0 = norming(sum_t w_t v_t) for
-    [B, T, dim] vectors and [B, T] weights (1/T if None): the first value of
-    the aligned restart of ``_phase_ascent`` (p = 1) or ``_lp_ascent``."""
-    w = np.full(vecs.shape[:2], 1.0 / vecs.shape[1]) if weights is None else weights
-    xp = space.norming_dual_many((w[:, :, None] * vecs).sum(axis=1))[:, None, :]
-    return ((np.abs(space.pair_many(vecs, xp)) ** p @ w[:, :, None])[:, 0, 0]) ** (1.0 / p)
+def _aligned_start(space, weights, vecs, q):
+    """sum_t w_t |<v_t, xp0>|^q at xp0 = norming(sum_t w_t v_t) for [B, T]
+    weights and [B, T, dim] vectors: the first value of the all-ones restart
+    of ``_ascent``."""
+    xp = space.norming_dual_many((weights[:, :, None] * vecs).sum(axis=1))[:, None, :]
+    return (np.abs(space.pair_many(vecs, xp)) ** q @ weights[:, :, None])[:, 0, 0]
 
 
-def _dual_ball_rows(space, weights, vecs):
-    """The ``_estimates`` rows of ``dual_ball_sup`` requests, floored at their
-    aligned starts.  Zero-weight atoms add nothing to any value and
+def _sup_rows(space, weights, vecs, q):
+    """The ``_estimates`` rows of the sups over the dual ball of sum_t w_t
+    |<v_t, xp>|^q, for [B, T] weights and [B, T, dim] vectors, floored at
+    their aligned starts.  Zero-weight atoms add nothing to any value and
     stay in place; a row with at most one live atom is known exactly."""
     weights = np.asarray(weights, dtype=float)
     vecs = np.asarray(vecs, dtype=complex)
@@ -644,21 +639,16 @@ def _dual_ball_rows(space, weights, vecs):
         )
     if np.any(weights < 0):
         raise ValueError("atom weights must be nonnegative")
-    closed = space.closed_dual_sup(weights, vecs)
-    if closed is not None:
-        return _exact_rows(closed)
+    closed = space.closed_sup(weights, vecs, q)
+    if closed is not None:  # known exactly: no row for an ascent
+        return closed, closed, np.arange(0), (), None
     # elementwise products and axis sums: a [B, T] @ [T] product rounds by B
-    upper = (weights * space.norm_many(vecs)).sum(axis=1)
+    upper = (weights * space.norm_many(vecs) ** q).sum(axis=1)
     todo = np.flatnonzero((weights > 0).sum(axis=1) > 1)
     lower = upper.copy()
     if len(todo):
-        lower[todo] = _aligned_start(space, vecs[todo], weights[todo])
-    return lower, upper, todo, (vecs[todo], weights[todo]), lambda v, w: _phase_ascent(space, w, v)
-
-
-def _exact_rows(values):
-    """The ``_estimates`` rows of values known exactly."""
-    return values, values, np.arange(0), (), None
+        lower[todo] = _aligned_start(space, weights[todo], vecs[todo], q)
+    return lower, upper, todo, (vecs[todo], weights[todo]), lambda v, w: _ascent(space, w, v, q)
 
 
 def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
@@ -669,66 +659,35 @@ def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
     and ``LinfSpace``.  Otherwise returns a bracket: the lower end from phase
     ascent, at least sum_t w_t |<v_t, xp0>| at its aligned start xp0 =
     norming(sum_t w_t v_t) (so >= ||sum w_t v_t||), the upper end from the
-    variation bound sum_t w_t ||v_t||.  ``_resolve`` evaluates many at once.
+    variation bound sum_t w_t ||v_t||.  It is the weighted L^q sup of
+    ``_sup_rows`` at q = 1; ``_resolve`` evaluates many at once.
     """
-    return _resolve_one((space, None, weights, vecs, None))
-
-
-def _lp_ascent(space, vecs, p):
-    """Values of || t -> <v_t, xp> ||_{L^p(mean)} along an alternating ascent
-    between the xp-ball and the L^{p'} ball of test densities
-    (Hoelder-optimal in each half-step), for [B, T, dim] vectors."""
-    rng = np.random.default_rng(ASCENT_SEED)
-    T = vecs.shape[1]
-    beta = np.ones((ASCENT_RESTARTS, T), dtype=complex)
-    shape = (ASCENT_RESTARTS - 1, T)
-    beta[1:] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q = p / (p - 1.0)
-    nrm = np.mean(np.abs(beta) ** q, axis=1) ** (1.0 / q)
-    beta /= np.maximum(nrm, 1e-300)[:, None]
-    while True:
-        xp = _norming(space, (beta @ vecs) / T)
-        h = space.pair_many(vecs, xp)
-        ah = np.abs(h)
-        val = np.mean(ah**p, axis=2) ** (1.0 / p)
-        go = yield val.max(axis=1)
-        vecs, h, ah, val = vecs[go], h[go], ah[go], val[go]
-        sgn = np.where(ah > 0, np.conj(h) / np.maximum(ah, 1e-300), 0.0)
-        beta = sgn * ah ** (p - 1.0) / np.maximum(val, 1e-300)[:, :, None] ** (p - 1.0)
-
-
-def _lp_rows(space, vecs, p):
-    """The ``_estimates`` rows of ``lp_dual_sup`` requests, floored at their beta = 1 starts."""
-    vecs = np.asarray(vecs, dtype=complex)
-    if vecs.ndim != 3 or vecs.shape[2] != space.dim:
-        raise ValueError(f"expected vecs (B, T, {space.dim}), got {vecs.shape}")
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
-    B, T = vecs.shape[:2]
-    if T == 0:
-        return _exact_rows(np.zeros(B))
-    if np.isinf(p):
-        return _exact_rows(space.norm_many(vecs).max(axis=1))
-    if p == 1:
-        return _dual_ball_rows(space, np.full((B, T), 1.0 / T), vecs)
-    closed = space.closed_lp_sup(vecs, p)
-    if closed is not None:
-        return _exact_rows(closed)
-    upper = np.mean(space.norm_many(vecs) ** p, axis=1) ** (1.0 / p)
-    return (_aligned_start(space, vecs, p=p), upper, np.arange(B), (vecs,),
-            lambda v: _lp_ascent(space, v, p))
+    return _resolve_one((space, 1, weights, vecs, None))
 
 
 def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEstimate:
     """sup over the dual unit ball of the L^p norm (w.r.t. the uniform
     probability weight 1/T) of t -> <v_t, xp>.
 
-    p = 1 reduces to ``dual_ball_sup`` with weights 1/T; p = inf is the exact
-    max of ||v_t||.  The upper end for brackets is the L^p norm of t -> ||v_t||,
-    the lower end the ascent's best, at least the value at its beta = 1 start
-    xp0 = norming(mean_t v_t).  ``_resolve`` evaluates many at once.
+    For finite p this is the weighted L^q sup of ``_sup_rows`` at q = p with
+    weights 1/T, raised to 1/p; p = inf is the exact max of ||v_t||.  The
+    upper end for brackets is the L^p norm of t -> ||v_t||, the lower end the
+    ascent's best, at least the value at its aligned start xp0 =
+    norming(mean_t v_t).  ``_resolve`` evaluates many at once.
     """
-    return _resolve_one((space, p, None, vecs, None))
+    return _resolve_one(_lp(space, vecs, p))
+
+
+def _lp(space, vecs, p):
+    """The norm request of ``lp_dual_sup(space, vecs, p)``, for a [T, dim]
+    stack; shapes are checked where ``_resolve`` stacks the requests."""
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+    if math.isinf(p):
+        norms = space.norm_many(np.asarray(vecs, dtype=complex))
+        return NormEstimate.of_exact(norms.max(initial=0.0))
+    # the weights as a list, which is cheaper to build than an array
+    return space, p, [1.0 / max(len(vecs), 1)] * len(vecs), vecs, p
 
 
 def _amplified_ascent(space, entries):
@@ -797,13 +756,13 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
 # -- norm requests -------------------------------------------------------------
 #
 # A norm request states a norm as data: a NormEstimate known without an
-# estimator, or ``(space, p, weights, vecs, root)``, the ``dual_ball_sup`` of
-# (weights, vecs) when p is None, else the ``lp_dual_sup`` of vecs at p, with
-# both ends raised to 1/root unless root is None; or ``(space, _AMP, levels,
-# stack, None)``, the max of the matrix-level norms of the n x n blocks (n in
-# levels) that ``stack`` holds one after another, flattened to rows.  Each
-# norm of the package builds its request in one private function beside its
-# public one.
+# estimator, or ``(space, q, weights, vecs, root)``, the sup over the dual
+# ball of sum_t w_t |<v_t, xp>|^q (q = 1 for ``dual_ball_sup``, q = p and
+# weights 1/T for ``lp_dual_sup``), with both ends raised to 1/root unless
+# root is None; or ``(space, _AMP, levels, stack, None)``, the max of the
+# matrix-level norms of the n x n blocks (n in levels) that ``stack`` holds
+# one after another, flattened to rows.  Each norm of the package builds its
+# request in one private function beside its public one.
 
 _AMP = "amplified"
 
@@ -811,7 +770,7 @@ _AMP = "amplified"
 def _resolve(requests, ascend=True):
     """The brackets of a list of norm requests as (lower, upper) arrays, each
     row equal bit for bit to its request resolved alone (ascent-free unless
-    ``ascend``), from one batch of rows per (space, p, T) key, T the number
+    ``ascend``), from one batch of rows per (space, q, T) key, T the number
     of atoms, and one per block level of a (space, _AMP, levels) key.  A
     request object listed more than once is resolved once."""
 
@@ -822,13 +781,10 @@ def _resolve(requests, ascend=True):
             lower[k], upper[k] = r.lower, r.upper
         else:
             keyed.setdefault((r[0], r[1], r[2] if r[1] is _AMP else len(r[3])), []).append(k)
-    for (space, p, t), ks in keyed.items():
+    for (space, q, t), ks in keyed.items():
         reqs = {id(requests[k]): requests[k] for k in ks}
         vecs = np.array([r[3] for r in reqs.values()])
-        if p is None:
-            ends = _estimates(
-                _dual_ball_rows(space, np.array([r[2] for r in reqs.values()]), vecs), ascend)
-        elif p is _AMP:  # t is the block levels; each request takes the max over its blocks
+        if q is _AMP:  # t is the block levels; each request takes the max over its blocks
             ends, starts = np.zeros((2, len(vecs))), np.cumsum([0, *(n * n for n in t)])
             for n in dict.fromkeys(t):
                 blocks = [vecs[:, a:b] for a, b, m in zip(starts, starts[1:], t) if m == n]
@@ -837,7 +793,8 @@ def _resolve(requests, ascend=True):
                 # the rows are block-major: [blocks, requests]
                 ends = np.maximum(ends, np.reshape(level, (2, len(blocks), -1)).max(axis=1))
         else:
-            ends = _estimates(_lp_rows(space, vecs, p), ascend)
+            weights = np.array([r[2] for r in reqs.values()])
+            ends = _estimates(_sup_rows(space, weights, vecs, q), ascend)
         slot = {i: j for j, i in enumerate(reqs)}
         rows = [slot[id(requests[k])] for k in ks]
         lower[ks], upper[ks] = ends[0][rows], ends[1][rows]

@@ -3,6 +3,7 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vmfourier
@@ -48,5 +49,24 @@ def test_norm_requests_built_beside_their_norms():
     harness = importlib.import_module("vmfourier.harness")
     for builder, public in BUILDERS.items():
         assert getattr(harness, builder).__module__ == getattr(vmfourier, public).__module__
-    steps = {"_estimates", "_dual_ball_rows", "_lp_rows", "_amplified_rows"}
+    steps = {"_estimates", "_sup_rows", "_amplified_rows"}
     assert steps.isdisjoint(vars(harness))
+
+
+def test_lp_requests_built_by_one_builder(monkeypatch):
+    # Pp_norm, p_semivariation and lp_dual_sup state their L^p sups through
+    # spaces._lp, the one request builder of the weighted L^q sup at q = p
+    built, lp = [], vmfourier.spaces._lp
+
+    def recorded(space, vecs, p):
+        built.append(p)
+        return lp(space, vecs, p)
+
+    for name in ("spaces", "lpspaces", "measures"):
+        monkeypatch.setattr(importlib.import_module(f"vmfourier.{name}"), "_lp", recorded)
+    g, space = vmfourier.build_group("cyclic:3"), vmfourier.LinfSpace(2)
+    values = np.arange(6.0).reshape(3, 2)
+    vmfourier.Pp_norm(vmfourier.VectorFunction(g, space, values), 2.0)
+    vmfourier.p_semivariation(vmfourier.VectorMeasure(g, space, values), 3.0)
+    vmfourier.lp_dual_sup(space, values, 4.0)
+    assert built == [2.0, 3.0, 4.0]

@@ -123,6 +123,24 @@ class TestClassify:
 
 
 class TestOneVerdictRule:
+    def test_nan_atom_conv_instances_are_violations(self):
+        # a NaN atom makes the residual of ft-conv-8 and ft-conv-6 NaN, which
+        # the verdict rule counts as a violation
+        g, dual = harness.group_with_dual("symmetric:3")
+        nu = harness.generate_fixture("random-gaussian", g, vf.LinfSpace(2), seed=3)
+        values = np.ones(g.order, dtype=complex)
+        values[2] = np.nan
+        f = vf.ScalarFunction(g, values)
+        xp = vf.XVector(nu.space, [1.0, 0.0])
+        residuals = [
+            harness._ft_conv8_residual(vf.VectorMeasure.scalar(g, values), nu, dual),
+            harness._ft_conv6_residual(f, vf.ScalarFunction.constant(g), nu, xp, dual),
+        ]
+        assert np.isnan(residuals).all()
+        tally = harness._Tally()
+        tally.residuals([(r, 1e-10, "conv") for r in residuals])
+        assert tally.violations == 2 and np.isnan(tally.max_residual)
+
     def test_nan_pairing_residuals_are_violations(self, monkeypatch):
         spec = harness._SUITES["pairing-compat"]
         kind, check, combos, spaces_fastest, note = spec.runner.args
@@ -650,6 +668,17 @@ class TestEmitReport:
         a = vf.emit_report(self.make_reports(), "json", None, seed=7)
         b = vf.emit_report(self.make_reports(), "json", None, seed=7)
         assert strip_elapsed(a) == strip_elapsed(b)
+
+    def test_nan_residual_is_strict_json_null(self):
+        # NaN is no JSON value (RFC 8259): the report writes null
+        rep = dataclasses.replace(self.make_reports()[0], max_residual=np.nan)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(vf.emit_report([rep], "json"), parse_constant=reject)
+        assert doc["suites"][0]["max_residual"] is None
+        assert doc["suites"] == [rep.to_dict()]
 
     def test_violations_counted(self):
         cfg = small_config(groups=["symmetric:3"], spaces=["linf:2"], trials=10)

@@ -564,7 +564,7 @@ class TestBatched:
         for b in range(2, 8):  # mixed kept atom counts
             weights[b, rng.random(T) < 0.4] = 0
         sizes = record_norming(monkeypatch, space)
-        batched = estimates(_resolve([(space, None, w, v, None) for w, v in zip(weights, vecs)]))
+        batched = estimates(_resolve([(space, 1, w, v, None) for w, v in zip(weights, vecs)]))
         singles = [dual_ball_sup(space, w, v) for w, v in zip(weights, vecs)]
         assert [bits(e) for e in batched] == [bits(e) for e in singles]
         assert batched[0].exact and batched[0].upper == 0.0
@@ -582,7 +582,7 @@ class TestBatched:
         for T in (1, 7):
             vecs = scaled_rows(rng, space, 30, T)
             vecs[0] = 0
-            batched = estimates(_resolve([(space, p, None, v, None) for v in vecs]))
+            batched = estimates(_resolve([spaces._lp(space, v, p) for v in vecs]))
             singles = [lp_dual_sup(space, v, p) for v in vecs]
             assert [bits(e) for e in batched] == [bits(e) for e in singles]
 
@@ -601,9 +601,9 @@ class TestBatched:
     def test_batched_shapes_rejected(self):
         s = MatOpSpace(2)
         with pytest.raises(ValueError):
-            spaces._dual_ball_rows(s, np.ones(3), np.zeros((3, 4)))
+            spaces._sup_rows(s, np.ones(3), np.zeros((3, 4)), 1)
         with pytest.raises(ValueError):
-            spaces._lp_rows(s, np.zeros((3, 4)), 2.0)
+            spaces._sup_rows(s, np.ones((1, 3)), np.zeros((3, 4)), 2.0)
         with pytest.raises(ValueError):
             spaces._amplified_rows(s, np.zeros((3, 2, 3, 4)))
 
@@ -688,7 +688,7 @@ class TestAscentFree:
         weights = rng.uniform(0.1, 2.0, (12, 5))
         weights[0] = 0  # a zero row
         weights[1, 1:] = 0  # a one-atom row
-        rows = spaces._dual_ball_rows(space, weights, vecs)
+        rows = spaces._sup_rows(space, weights, vecs, 1)
         quick = estimates(spaces._estimates(rows, ascend=False))
         self.assert_contains(quick, [dual_ball_sup(space, w, v) for w, v in zip(weights, vecs)])
         for q, w, v in zip(quick, weights, vecs):
@@ -705,7 +705,7 @@ class TestAscentFree:
         vecs = scaled_rows(rng, space, 12, 5)
         vecs[0] = 0
         vecs[1, 1:] = 0
-        quick = estimates(spaces._estimates(spaces._lp_rows(space, vecs, p), ascend=False))
+        quick = estimates(_resolve([spaces._lp(space, v, p) for v in vecs], ascend=False))
         self.assert_contains(quick, [lp_dual_sup(space, v, p) for v in vecs])
         if _grid_supported(space):
             for q, v in zip(quick, vecs):
@@ -734,3 +734,33 @@ class TestAscentFree:
                     compute_uv=False,
                 )[:, 0])
                 assert q.lower <= GRID_SLACK * best
+
+
+class TestWeightedLqSup:
+    """The one weighted L^q sup, sum_t w_t |<v_t, xp>|^q, at q > 1."""
+
+    @pytest.mark.parametrize("spec", ["weighted_l1:2", "matop:2"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_lp_lower_end_reaches_the_grid(self, spec, p):
+        # the ascent's Hoelder step |h_t|^(p-1) finds the L^p sup; a step
+        # with |h_t|^p stops short of the phase grid's best value
+        space = space_from_spec(spec)
+        points = grid_dual_points(space)
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            v = cplx(rng, 6, space.dim)
+            grid = np.mean(np.abs(space.pair_many(v, points)) ** p, axis=1).max() ** (1.0 / p)
+            assert lp_dual_sup(space, v, p).lower >= (1 - 1e-9) * grid
+
+    @pytest.mark.parametrize("spec", ["matop:2", "matop:3", "weighted_l1:2", "weighted_l1:4"])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_one_live_atom_is_exact(self, spec, q):
+        space = space_from_spec(spec)
+        v = cplx(np.random.default_rng(32), 3, space.dim)
+        est = lp_dual_sup(space, v[:1], q)
+        assert est.exact and est.upper == pytest.approx(space.norm_of(v[0]), rel=1e-12)
+        # zero-weight atoms stay in place and add nothing
+        weights = np.array([[0.0, 0.5, 0.0]])
+        lower, upper, todo, _, _ = spaces._sup_rows(space, weights, v[None], q)
+        assert len(todo) == 0 and lower == upper
+        assert upper[0] == pytest.approx(0.5 * space.norm_of(v[1]) ** q, rel=1e-12)
