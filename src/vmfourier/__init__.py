@@ -45,7 +45,6 @@ from .harness import (
     TheoremReport,
     emit_report,
     generate_fixture,
-    grid_dual_sup,
     load_config,
     run_suite,
     suite_names,
@@ -67,16 +66,12 @@ from .measures import (
     InvarianceReport,
     VectorMeasure,
     check_semivariation_invariance,
-    dump_measure_fixture,
     evaluate,
     integrate,
-    is_k_scalarly_bounded,
-    load_measure_fixture,
     measure_from_density,
     p_semivariation,
     pushforward,
     radon_nikodym,
-    scalarize,
     semivariation,
     variation,
 )

@@ -242,9 +242,6 @@ class UnitaryDual:
     group: FiniteGroup
     irreps: list[UnitaryIrrep]
 
-    def __iter__(self):
-        return iter(self.irreps)
-
     def dims(self) -> list[int]:
         return [p.dim for p in self.irreps]
 
@@ -340,7 +337,8 @@ class DualValidationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals().values())
+        """The largest residual, NaN if any residual is NaN."""
+        return float(np.max(list(self.residuals().values())))
 
     @property
     def passed(self) -> bool:
@@ -358,18 +356,14 @@ def validate_dual(g: FiniteGroup, dual: UnitaryDual, tol: float = 1e-10) -> Dual
             raise ValueError(
                 f"irrep {p.label!r} tabulates {p.matrices.shape[0]} elements, group has {n}"
             )
-    hom = 0.0
-    unit = 0.0
-    irr = 0.0
+    # residuals folded by np.max, which keeps a NaN where Python's max drops it
+    hom, unit, irr, orth = [0.0], [0.0], [0.0], [0.0]
     for p in dual.irreps:
         m = p.matrices
         prod = np.einsum("sab,tbc->stac", m, m)
-        hom = max(hom, float(np.abs(prod - m[g.cayley]).max()))
-        eye = np.eye(p.dim)
-        unit = max(unit, float(np.abs(m @ m.conj().transpose(0, 2, 1) - eye).max()))
-        chi = p.characters()
-        irr = max(irr, float(abs(np.mean(np.abs(chi) ** 2) - 1.0)))
-    orth = 0.0
+        hom.append(np.abs(prod - m[g.cayley]).max())
+        unit.append(np.abs(m @ m.conj().transpose(0, 2, 1) - np.eye(p.dim)).max())
+        irr.append(abs(np.mean(np.abs(p.characters()) ** 2) - 1.0))
     for a, p in enumerate(dual.irreps):
         for b, q in enumerate(dual.irreps):
             gram = np.einsum("tij,tkl->ijkl", p.matrices, q.matrices.conj()) / n
@@ -377,8 +371,9 @@ def validate_dual(g: FiniteGroup, dual: UnitaryDual, tol: float = 1e-10) -> Dual
                 d = p.dim
                 target = np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d)) / d
                 gram = gram - target
-            orth = max(orth, float(np.abs(gram).max()))
+            orth.append(np.abs(gram).max())
     comp = float(abs(sum(p.dim**2 for p in dual.irreps) - n))
+    hom, unit, irr, orth = (float(np.max(r)) for r in (hom, unit, irr, orth))
     return DualValidationReport(hom, unit, irr, orth, comp, tol)
 
 

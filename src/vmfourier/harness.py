@@ -100,7 +100,6 @@ __all__ = [
     "group_with_dual",
     "emit_report",
     "grid_dual_points",
-    "grid_dual_sup",
     "FAULTS",
 ]
 
@@ -147,6 +146,8 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if key == "seed" and value < 0:
             raise ValueError("seed must be >= 0")
+        if key in ("groups", "spaces") and not value:
+            raise ValueError(f"{key} must not be empty")
         if key in ("tol_exact", "tol_bracket") and not 0 < value < np.inf:
             raise ValueError("tolerances must be finite and positive")
         for s in value if key == "suites" else ():
@@ -276,15 +277,6 @@ def grid_dual_points(space: CoefficientSpace) -> np.ndarray:
     ang = np.linspace(0.0, np.pi / 2, 13)[:, None]
     us = np.stack(np.broadcast_arrays(np.cos(ang), np.sin(ang) * ph), axis=-1).reshape(-1, 2)
     return np.einsum("ua,vb->uvab", us, us.conj()).reshape(-1, 4)
-
-
-def grid_dual_sup(space, weights, vecs) -> float:
-    """Brute-force max of sum_t w_t |<v_t, xp>| over the phase-grid points."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.size == 0:
-        return 0.0
-    vecs = np.asarray(vecs, dtype=complex)
-    return _points_dual_sup(space, weights, vecs, grid_dual_points(space))
 
 
 def _points_dual_sup(space, weights, vecs, points) -> float:
@@ -596,8 +588,8 @@ def _ft_conv8_instance(combo, nu, dual, rng, fault) -> float:
 def _pettis_residual(combo, nu, dual, rng, fault) -> float:
     f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
     lhs = pettis_integral(conv_vector(f, h, nu))
-    rhs = complex(np.mean(f.values)) * integrate(h.values, nu)
-    return float(np.abs(lhs.coords - rhs.coords).max())
+    rhs = complex(np.mean(f.values)) * integrate(h.values, nu).coords
+    return float(np.abs(lhs.coords - rhs).max())
 
 
 def _duality_residual(combo, nu, dual, rng, fault) -> float:

@@ -13,12 +13,11 @@ normalized counting (Haar) measure of a singleton is 1/|G| throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .groups import FiniteGroup, build_group, format_complex, parse_complex, require_same_group
+from .groups import FiniteGroup, require_same_group
 from .spaces import (
     CoefficientSpace,
     NormEstimate,
@@ -28,7 +27,6 @@ from .spaces import (
     _require_same_space,
     _resolve,
     _resolve_one,
-    space_from_spec,
 )
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "GroupMap",
     "InvarianceReport",
     "evaluate",
-    "scalarize",
     "variation",
     "semivariation",
     "p_semivariation",
@@ -45,9 +42,6 @@ __all__ = [
     "check_semivariation_invariance",
     "measure_from_density",
     "integrate",
-    "is_k_scalarly_bounded",
-    "load_measure_fixture",
-    "dump_measure_fixture",
 ]
 
 
@@ -80,11 +74,6 @@ class VectorMeasure:
     @staticmethod
     def haar_scalar(group: FiniteGroup) -> "VectorMeasure":
         return VectorMeasure.scalar(group, np.full(group.order, 1.0 / group.order))
-
-    def scalar_values(self) -> np.ndarray:
-        if not isinstance(self.space, ScalarSpace):
-            raise ValueError("not a scalar measure")
-        return self.atoms[:, 0].copy()
 
 
 @dataclass(eq=False)
@@ -135,13 +124,6 @@ def evaluate(nu: VectorMeasure, subset: Iterable[int] | None = None) -> XVector:
     """nu(A) = sum of the atoms over A (all of G when A is omitted)."""
     idx = _subset_indices(nu.group, subset)
     return XVector(nu.space, nu.atoms[idx].sum(axis=0))
-
-
-def scalarize(nu: VectorMeasure, xp: XVector) -> VectorMeasure:
-    """The scalar measure A -> <nu(A), xp>."""
-    _require_same_space(nu.space, xp.space)
-    vals = nu.space.pair_many(nu.atoms, xp.coords[None, :])[0]
-    return VectorMeasure.scalar(nu.group, vals)
 
 
 def variation(nu: VectorMeasure, subset: Iterable[int] | None = None) -> float:
@@ -214,19 +196,6 @@ def integrate(f: np.ndarray, nu: VectorMeasure) -> XVector:
     return XVector(nu.space, f @ nu.atoms)
 
 
-def is_k_scalarly_bounded(nu: VectorMeasure, k: float) -> bool:
-    """Whether every scalarized total variation is dominated by k * m_G.
-
-    On a finite group the singleton condition max_t |G| ||x_t|| <= k is
-    equivalent: scalarized variations add over atoms.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if nu.group.order == 0:
-        return True
-    return bool(nu.group.order * nu.space.norm_many(nu.atoms).max() <= k)
-
-
 # ---------------------------------------------------------------------------
 # semivariation invariance
 # ---------------------------------------------------------------------------
@@ -279,41 +248,3 @@ def check_semivariation_invariance(
     k = len(densities)
     worst = float(np.maximum(np.maximum(lo[:k] - hi[k:], lo[k:] - hi[:k]), 0.0).max())
     return InvarianceReport(worst > 0, worst, k)
-
-
-# ---------------------------------------------------------------------------
-# fixture files
-# ---------------------------------------------------------------------------
-
-
-def dump_measure_fixture(nu: VectorMeasure, group_spec: str, space_spec: str) -> str:
-    """Fixture text: header lines naming group and space, then one line per
-    atom: element index followed by the coordinates as a+bi literals."""
-    lines = [f"group {group_spec}", f"space {space_spec}"]
-    for t in range(nu.group.order):
-        coords = " ".join(format_complex(z) for z in nu.atoms[t])
-        lines.append(f"{t} {coords}")
-    return "\n".join(lines) + "\n"
-
-
-def load_measure_fixture(path: str | Path) -> VectorMeasure:
-    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
-    if len(lines) < 2 or not lines[0].startswith("group ") or not lines[1].startswith("space "):
-        raise ValueError("fixture must start with 'group <spec>' and 'space <spec>' lines")
-    group = build_group(lines[0].split(None, 1)[1])
-    space = space_from_spec(lines[1].split(None, 1)[1])
-    atoms = np.zeros((group.order, space.dim), dtype=complex)
-    seen = set()
-    for line in lines[2:]:
-        parts = line.split()
-        t = int(parts[0])
-        if not 0 <= t < group.order:
-            raise ValueError(f"atom index {t} is outside 0..{group.order - 1}")
-        if t in seen:
-            raise ValueError(f"atom for element {t} is given twice")
-        seen.add(t)
-        coords = [parse_complex(tok) for tok in parts[1:]]
-        if len(coords) != space.dim:
-            raise ValueError(f"atom line for element {t} has {len(coords)} coordinates")
-        atoms[t] = coords
-    return VectorMeasure(group, space, atoms)

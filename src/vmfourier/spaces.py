@@ -122,8 +122,8 @@ class CoefficientSpace:
 
     def pair_many(self, vecs: np.ndarray, xps: np.ndarray) -> np.ndarray:
         """Pairings <v_t, xp_r> of [..., T, dim] vectors and [..., R, dim]
-        functionals as an [..., R, T] array."""
-        raise NotImplementedError
+        functionals as an [..., R, T] array; bilinear unless overridden."""
+        return xps @ vecs.swapaxes(-1, -2)
 
     def norming_dual_many(self, ys: np.ndarray) -> np.ndarray:
         """For each row y, a dual-ball element xp with <y, xp> = ||y||."""
@@ -164,6 +164,11 @@ class CoefficientSpace:
         return (type(self).__name__, self.dim)
 
 
+def _conj_phase(z, a, fill):
+    """conj(z) / |z| elementwise, given a = |z|, and ``fill`` where z = 0."""
+    return np.where(a > 0, np.conj(z) / np.maximum(a, 1e-300), fill)
+
+
 class ScalarSpace(CoefficientSpace):
     """X = C with the modulus norm; self-dual under plain multiplication."""
 
@@ -179,13 +184,9 @@ class ScalarSpace(CoefficientSpace):
     def dual_norm_of(self, coords):
         return float(abs(np.asarray(coords, dtype=complex).reshape(-1)[0]))
 
-    def pair_many(self, vecs, xps):
-        return xps @ vecs.swapaxes(-1, -2)  # bilinear z * z'
-
     def norming_dual_many(self, ys):
         y = ys[:, 0]
-        a = np.abs(y)
-        return np.where(a > 0, np.conj(y) / np.maximum(a, 1e-300), 1.0)[:, None]
+        return _conj_phase(y, np.abs(y), 1.0)[:, None]
 
     def sample_dual(self, rng, count):
         return np.exp(2j * np.pi * rng.random((count, 1)))
@@ -214,14 +215,10 @@ class LinfSpace(CoefficientSpace):
     def dual_norm_of(self, coords):
         return float(np.abs(np.asarray(coords, dtype=complex)).sum())
 
-    def pair_many(self, vecs, xps):
-        return xps @ vecs.swapaxes(-1, -2)
-
     def norming_dual_many(self, ys):
         j = np.argmax(np.abs(ys), axis=1)
         top = np.take_along_axis(ys, j[:, None], axis=1)[:, 0]
-        a = np.abs(top)
-        phase = np.where(a > 0, np.conj(top) / np.maximum(a, 1e-300), 1.0)
+        phase = _conj_phase(top, np.abs(top), 1.0)
         out = np.zeros_like(ys)
         np.put_along_axis(out, j[:, None], phase[:, None], axis=1)
         return out
@@ -313,6 +310,8 @@ class WeightedL1Space(CoefficientSpace):
 
     @staticmethod
     def uniform(k: int) -> "WeightedL1Space":
+        if k < 1:
+            raise ValueError("k must be >= 1")
         return WeightedL1Space(np.full(int(k), 1.0 / int(k)))
 
     def norm_many(self, vecs):
@@ -322,13 +321,8 @@ class WeightedL1Space(CoefficientSpace):
         c = np.asarray(coords, dtype=complex).reshape(-1)
         return float((np.abs(c) / self.weights).max())
 
-    def pair_many(self, vecs, xps):
-        return xps @ vecs.swapaxes(-1, -2)
-
     def norming_dual_many(self, ys):
-        a = np.abs(ys)
-        phase = np.where(a > 0, np.conj(ys) / np.maximum(a, 1e-300), 0.0)
-        return self.weights[None, :] * phase
+        return self.weights[None, :] * _conj_phase(ys, np.abs(ys), 0.0)
 
     def sample_dual(self, rng, count):
         return self.weights[None, :] * np.exp(2j * np.pi * rng.random((count, self.dim)))
@@ -356,13 +350,6 @@ class XVector:
             raise ValueError(f"expected {self.space.dim} coordinates, got {c.size}")
         object.__setattr__(self, "coords", c)
 
-    def __add__(self, other: "XVector") -> "XVector":
-        _require_same_space(self.space, other.space)
-        return XVector(self.space, self.coords + other.coords)
-
-    def __rmul__(self, z) -> "XVector":
-        return XVector(self.space, complex(z) * self.coords)
-
 
 @dataclass(frozen=True)
 class MatrixOverX:
@@ -385,9 +372,6 @@ class MatrixOverX:
     @property
     def level(self) -> int:
         return self.entries.shape[0]
-
-    def entry(self, i: int, j: int) -> XVector:
-        return XVector(self.space, self.entries[i, j].copy())
 
 
 def _require_same_space(a: CoefficientSpace, b: CoefficientSpace):
@@ -612,7 +596,7 @@ def _ascent(space, weights, vecs, q):
         ah = np.abs(h)
         go = yield (ah**q @ weights[:, :, None])[:, :, 0].max(axis=1)
         weights, vecs, wv, h, ah = weights[go], vecs[go], wv[go], h[go], ah[go]
-        eps = np.where(ah > 0, np.conj(h) / np.maximum(ah, 1e-300), 1.0)
+        eps = _conj_phase(h, ah, 1.0)
         if q != 1:
             eps *= ah ** (q - 1)
 

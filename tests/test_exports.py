@@ -1,6 +1,8 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 import vmfourier
 
 MODULES = [m.name for m in pkgutil.iter_modules(vmfourier.__path__)]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,9 +22,37 @@ def test_every_exported_name_exists(name):
     assert len(set(exported)) == len(exported)
 
 
+def _names_used_in_src() -> set[str]:
+    # names read or called in the package's code: Name and Attribute nodes,
+    # so def/class lines, import lists and __all__ strings do not count
+    used = set()
+    for path in Path(vmfourier.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_has_a_caller():
+    # each exported name is used by the package, documented in the README,
+    # or named by the benchmark; anything else is API that nothing reaches
+    used = _names_used_in_src()
+    text = (ROOT / "README.md").read_text()
+    text += "".join(p.read_text() for p in sorted((ROOT / "bench").glob("*.py")))
+    unused = [
+        (name, export)
+        for name in MODULES
+        for export in getattr(importlib.import_module(f"vmfourier.{name}"), "__all__", [])
+        if export not in used and not re.search(rf"\b{re.escape(export)}\b", text)
+    ]
+    assert unused == []
+
+
 def test_bench_traced_names_exist():
     # the benchmark's tracer wraps these names; deleting one breaks its traced runs
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    path = ROOT / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)

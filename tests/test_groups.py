@@ -187,6 +187,19 @@ class TestDuals:
         assert not rep.passed
         assert rep.homomorphism == pytest.approx(1e-3, rel=0.9)
 
+    def test_nan_entry_fails(self, s3, s3_dual, monkeypatch):
+        # a NaN residual must fail, not drop out of the max
+        *irreps, last = s3_dual.irreps
+        mats = last.matrices.copy()
+        mats[1, 0, 0] = np.nan
+        bad = UnitaryDual(s3, [*irreps, UnitaryIrrep(last.dim, mats, last.label)])
+        rep = vf.validate_dual(s3, bad, 1e-10)
+        assert np.isnan(rep.max_residual) and not rep.passed
+        # and the dual-validation suite counts it as a violation
+        monkeypatch.setattr(vf.harness, "group_with_dual", lambda spec: (s3, bad))
+        report = vf.run_suite("dual-validation", vf.RunConfig(groups=["symmetric:3"]))
+        assert report.violations == 1 and np.isnan(report.max_residual)
+
     def test_structural_mismatch_raises(self, s3, z2_dual):
         with pytest.raises(ValueError):
             vf.validate_dual(s3, z2_dual, 1e-10)
@@ -216,7 +229,7 @@ class TestDuals:
         perms = itertools.permutations(range(4))
         classes = [S4_CYCLE_TYPES.index(_cycle_type(p)) for p in perms]
         expected = S4_CHARACTERS[:, classes]
-        chars = np.array([p.characters() for p in vf.unitary_dual(g)])
+        chars = np.array([p.characters() for p in vf.unitary_dual(g).irreps])
         match = np.abs(chars[:, None, :] - expected[None, :, :]).max(axis=2) < 1e-12
         # a one-to-one match: equal up to the order of the irreps
         assert (match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()

@@ -10,7 +10,7 @@ import pytest
 import vmfourier as vf
 from vmfourier import GroupMap, RunConfig, harness
 from vmfourier.fourier import _sup
-from vmfourier.harness import grid_dual_sup
+from vmfourier.harness import _points_dual_sup, grid_dual_points
 from vmfourier.lpspaces import _lp_nu, _n_norm, _pp
 from vmfourier.measures import _p_semi, _semi
 from vmfourier.spaces import _resolve
@@ -733,6 +733,12 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="seed"):
             RunConfig(seed=-1)
 
+    @pytest.mark.parametrize("key", ["groups", "spaces"])
+    def test_empty_groups_or_spaces_rejected(self, key):
+        # the suites take cell i % len(cells), which an empty grid divides by 0
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key: []})
+
     @pytest.mark.parametrize("key", ["tol_exact", "tol_bracket"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     def test_tolerance_not_finite_and_positive_rejected(self, tmp_path, key, value):
@@ -789,13 +795,14 @@ class TestGridOracle:
         weights = rng.uniform(0.1, 2.0, 4)
         vecs = rng.standard_normal((4, s.dim)) + 1j * rng.standard_normal((4, s.dim))
         one_pass = float((np.abs(s.pair_many(vecs, pts)) @ weights).max())
-        assert vf.harness.grid_dual_sup(s, weights, vecs) == one_pass
+        assert _points_dual_sup(s, weights, vecs, pts) == one_pass
 
     def test_grid_value_below_exact(self, linf2):
         rng = np.random.default_rng(0)
         vecs = np.array([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)])
         exact = vf.dual_ball_sup(linf2, np.ones(3), vecs)
-        assert grid_dual_sup(linf2, np.ones(3), vecs) <= exact.lower + 1e-12
+        grid = _points_dual_sup(linf2, np.ones(3), vecs, grid_dual_points(linf2))
+        assert grid <= exact.lower + 1e-12
 
 
 def run_cli(*args, env=None):
@@ -850,7 +857,10 @@ class TestCli:
         out = run_cli("run", "--config", str(cfg))
         assert out.returncode == 2
 
-    @pytest.mark.parametrize("line", ["spaces = matop:0", "groups = nosuch:3"])
+    @pytest.mark.parametrize("line", [
+        "spaces = matop:0", "groups = nosuch:3", "spaces = weighted_l1:0",
+        "groups =", "spaces = ,",
+    ])
     def test_bad_spec_in_config_exits_2(self, tmp_path, line):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(line + "\n")

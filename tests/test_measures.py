@@ -24,34 +24,9 @@ class TestEvaluate:
         assert np.allclose(whole, split)
 
 
-class TestScalarize:
-    def test_zero_functional(self, F3, linf2):
-        sm = vf.scalarize(F3, XVector(linf2, [0, 0]))
-        assert np.allclose(sm.scalar_values(), 0)
-
-    def test_coordinate_extraction(self, F3, linf2):
-        sm = vf.scalarize(F3, XVector(linf2, [1, 0]))
-        assert np.allclose(sm.scalar_values(), [1, 0])
-
-    def test_coordinate_sum(self, F3, linf2):
-        sm = vf.scalarize(F3, XVector(linf2, [1, 1]))
-        assert np.allclose(sm.scalar_values(), [1, 1])
-
-    def test_commutes_with_evaluate(self, z2, all_spaces):
-        for si, space in enumerate(all_spaces):
-            nu = random_measure(z2, space, seed=si)
-            xp = XVector(space, space.sample_dual(np.random.default_rng(si), 1)[0])
-            for subset in ([], [0], [1], [0, 1]):
-                a = vf.pair(vf.evaluate(nu, subset), xp)
-                b = vf.evaluate(vf.scalarize(nu, xp), subset).coords[0]
-                assert a == pytest.approx(b, abs=1e-12)
-
-
 class TestSpaceMismatch:
     def test_dual_vector_from_another_space_rejected(self, F3):
         xp = XVector(vf.LinfSpace(3), [1, 0, 0])
-        with pytest.raises(ValueError, match="space mismatch"):
-            vf.scalarize(F3, xp)
         with pytest.raises(ValueError, match="space mismatch"):
             vf.radon_nikodym(F3, xp)
 
@@ -171,7 +146,7 @@ class TestRadonNikodym:
             nu = random_measure(s3, space, seed=80 + si)
             xp = XVector(space, space.sample_dual(np.random.default_rng(si), 1)[0])
             h = vf.radon_nikodym(nu, xp)
-            expected = vf.scalarize(nu, xp).scalar_values()
+            expected = space.pair_many(nu.atoms, xp.coords[None, :])[0]
             assert np.allclose(h / s3.order, expected, atol=1e-12)
 
 
@@ -283,44 +258,3 @@ class TestDensitiesAndIntegrals:
 
     def test_integrate_signs(self, F3):
         assert np.allclose(vf.integrate(np.array([1, -1]), F3).coords, [1, -1])
-
-
-class TestKScalarBound:
-    def test_haar_measure(self, z2):
-        assert vf.is_k_scalarly_bounded(VectorMeasure.haar_scalar(z2), 1.0)
-
-    def test_f3_threshold(self, F3):
-        assert vf.is_k_scalarly_bounded(F3, 2.0)
-        assert not vf.is_k_scalarly_bounded(F3, 1.9)
-
-    def test_zero_measure(self, z2, linf2):
-        assert vf.is_k_scalarly_bounded(VectorMeasure.zero(z2, linf2), 0.0)
-
-
-class TestFixtureFiles:
-    def test_roundtrip(self, tmp_path, F3):
-        text = vf.dump_measure_fixture(F3, "cyclic:2", "linf:2")
-        path = tmp_path / "f3.txt"
-        path.write_text(text)
-        loaded = vf.load_measure_fixture(path)
-        assert np.allclose(loaded.atoms, F3.atoms)
-        assert loaded.space == F3.space
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1+0i 0+0i\n")
-        with pytest.raises(ValueError):
-            vf.load_measure_fixture(path)
-
-    def test_negative_atom_index(self, tmp_path):
-        # -1 would otherwise write the atom of the last element
-        path = tmp_path / "bad.txt"
-        path.write_text("group cyclic:3\nspace scalar\n-1 2+0i\n")
-        with pytest.raises(ValueError, match="outside"):
-            vf.load_measure_fixture(path)
-
-    def test_repeated_atom_index(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("group cyclic:3\nspace scalar\n1 2+0i\n1 5+0i\n")
-        with pytest.raises(ValueError, match="twice"):
-            vf.load_measure_fixture(path)

@@ -27,6 +27,14 @@ def code_blocks(lang):
     return blocks
 
 
+def section(title):
+    """The text of the README section under the ``## title`` heading."""
+    text = README.read_text()
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end >= 0 else None]
+
+
 def cli_examples():
     text = "\n".join(code_blocks("sh")).replace("\\\n", " ")
     lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
@@ -54,3 +62,10 @@ def test_config_example_loads(tmp_path):
         vf.harness.group_with_dual(spec)
     for spec in cfg.spaces:
         vf.space_from_spec(spec)
+
+
+def test_file_format_functions_exist():
+    # each format the README documents names a reader and writer that exist
+    names = re.findall(r"`((?:load|dump)_\w+)`", section("File formats"))
+    assert len(names) >= 4
+    assert [n for n in names if not hasattr(vf, n)] == []
