@@ -38,6 +38,8 @@ __all__ = [
     "uniqueness_rank",
 ]
 
+_RANK_TOL = 1e-8  # uniqueness_rank's singular-value cutoff, relative to the largest
+
 
 @dataclass(frozen=True, eq=False)
 class FourierCoefficients:
@@ -155,19 +157,15 @@ def _sup(space: CoefficientSpace, stack: np.ndarray, levels):
     return space, _AMP, tuple(levels), stack.reshape(-1, space.dim), None
 
 
-def uniqueness_rank(
-    dual: UnitaryDual,
-    target: VectorMeasure | CoefficientSpace,
-    tol: float = 1e-8,
-) -> int:
+def uniqueness_rank(dual: UnitaryDual, target: VectorMeasure | CoefficientSpace) -> int:
     """Kernel dimension of the linear transform map at this instance.
 
     With a ``VectorMeasure`` target: the map f -> transform of f against nu,
     with the domain restricted to functions supported on atoms where the
     measure is nonzero.  With a ``CoefficientSpace`` target: the map from
     measures over that space to their transforms.  Zero means the transform
-    determines its argument.  Rank is counted at ``tol`` relative to the
-    largest singular value.
+    determines its argument.  Rank is counted at the module constant
+    ``_RANK_TOL`` (1e-8) relative to the largest singular value.
     """
     rows = dual.coefficients  # [sum d^2, order]
     if isinstance(target, VectorMeasure):
@@ -184,6 +182,6 @@ def uniqueness_rank(
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return mat.shape[1]
-    rank = int((s > tol * s[0]).sum())
+    rank = int((s > _RANK_TOL * s[0]).sum())
     return mat.shape[1] - rank
 

@@ -105,12 +105,9 @@ __all__ = [
 
 SCHEMA = "vmfourier-report/2"
 EXPONENT_GRID = (1.0, 1.5, 2.0, 3.0, 4.0)
-FAULTS = (
-    "drop-dpi-conv6",
-    "drop-dpi-conv8",
-    "drop-inv-dpi-def41",
-    "perturb-irrep",
-)
+# the verdict tolerances of residuals and of compared pairs, fixed for every run
+TOL_EXACT = 1e-10
+TOL_BRACKET = 1e-8
 
 GRID_PHASES = 24  # phases per coordinate circle of the grid oracle
 _PERTURBATION = 1e-3  # how far the perturb-irrep fault moves one irrep entry
@@ -136,8 +133,6 @@ class RunConfig:
     suites: list[str] = field(default_factory=lambda: list(_SUITES))
     trials: int | None = None
     seed: int = 0
-    tol_exact: float = 1e-10
-    tol_bracket: float = 1e-8
     out_dir: Path | None = None
 
     def __setattr__(self, key, value):
@@ -146,10 +141,8 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if key == "seed" and value < 0:
             raise ValueError("seed must be >= 0")
-        if key in ("groups", "spaces") and not value:
+        if key in ("groups", "spaces", "suites") and not value:
             raise ValueError(f"{key} must not be empty")
-        if key in ("tol_exact", "tol_bracket") and not 0 < value < np.inf:
-            raise ValueError("tolerances must be finite and positive")
         for s in value if key == "suites" else ():
             if s not in _SUITES:
                 raise ValueError(f"unknown suite {s!r}; known: {', '.join(_SUITES)}")
@@ -299,7 +292,6 @@ class _Ctx:
     cfg: RunConfig
     groups: list[tuple[FiniteGroup, UnitaryDual]]
     spaces: list[CoefficientSpace]
-    fault: str | None
 
 
 @dataclass
@@ -375,9 +367,9 @@ def _sides(sides, ascend=True):
 def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, tally):
     """One row of the claim table.  Instance i takes cell i % len(cells) of the
     (group, space) grid, groups varying fastest unless ``spaces_fastest``, and
-    combo i % len(combos); ``check(combo, nu, dual, rng, fault)`` draws the
-    rest and returns a residual (against ``tol_exact``), an (lhs, rhs) pair
-    of sides (at ``tol_bracket``), or a list of such checks.  Instances run in
+    combo i % len(combos); ``check(combo, nu, dual, rng)`` draws the rest
+    and returns a residual (against ``TOL_EXACT``), an (lhs, rhs) pair of
+    sides (at ``TOL_BRACKET``), or a list of such checks.  Instances run in
     blocks of ``_BLOCK``, whose sides are resolved together in two passes and
     tallied in instance order from arrays of bracket ends: a pair whose
     ascent-free brackets give ``lhs.upper <= rhs.lower`` passes from those as
@@ -401,7 +393,7 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
         for i in range(start, min(start + _BLOCK, trials)):
             g, dual, space = cells[i % len(cells)]
             rng, nu = _instance(ctx, name, i, kind, g, space)
-            out = check(combos[i % len(combos)], nu, dual, rng, ctx.fault)
+            out = check(combos[i % len(combos)], nu, dual, rng)
             checks += [(i, k, c) for k, c in enumerate(out if isinstance(out, list) else [out])]
         pair = np.array([isinstance(c, tuple) for _, _, c in checks])
         sides = [s for _, _, c in checks if isinstance(c, tuple) for s in c]
@@ -413,7 +405,7 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
         ends = np.array([(0.0,) * 4 if isinstance(c, tuple) else (c, c, 0.0, 0.0)
                          for _, _, c in checks])
         ends[pair] = np.stack([lower[0::2], upper[0::2], lower[1::2], upper[1::2]], axis=1)
-        tol = np.where(pair, ctx.cfg.tol_bracket, ctx.cfg.tol_exact)
+        tol = np.where(pair, TOL_BRACKET, TOL_EXACT)
         tally.checks(*ends.T, tol, note_of)
         del checks, sides  # drop this block's requests before drawing the next
 
@@ -426,10 +418,10 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
 def _suite_dual_validation(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     checks = []
     for g, dual in ctx.groups:
-        rep = validate_dual(g, dual, ctx.cfg.tol_exact)
-        complete = sum(p.dim**2 for p in dual.irreps) == g.order
-        checks += [(rep.max_residual, ctx.cfg.tol_exact, f"{g.label} residuals"),
-                   (0.0 if complete else 1.0, 0.5, f"{g.label} completeness")]
+        # the four identity residuals, then |sum d^2 - |G||, an integer
+        *identities, completeness = validate_dual(g, dual, TOL_EXACT).residuals().values()
+        checks += [(float(np.max(identities)), TOL_EXACT, f"{g.label} residuals"),
+                   (completeness, 0.5, f"{g.label} completeness")]
     tally.residuals(checks)
 
 
@@ -452,11 +444,11 @@ def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             wl, wr = plancherel_check(fh, dual)
             wrt = ft_inverse(ft_weak(f, nu, xp, dual))
             resid = np.max([resid, abs(wl - wr), np.abs(wrt.values - fh.values).max()])
-        checks.append((float(resid), ctx.cfg.tol_exact, f"{g.label} trial {i}"))
+        checks.append((float(resid), TOL_EXACT, f"{g.label} trial {i}"))
     tally.residuals(checks)
 
 
-def _ft_norm_bounds(combo, nu, dual, rng, fault):
+def _ft_norm_bounds(combo, nu, dual, rng):
     """4.4i, 4.8i and 7: the sup norms of the transform of f against nu, of
     its weak transform at xp and of nu's transform, against ||f||_{L^1(nu)},
     ||f||_{L^1(nu)} ||xp|| and the semivariation of nu."""
@@ -482,7 +474,7 @@ def _suite_ft_norm_bounds(ctx: _Ctx, name: str, trials: int, tally: _Tally):
 _CB_COMBOS = tuple((n, ("fn", "meas")[i % 2]) for i, n in enumerate((1, 2, 3) * 2))
 
 
-def _cb_amplification(combo, nu, dual, rng, fault):
+def _cb_amplification(combo, nu, dual, rng):
     """4.4ii/3.6iii at level n: the amplified transform of an n x n matrix
     function against its N-norm (``fn``), or of an n x n matrix of measures,
     drawn here, against their amplified semivariation (``meas``)."""
@@ -524,13 +516,13 @@ def _weak_block_gap(hat, weak, xp: XVector) -> float:
     return float(np.abs(hat.space.pair_many(hat.stack, xp.coords[None, :])[0] - weak.stack).max())
 
 
-def _pairing_residual(combo, nu, dual, rng, fault) -> float:
+def _pairing_residual(combo, nu, dual, rng) -> float:
     f = _random_function(nu.group, rng)
     xp = _random_dual(nu.space, rng)
     return _weak_block_gap(ft_vector(f, nu, dual), ft_weak(f, nu, xp, dual), xp)
 
 
-def _density_residual(combo, nu, dual, rng, fault) -> float:
+def _density_residual(combo, nu, dual, rng) -> float:
     f = _random_function(nu.group, rng)
     lhs = ft_vector(f, nu, dual)
     rhs = ft_measure(measure_from_density(nu, f.values), dual)
@@ -539,7 +531,7 @@ def _density_residual(combo, nu, dual, rng, fault) -> float:
     return float(np.maximum(lhs.max_abs_diff(rhs), _weak_block_gap(rhs, weak, xp)))
 
 
-def _scalarization_residual(combo, nu, dual, rng, fault) -> float:
+def _scalarization_residual(combo, nu, dual, rng) -> float:
     f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
     xp = _random_dual(nu.space, rng)
     vec = conv_vector(f, h, nu)
@@ -547,52 +539,47 @@ def _scalarization_residual(combo, nu, dual, rng, fault) -> float:
     return float(np.abs(paired - conv_weak(f, h, nu, xp).values).max())
 
 
-def _ft_conv6_residual(f, g_fn, nu, xp, dual, fault=None) -> float:
+def _ft_conv6_residual(f, g_fn, nu, xp, dual, dpi=1) -> float:
     lhs = ft_classical(conv_weak(f, g_fn, nu, xp), dual)
     ghat = ft_vector(g_fn, nu, dual)
     fhat = ft_classical(f, dual)
     resid = 0.0
     for p, lb, gb, fb in zip(dual.irreps, lhs.blocks, ghat.blocks, fhat.blocks):
         prod = np.einsum("ikc,kj->ijc", gb.entries, fb).reshape(-1, nu.space.dim)
-        scale = 1 if fault == "drop-dpi-conv6" else p.dim
-        if fault == "drop-inv-dpi-def41":
-            # ghat's block without the 1/d of definition 4.1
-            scale *= p.dim
-        rhs = scale * nu.space.pair_many(prod, xp.coords[None, :])[0]
+        rhs = p.dim**dpi * nu.space.pair_many(prod, xp.coords[None, :])[0]
         resid = np.maximum(resid, np.abs(lb.reshape(-1) - rhs).max())
     return float(resid)
 
 
-def _ft_conv6_instance(combo, nu, dual, rng, fault) -> float:
+def _ft_conv6_instance(combo, nu, dual, rng, dpi=1) -> float:
     f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
-    return _ft_conv6_residual(f, h, nu, _random_dual(nu.space, rng), dual, fault)
+    return _ft_conv6_residual(f, h, nu, _random_dual(nu.space, rng), dual, dpi)
 
 
-def _ft_conv8_residual(mu, nu, dual, fault=None) -> float:
+def _ft_conv8_residual(mu, nu, dual, dpi=1) -> float:
     lhs = ft_measure(conv_measure_sv(mu, nu), dual)
     nuhat = ft_measure(nu, dual)
     muhat = ft_measure(mu, dual)
     resid = 0.0
     for p, lb, nb, mb in zip(dual.irreps, lhs.blocks, nuhat.blocks, muhat.blocks):
-        scale = 1 if fault == "drop-dpi-conv8" else p.dim
-        rhs = np.einsum("ikc,kj->ijc", nb.entries, scale * mb.entries[:, :, 0])
+        rhs = np.einsum("ikc,kj->ijc", nb.entries, p.dim**dpi * mb.entries[:, :, 0])
         resid = np.maximum(resid, np.abs(lb.entries - rhs).max())
     return float(resid)
 
 
-def _ft_conv8_instance(combo, nu, dual, rng, fault) -> float:
+def _ft_conv8_instance(combo, nu, dual, rng, dpi=1) -> float:
     mu = VectorMeasure.scalar(nu.group, _random_function(nu.group, rng).values)
-    return _ft_conv8_residual(mu, nu, dual, fault)
+    return _ft_conv8_residual(mu, nu, dual, dpi)
 
 
-def _pettis_residual(combo, nu, dual, rng, fault) -> float:
+def _pettis_residual(combo, nu, dual, rng) -> float:
     f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
     lhs = pettis_integral(conv_vector(f, h, nu))
     rhs = complex(np.mean(f.values)) * integrate(h.values, nu).coords
     return float(np.abs(lhs.coords - rhs).max())
 
 
-def _duality_residual(combo, nu, dual, rng, fault) -> float:
+def _duality_residual(combo, nu, dual, rng) -> float:
     f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
     phi = _random_function(nu.group, rng)
     xp = _random_dual(nu.space, rng)
@@ -719,14 +706,14 @@ _YOUNG = {
 def _young(claim):
     """The check of a Young claim: it draws f, h and then xp."""
 
-    def check(combo, nu, dual, rng, fault):
+    def check(combo, nu, dual, rng):
         f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
         return claim(combo, nu, f, h, _random_dual(nu.space, rng))
 
     return check
 
 
-def _embedding_413(combo, nu, dual, rng, fault):
+def _embedding_413(combo, nu, dual, rng):
     """4.13: ||int f dnu|| against ||nu||_p ||f||_{L^p'}."""
     (p,) = combo
     f = _random_function(nu.group, rng)
@@ -734,7 +721,7 @@ def _embedding_413(combo, nu, dual, rng, fault):
     return lhs, _product(_p_semi(nu, p), scale=lp_norm_haar(f, _conj(p)))
 
 
-def _lp_containment(combo, nu, dual, rng, fault):
+def _lp_containment(combo, nu, dual, rng):
     """Part B of 5: ||f||_{L^p} against ||f||_{L^p(nu)} ||nu(G)||^(-1/p)."""
     (p,) = combo
     f = _random_function(nu.group, rng)
@@ -756,7 +743,6 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     requests are resolved in one call; its semivariation check is the larger
     of the gap between ||nu|| and ||nu_h|| and the upper end of ||nu_h -
     twist||.  Part B, containment in the Haar space, is a claim row."""
-    tol_e, tol_b = ctx.cfg.tol_exact, ctx.cfg.tol_bracket
     checks = []
     for k, (g, _) in enumerate(ctx.groups):
         # the unperturbed dual's character: a perturbed one is no homomorphism
@@ -781,9 +767,10 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
                 def gap(a, b):  # certified distances between the brackets a and b
                     return np.maximum(np.maximum(lo[a] - hi[b], lo[b] - hi[a]), 0.0)
 
-                checks.append((float(np.maximum(gap(0, 1), hi[2])), tol_b, f"semivar {g.label}"))
+                checks.append((float(np.maximum(gap(0, 1), hi[2])), TOL_BRACKET,
+                               f"semivar {g.label}"))
                 a = np.arange(3, len(lo), 3)
-                tol = tol_e if space.exact_dual_sup else tol_b
+                tol = TOL_EXACT if space.exact_dual_sup else TOL_BRACKET
                 for r in np.maximum(gap(a, a + 1), gap(a, a + 2)).tolist():
                     checks.append((r, tol, f"norms {g.label} {space.label}"))
     tally.residuals(checks)
@@ -852,7 +839,7 @@ def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             resid = np.maximum(resid, est.lower - 1.02 * bf)
             if space.exact_dual_sup:
                 resid = np.maximum(resid, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))
-        checks.append((float(resid), ctx.cfg.tol_bracket, f"{space.label} m={m} {i}"))
+        checks.append((float(resid), TOL_BRACKET, f"{space.label} m={m} {i}"))
     tally.residuals(checks)
 
 
@@ -872,6 +859,11 @@ def _claim(check, combos=((),), kind="random-gaussian", spaces_fastest=False,
            note="{g} {s} {i}"):
     """A row of the claim table, as a suite runner ``(ctx, name, trials, tally)``."""
     return functools.partial(_claim_suite, kind, check, combos, spaces_fastest, note)
+
+
+def _swap_check(row, check):
+    """The claim row ``row`` (a ``_claim``) with ``check`` in place of its own."""
+    return functools.partial(_claim_suite, row.args[0], check, *row.args[2:])
 
 
 _FT_NORM_BOUNDS = _claim(_ft_norm_bounds, note=(
@@ -913,6 +905,16 @@ _SUITES: dict[str, _SuiteSpec] = {
     "calibration": _SuiteSpec("estimators", 200, _suite_calibration),
 }
 
+# fault -> {suite: the check it swaps into that claim row}, dpi being the power
+# of d_pi in theorems 6 and 8 (1); drop-inv-dpi-def41 drops definition 4.1's
+# 1/d_pi from ghat.  perturb-irrep swaps none: ``_build_ctx`` moves the duals.
+FAULTS = {
+    "drop-dpi-conv6": {"ft-conv-6": functools.partial(_ft_conv6_instance, dpi=0)},
+    "drop-dpi-conv8": {"ft-conv-8": functools.partial(_ft_conv8_instance, dpi=0)},
+    "drop-inv-dpi-def41": {"ft-conv-6": functools.partial(_ft_conv6_instance, dpi=2)},
+    "perturb-irrep": {},
+}
+
 
 def suite_names() -> list[str]:
     return list(_SUITES)
@@ -933,20 +935,22 @@ def _build_ctx(cfg: RunConfig, fault: str | None) -> _Ctx:
     if fault == "perturb-irrep":
         groups = [(g, _perturbed_dual(dual)) for g, dual in groups]
     spaces = [space_from_spec(s) for s in cfg.spaces]
-    return _Ctx(cfg, groups, spaces, fault)
+    return _Ctx(cfg, groups, spaces)
 
 
 def run_suite(name: str, cfg: RunConfig, *, fault: str | None = None) -> TheoremReport:
-    """Run one suite; deterministic given (cfg, seed).  ``fault`` switches in a
-    deliberately wrong constant (test instrumentation for sensitivity checks)."""
+    """Run one suite; deterministic given (cfg, seed).  ``fault``, a key of
+    ``FAULTS``, switches in a deliberately wrong constant (test instrumentation)."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
     spec = _SUITES[name]
     ctx = _build_ctx(cfg, fault)
+    swap = fault and FAULTS[fault].get(name)
+    runner = _swap_check(spec.runner, swap) if swap else spec.runner
     trials = cfg.trials if cfg.trials is not None else spec.default_trials
     start = time.perf_counter()
     tally = _Tally()
-    spec.runner(ctx, name, trials, tally)
+    runner(ctx, name, trials, tally)
     elapsed = time.perf_counter() - start
     detail = "; ".join(tally.notes[:4])
     return TheoremReport(
@@ -1012,7 +1016,7 @@ def _parse_list(value: str) -> list[str]:
 # config key -> parser of its value
 _KEYS = {
     "groups": _parse_list, "spaces": _parse_list, "suites": _parse_list,
-    "trials": int, "seed": int, "tol_exact": float, "tol_bracket": float, "out_dir": Path,
+    "trials": int, "seed": int, "out_dir": Path,
 }
 
 

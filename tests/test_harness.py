@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 import subprocess
@@ -143,9 +144,9 @@ class TestOneVerdictRule:
 
     def test_nan_pairing_residuals_are_violations(self, monkeypatch):
         spec = harness._SUITES["pairing-compat"]
-        kind, check, combos, spaces_fastest, note = spec.runner.args
-        assert check is harness._pairing_residual
-        nan = harness._claim(lambda *a: check(*a) * np.nan, combos, kind, spaces_fastest, note)
+        check = harness._pairing_residual
+        assert spec.runner.args[1] is check
+        nan = harness._swap_check(spec.runner, lambda *a: check(*a) * np.nan)
         monkeypatch.setitem(
             harness._SUITES, "pairing-compat", dataclasses.replace(spec, runner=nan)
         )
@@ -227,6 +228,16 @@ class TestRunSuite:
         for seed, trials in ((0, 36), (32, 4)):
             vf.run_suite("plancherel", small_config(groups=["cyclic:2"], seed=seed, trials=trials))
         assert len(seeds) == 10 and len(set(seeds)) == 10
+
+    def test_dropped_irrep_is_one_violation_per_group(self):
+        # a dual without its last irrep fails completeness alone, once per group
+        cfg = small_config(groups=["cyclic:3", "symmetric:3"])
+        groups = [harness.group_with_dual(spec) for spec in cfg.groups]
+        groups = [(g, vf.UnitaryDual(g, dual.irreps[:-1])) for g, dual in groups]
+        tally = harness._Tally()
+        harness._suite_dual_validation(harness._Ctx(cfg, groups, []), "dual-validation", 1, tally)
+        assert (tally.instances, tally.violations) == (4, 2)
+        assert tally.notes == ["Z3 completeness", "S3 completeness"]
 
     def test_commutativity_finds_witness(self):
         cfg = small_config(groups=["symmetric:3", "dihedral:4", "quaternion8"])
@@ -512,7 +523,7 @@ class TestTwoPasses:
     @staticmethod
     def halved_rhs(runner):
         """A claim row like ``runner`` whose rhs sides are scaled by 0.5."""
-        kind, check, combos, spaces_fastest, note = runner.args
+        check = runner.args[1]
 
         def halved(*args):
             out = check(*args)
@@ -520,7 +531,7 @@ class TestTwoPasses:
                 out if isinstance(out, list) else [out])]
             return pairs if isinstance(out, list) else pairs[0]
 
-        return harness._claim(halved, combos, kind, spaces_fastest, note)
+        return harness._swap_check(runner, halved)
 
     @pytest.mark.parametrize("name", ["young-6.4", "ft-norm-bounds"])
     @pytest.mark.parametrize("scale", [1.0, 0.5])
@@ -631,6 +642,50 @@ class TestFaultInjection:
         with pytest.raises(ValueError):
             vf.run_suite("ft-conv-6", self.fault_config(), fault="bogus")
 
+    def test_fault_reach(self):
+        # each fault gives violations in exactly these suites; a fault that
+        # swaps a check leaves every other report equal, bit for bit
+        cfg = small_config(
+            groups=["cyclic:3", "symmetric:3"], spaces=["linf:2", "matop:2"], trials=10
+        )
+
+        def reports(fault=None):
+            out = {}
+            for name in vf.suite_names():
+                rep = vf.run_suite(name, cfg, fault=fault)
+                out[name] = dict(rep.to_dict(), elapsed_s=0, max_residual=rep.max_residual.hex())
+            return out
+
+        reach = {
+            "drop-dpi-conv6": {"ft-conv-6"},
+            "drop-dpi-conv8": {"ft-conv-8"},
+            "drop-inv-dpi-def41": {"ft-conv-6"},
+            "perturb-irrep": {"dual-validation", "plancherel", "ft-conv-6", "ft-conv-8"},
+        }
+        assert set(reach) == set(harness.FAULTS)
+        clean = reports()
+        assert not any(doc["violations"] for doc in clean.values())
+        for fault, suites in reach.items():
+            faulted = reports(fault)
+            assert {name for name, doc in faulted.items() if doc["violations"]} == suites, fault
+            if harness.FAULTS[fault]:
+                for name in set(clean) - suites:
+                    assert faulted[name] == clean[name], (fault, name)
+
+    def test_checks_take_combo_nu_dual_rng(self):
+        # every claim row's check, and every check a fault swaps in, takes
+        # (combo, nu, dual, rng) and at most a defaulted dpi
+        rows = [harness._FT_NORM_BOUNDS, harness._LP_CONTAINMENT] + [
+            spec.runner for spec in harness._SUITES.values()
+            if getattr(spec.runner, "func", None) is harness._claim_suite
+        ]
+        swapped = [check for swaps in harness.FAULTS.values() for check in swaps.values()]
+        assert len(rows) == 20 and len(swapped) == 3
+        for check in [row.args[1] for row in rows] + swapped:
+            params = list(inspect.signature(check).parameters.values())
+            assert [p.name for p in params[:4]] == ["combo", "nu", "dual", "rng"], check
+            assert [(p.name, p.default is p.empty) for p in params[4:]] in ([], [("dpi", False)])
+
 
 class TestEmitReport:
     def make_reports(self):
@@ -698,14 +753,12 @@ class TestConfigFiles:
             suites = plancherel, uniqueness
             trials = 5
             seed = 99
-            tol_exact = 1e-9
             """
         )
         cfg = vf.load_config(path)
         assert cfg.groups == ["cyclic:2", "symmetric:3"]
         assert cfg.suites == ["plancherel", "uniqueness"]
         assert cfg.trials == 5 and cfg.seed == 99
-        assert cfg.tol_exact == 1e-9
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -733,26 +786,30 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="seed"):
             RunConfig(seed=-1)
 
-    @pytest.mark.parametrize("key", ["groups", "spaces"])
+    @pytest.mark.parametrize("key", ["groups", "spaces", "suites"])
     def test_empty_groups_or_spaces_rejected(self, key):
-        # the suites take cell i % len(cells), which an empty grid divides by 0
+        # the suites take cell i % len(cells), which an empty grid divides by
+        # 0; an empty suite list would report a clean run of nothing
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: []})
 
     @pytest.mark.parametrize("key", ["tol_exact", "tol_bracket"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
-    def test_tolerance_not_finite_and_positive_rejected(self, tmp_path, key, value):
-        # tol_exact = nan would turn every residual check into a pass
+    def test_tolerance_keys_are_unknown(self, tmp_path, key):
+        # the verdict tolerances are fixed; a config cannot name them
         path = tmp_path / "cfg.txt"
-        path.write_text(f"{key} = {value}\n")
-        with pytest.raises(ValueError, match="tolerances"):
+        path.write_text(f"{key} = 1e-9\n")
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             vf.load_config(path)
 
+    def test_config_keys_are_the_fields(self):
+        # no setting exists only as a config key or only as a field
+        assert set(harness._KEYS) == {f.name for f in dataclasses.fields(RunConfig)}
+
     @pytest.mark.parametrize(
-        "key, value", [("tol_exact", float("nan")), ("seed", -1), ("suites", ["nope"])]
+        "key, value", [("trials", 0), ("seed", -1), ("suites", ["nope"])]
     )
     def test_assignment_is_validated(self, key, value):
-        # a NaN tol_exact set after construction would pass every residual check
+        # a field set after construction is checked as at construction
         cfg = RunConfig()
         with pytest.raises(ValueError):
             setattr(cfg, key, value)
@@ -859,7 +916,7 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "spaces = matop:0", "groups = nosuch:3", "spaces = weighted_l1:0",
-        "groups =", "spaces = ,",
+        "groups =", "spaces = ,", "suites =",
     ])
     def test_bad_spec_in_config_exits_2(self, tmp_path, line):
         cfg = tmp_path / "cfg.txt"
