@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -24,8 +23,6 @@ from .harness import (
     suite_names,
 )
 from .spaces import space_from_spec
-
-OUT_DIR_ENV = "VMFOURIER_OUT"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,13 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _report_path(args, cfg: RunConfig) -> Path:
-    """``--out``, else report.json / report.md in the config's ``out_dir``,
-    else in $VMFOURIER_OUT, else in the working directory."""
-    if args.out:
-        return args.out
-    base = cfg.out_dir or os.environ.get(OUT_DIR_ENV) or ""
-    return Path(base) / f"report.{'json' if args.format == 'json' else 'md'}"
+def _report_path(args) -> Path:
+    """``--out``, else report.json / report.md in the working directory."""
+    return args.out or Path(f"report.{'json' if args.format == 'json' else 'md'}")
 
 
 def _cmd_list(args) -> int:
@@ -95,7 +88,7 @@ def _cmd_run(args) -> int:
         )
         reports.append(rep)
 
-    out = _report_path(args, cfg)
+    out = _report_path(args)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         emit_report(reports, args.format, out, seed=cfg.seed)
@@ -107,24 +100,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    out_dir = args.out
-    if out_dir is None and os.environ.get(OUT_DIR_ENV):
-        out_dir = Path(os.environ[OUT_DIR_ENV])
     for spec in builtin_group_specs():
         g, dual = group_with_dual(spec)
         gtext = dump_group_file(g)
         dtext = dump_dual_file(dual)
-        if out_dir is None:
+        if args.out is None:
             print(f"# group {g.label} ({spec})")
             print(gtext, end="")
             print(f"# dual {g.label}")
             print(dtext, end="")
         else:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"group_{g.label}.txt").write_text(gtext)
-            (out_dir / f"dual_{g.label}.txt").write_text(dtext)
-    if out_dir is not None:
-        print(f"tables written to {out_dir}")
+            args.out.mkdir(parents=True, exist_ok=True)
+            (args.out / f"group_{g.label}.txt").write_text(gtext)
+            (args.out / f"dual_{g.label}.txt").write_text(dtext)
+    if args.out is not None:
+        print(f"tables written to {args.out}")
     return 0
 
 

@@ -4,7 +4,7 @@ Groups are Cayley tables over dense element indices 0..order-1; the table is
 the single source of truth and is validated exhaustively at construction
 (supported orders are <= 24).  The unitary dual of every group, built-in or
 loaded from a table file, is computed from that table by splitting the left
-regular representation (``unitary_dual``); ``validate_dual`` checks any dual,
+regular representation (``unitary_dual``); ``validate_dual`` measures any dual,
 computed or read from a dual table file.
 """
 
@@ -83,13 +83,17 @@ def require_same_group(a: FiniteGroup, b: FiniteGroup) -> None:
         raise ValueError("group mismatch")
 
 
+def _check_order(n: int):
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the exhaustively-validated maximum {MAX_ORDER}")
+
+
 def _check_group_axioms(g: FiniteGroup):
     n = g.order
     c = g.cayley
     if c.shape != (n, n):
         raise ValueError("cayley table shape does not match order")
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the exhaustively-validated maximum {MAX_ORDER}")
+    _check_order(n)
     rng = np.arange(n)
     if not (np.sort(c, axis=1) == rng[None, :]).all():
         raise ValueError("cayley table is not a Latin square (rows repeat)")
@@ -170,7 +174,8 @@ def build_group(spec: str) -> FiniteGroup:
 
     Supported descriptors: ``cyclic:N``, ``cyclic:N1xN2x...`` (direct product),
     ``dihedral:N`` (order 2N), ``symmetric:N`` with N <= 4, ``quaternion8``.
-    The resulting order must not exceed 24.
+    The resulting order must not exceed 24; it is checked before the table
+    is built.
     """
     s = spec.strip().lower()
     if s == "quaternion8":
@@ -183,11 +188,13 @@ def build_group(spec: str) -> FiniteGroup:
             raise ValueError(f"bad cyclic orders in {spec!r}") from exc
         if any(n < 1 for n in ns):
             raise ValueError("cyclic orders must be positive")
+        _check_order(math.prod(ns))
         return _cyclic_product(ns)
     if name == "dihedral" and arg:
         n = int(arg)
         if n < 2:
             raise ValueError("dihedral parameter must be >= 2")
+        _check_order(2 * n)
         return _dihedral(n)
     if name == "symmetric" and arg:
         n = int(arg)
@@ -317,14 +324,14 @@ def unitary_dual(g: FiniteGroup) -> UnitaryDual:
 
 @dataclass
 class DualValidationReport:
-    """Max residuals of the defining identities of a unitary dual."""
+    """Max residuals of the defining identities of a unitary dual; the
+    verdict on them is the caller's."""
 
     homomorphism: float
     unitarity: float
     irreducibility: float
     orthogonality: float
     completeness: float
-    tol: float
 
     def residuals(self) -> dict[str, float]:
         return {
@@ -340,16 +347,11 @@ class DualValidationReport:
         """The largest residual, NaN if any residual is NaN."""
         return float(np.max(list(self.residuals().values())))
 
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
 
-
-def validate_dual(g: FiniteGroup, dual: UnitaryDual, tol: float = 1e-10) -> DualValidationReport:
-    """Check homomorphism, unitarity, irreducibility, Schur orthogonality and
-    completeness of a dual against its group; structural mismatches raise."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def validate_dual(g: FiniteGroup, dual: UnitaryDual) -> DualValidationReport:
+    """The residuals of homomorphism, unitarity, irreducibility, Schur
+    orthogonality and completeness of a dual against its group; structural
+    mismatches raise."""
     n = g.order
     for p in dual.irreps:
         if p.matrices.shape[0] != n:
@@ -374,7 +376,7 @@ def validate_dual(g: FiniteGroup, dual: UnitaryDual, tol: float = 1e-10) -> Dual
             orth.append(np.abs(gram).max())
     comp = float(abs(sum(p.dim**2 for p in dual.irreps) - n))
     hom, unit, irr, orth = (float(np.max(r)) for r in (hom, unit, irr, orth))
-    return DualValidationReport(hom, unit, irr, orth, comp, tol)
+    return DualValidationReport(hom, unit, irr, orth, comp)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,12 @@ class CoefficientSpace:
         """Random extreme points of the dual unit ball, as [count, dim] rows."""
         raise NotImplementedError
 
+    def grid_dual(self, phases: np.ndarray):
+        """Extreme points of the dual unit ball on the given unit phases, as
+        [P, dim] rows, or None; a max over them is a lower bound for the
+        dual-ball sup of any convex objective."""
+        return None
+
     # -- optional closed forms: [B] arrays of values, or None ---------------
 
     def closed_sup(self, weights: np.ndarray, vecs: np.ndarray, q: float):
@@ -191,6 +197,9 @@ class ScalarSpace(CoefficientSpace):
     def sample_dual(self, rng, count):
         return np.exp(2j * np.pi * rng.random((count, 1)))
 
+    def grid_dual(self, phases):
+        return phases[:, None]
+
     def closed_sup(self, weights, vecs, q):
         return (weights * np.abs(vecs[..., 0]) ** q).sum(axis=-1)
 
@@ -228,6 +237,10 @@ class LinfSpace(CoefficientSpace):
         out = np.zeros((count, self.dim), dtype=complex)
         out[np.arange(count), j] = np.exp(2j * np.pi * rng.random(count))
         return out
+
+    def grid_dual(self, phases):
+        on = np.eye(self.dim, dtype=bool)[:, None]  # the phases times each e_j
+        return np.where(on, phases[:, None], 0).reshape(-1, self.dim)
 
     def closed_sup(self, weights, vecs, q):
         # convex in xp, so the max sits at an extreme point phase * e_c, where
@@ -284,6 +297,16 @@ class MatOpSpace(CoefficientSpace):
         xp = u[:, :, None] * np.conj(v)[:, None, :]
         return xp.reshape(count, self.dim)
 
+    def grid_dual(self, phases):
+        # u v^H for u, v = (cos a, sin a * phase) on 13 angles a in [0, pi/2]; d <= 2
+        if self.d > 2:
+            return None
+        if self.d == 1:
+            return phases[:, None]
+        ang = np.linspace(0.0, np.pi / 2, 13)[:, None]
+        us = np.stack(np.broadcast_arrays(np.cos(ang), np.sin(ang) * phases), -1).reshape(-1, 2)
+        return np.einsum("ua,vb->uvab", us, us.conj()).reshape(-1, 4)
+
     def closed_amplified(self, entries):
         B, n = entries.shape[:2]
         big = entries.reshape(B, n, n, self.d, self.d).transpose(0, 1, 3, 2, 4)
@@ -326,6 +349,13 @@ class WeightedL1Space(CoefficientSpace):
 
     def sample_dual(self, rng, count):
         return self.weights[None, :] * np.exp(2j * np.pi * rng.random((count, self.dim)))
+
+    def grid_dual(self, phases):
+        # the weights times every tuple of phases, len(phases)**dim points: dim <= 3
+        if self.dim > 3:
+            return None
+        grids = np.meshgrid(*([phases] * self.dim), indexing="ij")
+        return self.weights[None, :] * np.stack([g.reshape(-1) for g in grids], axis=1)
 
     def amplified_majorant(self, entries):
         # |xp_c| <= w_c on the dual ball, so ||sum_c xp_c A_c||_op <= sum_c w_c ||A_c||_op

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vmfourier as vf
+from vmfourier.harness import GRID_PHASES
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +63,9 @@ def random_function(group, seed):
     return vf.ScalarFunction(
         group, rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
     )
+
+
+def grid_dual(space):
+    """The space's calibration grid, ``grid_dual`` on ``GRID_PHASES`` phases,
+    or None."""
+    return space.grid_dual(np.exp(2j * np.pi * np.arange(GRID_PHASES) / GRID_PHASES))

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -101,3 +102,47 @@ def test_lp_requests_built_by_one_builder(monkeypatch):
     vmfourier.p_semivariation(vmfourier.VectorMeasure(g, space, values), 3.0)
     vmfourier.lp_dual_sup(space, values, 4.0)
     assert built == [2.0, 3.0, 4.0]
+
+
+def _harness_tree():
+    return ast.parse(Path(vmfourier.harness.__file__).read_text())
+
+
+def test_harness_names_no_concrete_space_in_isinstance():
+    # what a space knows of its dual ball lives in its class (``grid_dual``,
+    # ``closed_sup``, ...), so the harness switches on no space class
+    concrete, todo = set(), [vmfourier.spaces.CoefficientSpace]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        concrete |= {c.__name__ for c in subs}
+        todo += subs
+    named = {
+        n.id
+        for node in ast.walk(_harness_tree())
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        for n in ast.walk(node.args[1])
+        if isinstance(n, ast.Name)
+    }
+    assert concrete and named & concrete == set()
+
+
+def test_run_config_fields_are_read_by_the_harness():
+    # a RunConfig field is a harness setting, read as cfg.<field> (or
+    # ctx.cfg.<field>) outside the class body; a field that only the CLI
+    # reads belongs to the CLI.  suites is the one exception: it lists what
+    # a caller runs, and the callers (the CLI and the benchmark's worker)
+    # loop over it
+    outside = [
+        node for node in _harness_tree().body
+        if not (isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    ]
+    read = {
+        node.attr
+        for top in outside
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and (
+            getattr(node.value, "id", None) == "cfg" or getattr(node.value, "attr", None) == "cfg"
+        )
+    }
+    fields = {f.name for f in dataclasses.fields(vmfourier.RunConfig)}
+    assert fields - read == {"suites"}

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,18 @@ class TestBuildGroup:
         with pytest.raises(ValueError):
             vf.build_group(bad)
 
+    @pytest.mark.parametrize("spec, order", [("cyclic:40x40", 1600), ("dihedral:800", 1600)])
+    def test_oversized_spec_rejected_before_its_table(self, spec, order):
+        # the order comes from the spec, so no order^2 Cayley table is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"order {order} exceeds"):
+                vf.build_group(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_all_builtins_satisfy_axioms(self, builtin_groups):
         # construction already validates; re-check associativity independently
         for g, _ in builtin_groups:
@@ -172,8 +185,8 @@ class TestDuals:
 
     def test_validation_passes_builtins(self, builtin_groups):
         for g, d in builtin_groups:
-            rep = vf.validate_dual(g, d, 1e-10)
-            assert rep.passed, (g.label, rep.residuals())
+            rep = vf.validate_dual(g, d)
+            assert rep.max_residual <= 1e-10, (g.label, rep.residuals())
 
     def test_perturbed_irrep_fails(self, s3, s3_dual):
         irreps = []
@@ -183,8 +196,8 @@ class TestDuals:
                 mats[1, 0, 0] += 1e-3
             irreps.append(UnitaryIrrep(p.dim, mats, p.label))
         bad = UnitaryDual(s3, irreps)
-        rep = vf.validate_dual(s3, bad, 1e-10)
-        assert not rep.passed
+        rep = vf.validate_dual(s3, bad)
+        assert not rep.max_residual <= 1e-10
         assert rep.homomorphism == pytest.approx(1e-3, rel=0.9)
 
     def test_nan_entry_fails(self, s3, s3_dual, monkeypatch):
@@ -193,8 +206,8 @@ class TestDuals:
         mats = last.matrices.copy()
         mats[1, 0, 0] = np.nan
         bad = UnitaryDual(s3, [*irreps, UnitaryIrrep(last.dim, mats, last.label)])
-        rep = vf.validate_dual(s3, bad, 1e-10)
-        assert np.isnan(rep.max_residual) and not rep.passed
+        rep = vf.validate_dual(s3, bad)
+        assert np.isnan(rep.max_residual) and not rep.max_residual <= 1e-10
         # and the dual-validation suite counts it as a violation
         monkeypatch.setattr(vf.harness, "group_with_dual", lambda spec: (s3, bad))
         report = vf.run_suite("dual-validation", vf.RunConfig(groups=["symmetric:3"]))
@@ -202,7 +215,7 @@ class TestDuals:
 
     def test_structural_mismatch_raises(self, s3, z2_dual):
         with pytest.raises(ValueError):
-            vf.validate_dual(s3, z2_dual, 1e-10)
+            vf.validate_dual(s3, z2_dual)
 
     def test_dual_of_loaded_group(self, tmp_path):
         # SL(2,3) is no built-in family: its dual comes from the table alone
@@ -210,8 +223,8 @@ class TestDuals:
         path.write_text(vf.dump_group_file(_sl23_group()))
         g = vf.load_group_file(path)
         dual = vf.unitary_dual(g)
-        rep = vf.validate_dual(g, dual, 1e-13)
-        assert rep.passed, rep.residuals()
+        rep = vf.validate_dual(g, dual)
+        assert rep.max_residual <= 1e-13, rep.residuals()
         assert dual.dims() == [1, 1, 1, 2, 2, 2, 3]
         # complex (0) and quaternionic (-1) types, both among the 2-dim irreps
         indicators = {round(_frobenius_schur(g, p)) for p in dual.irreps if p.dim == 2}
@@ -221,8 +234,8 @@ class TestDuals:
         specs = [f"dihedral:{n}" for n in (2, 3, 5, 6, 12)]
         for spec in specs + ["cyclic:1", "cyclic:2x3x4", "cyclic:24"]:
             g = vf.build_group(spec)
-            rep = vf.validate_dual(g, vf.unitary_dual(g), 1e-13)
-            assert rep.passed, (spec, rep.residuals())
+            rep = vf.validate_dual(g, vf.unitary_dual(g))
+            assert rep.max_residual <= 1e-13, (spec, rep.residuals())
 
     def test_s4_characters_match_the_table(self):
         g = vf.build_group("symmetric:4")
@@ -285,7 +298,7 @@ class TestTableFiles:
         assert [p.dim for p in loaded.irreps] == [p.dim for p in s3_dual.irreps]
         for a, b in zip(loaded.irreps, s3_dual.irreps):
             assert np.allclose(a.matrices, b.matrices)
-        assert vf.validate_dual(s3, loaded, 1e-10).passed
+        assert vf.validate_dual(s3, loaded).max_residual <= 1e-10
 
     def test_bad_group_file(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -11,10 +11,12 @@ import pytest
 import vmfourier as vf
 from vmfourier import GroupMap, RunConfig, harness
 from vmfourier.fourier import _sup
-from vmfourier.harness import _points_dual_sup, grid_dual_points
+from vmfourier.harness import _points_dual_sup
 from vmfourier.lpspaces import _lp_nu, _n_norm, _pp
 from vmfourier.measures import _p_semi, _semi
 from vmfourier.spaces import _resolve
+
+from conftest import grid_dual
 
 
 def small_config(**overrides):
@@ -793,12 +795,23 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match=key):
             RunConfig(**{key: []})
 
-    @pytest.mark.parametrize("key", ["tol_exact", "tol_bracket"])
-    def test_tolerance_keys_are_unknown(self, tmp_path, key):
-        # the verdict tolerances are fixed; a config cannot name them
+    @pytest.mark.parametrize("key", ["tol_exact", "tol_bracket", "out_dir"])
+    def test_removed_keys_are_unknown(self, tmp_path, key):
+        # the verdict tolerances are fixed and the report path is the CLI's
+        # --out; a config cannot name them
         path = tmp_path / "cfg.txt"
         path.write_text(f"{key} = 1e-9\n")
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            vf.load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, first, second", [("seed", "1", "2"), ("groups", "cyclic:2", "cyclic:3")]
+    )
+    def test_repeated_key_rejected(self, tmp_path, key, first, second):
+        # a second line must not silently override the first
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = {first}\n# comment\n{key} = {second}\n")
+        with pytest.raises(ValueError, match=f"cfg.txt:3: repeated key '{key}'"):
             vf.load_config(path)
 
     def test_config_keys_are_the_fields(self):
@@ -826,19 +839,19 @@ class TestConfigFiles:
 class TestGridOracle:
     def test_scalar_grid(self):
         s = vf.ScalarSpace()
-        pts = vf.harness.grid_dual_points(s)
+        pts = grid_dual(s)
         assert pts.shape == (24, 1)
         assert np.allclose(np.abs(pts), 1.0)
 
     def test_weighted_grid_within_ball(self):
         s = vf.WeightedL1Space.uniform(2)
-        pts = vf.harness.grid_dual_points(s)
+        pts = grid_dual(s)
         for p in pts:
             assert s.dual_norm_of(p) <= 1 + 1e-12
 
     def test_matop_grid_within_ball(self):
         s = vf.MatOpSpace(2)
-        pts = vf.harness.grid_dual_points(s)
+        pts = grid_dual(s)
         for p in pts[:50]:
             assert s.dual_norm_of(p) <= 1 + 1e-9
 
@@ -846,7 +859,7 @@ class TestGridOracle:
     def test_sliced_grid_equals_one_pass(self, spec):
         # the oracle walks the grid in slices; its value is the one-pass max
         s = vf.space_from_spec(spec)
-        pts = vf.harness.grid_dual_points(s)
+        pts = grid_dual(s)
         assert len(pts) > harness._POINT_SLICE
         rng = np.random.default_rng(3)
         weights = rng.uniform(0.1, 2.0, 4)
@@ -858,7 +871,7 @@ class TestGridOracle:
         rng = np.random.default_rng(0)
         vecs = np.array([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)])
         exact = vf.dual_ball_sup(linf2, np.ones(3), vecs)
-        grid = _points_dual_sup(linf2, np.ones(3), vecs, grid_dual_points(linf2))
+        grid = _points_dual_sup(linf2, np.ones(3), vecs, grid_dual(linf2))
         assert grid <= exact.lower + 1e-12
 
 
@@ -916,7 +929,8 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "spaces = matop:0", "groups = nosuch:3", "spaces = weighted_l1:0",
-        "groups =", "spaces = ,", "suites =",
+        "groups =", "spaces = ,", "suites =", "seed = 1\nseed = 2",
+        "groups = dihedral:1000",
     ])
     def test_bad_spec_in_config_exits_2(self, tmp_path, line):
         cfg = tmp_path / "cfg.txt"
@@ -952,32 +966,21 @@ class TestCli:
         doc = json.loads(report.read_text())
         assert doc["seed"] == 3 and doc["suites"][0]["suite"] == "uniqueness"
 
-    def test_env_var_output_dir(self, tmp_path):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("groups = cyclic:2\nspaces = scalar\nsuites = uniqueness\n")
-        out = run_cli(
-            "run", "--config", str(cfg), env={"VMFOURIER_OUT": str(tmp_path / "envdir")}
-        )
-        assert out.returncode == 0
-        assert (tmp_path / "envdir" / "report.json").exists()
-
     def test_report_path_precedence(self, monkeypatch):
-        # --out, then the config's out_dir, then $VMFOURIER_OUT, then the cwd
+        # --out, else report.json / report.md in the cwd; no variable moves it
         from argparse import Namespace
         from pathlib import Path
 
         from vmfourier import cli
 
-        def path(out, cfg, fmt="json"):
-            return cli._report_path(Namespace(out=out, format=fmt), cfg)
+        def path(out, fmt="json"):
+            return cli._report_path(Namespace(out=out, format=fmt))
 
         monkeypatch.setenv("VMFOURIER_OUT", "env")
-        in_cfg = RunConfig(out_dir=Path("cfg"))
-        assert path(Path("x.json"), in_cfg) == Path("x.json")
-        assert path(None, in_cfg, "markdown") == Path("cfg/report.md")
-        assert path(None, RunConfig()) == Path("env/report.json")
-        monkeypatch.delenv("VMFOURIER_OUT")
-        assert path(None, RunConfig(), "markdown") == Path("report.md")
+        assert path(Path("x.json")) == Path("x.json")
+        assert path(Path("x.md"), "markdown") == Path("x.md")
+        assert path(None) == Path("report.json")
+        assert path(None, "markdown") == Path("report.md")
 
     def test_injected_fault_exits_1(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -1000,4 +1003,4 @@ class TestCli:
         # the dumped tables load back and validate
         g = vf.load_group_file(tmp_path / "tables" / "group_S3.txt")
         dual = vf.load_dual_file(tmp_path / "tables" / "dual_S3.txt", g)
-        assert vf.validate_dual(g, dual, 1e-10).passed
+        assert vf.validate_dual(g, dual).max_residual <= 1e-10

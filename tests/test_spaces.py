@@ -21,13 +21,7 @@ from vmfourier import (
 )
 from vmfourier import spaces
 from vmfourier.fourier import _sup
-from vmfourier.harness import (
-    _grid_supported,
-    _points_dual_sup,
-    _product,
-    _sides,
-    grid_dual_points,
-)
+from vmfourier.harness import _points_dual_sup, _product, _sides
 from vmfourier.spaces import (
     ASCENT_ITERS,
     ASCENT_RESTARTS,
@@ -38,6 +32,8 @@ from vmfourier.spaces import (
     lp_dual_sup,
     space_from_spec,
 )
+
+from conftest import grid_dual
 
 SPACES = [ScalarSpace(), LinfSpace(2), MatOpSpace(2), WeightedL1Space.uniform(2)]
 
@@ -94,6 +90,38 @@ class TestPair:
         assert abs(pair(x, xp)) <= norm(x) * dual_norm(xp) + 1e-9
 
 
+class TestGridDual:
+    """``grid_dual``, the calibration oracle's deterministic points."""
+
+    @pytest.mark.parametrize("space", [
+        *map(space_from_spec, [
+            "scalar", "linf:1", "linf:2", "linf:4", "weighted_l1:1", "weighted_l1:2",
+            "weighted_l1:3", "matop:1", "matop:2",
+        ]),
+        pytest.param(WeightedL1Space([0.5, 1.0, 2.0]), id="weighted_l1:0.5,1,2"),
+    ], ids=str)
+    def test_points_have_dual_norm_one(self, space):
+        # every point lies on the dual unit sphere, at an extreme point of the ball
+        pts = grid_dual(space)
+        assert pts.ndim == 2 and pts.shape[1] == space.dim and len(pts) > 0
+        if space == MatOpSpace(2):  # the trace norms of all 97,344 points in one batch
+            norms = np.linalg.svd(pts.reshape(-1, 2, 2), compute_uv=False).sum(axis=1)
+        else:
+            norms = np.array([space.dual_norm_of(p) for p in pts])
+        assert np.abs(norms - 1.0).max() <= 1e-12
+
+    def test_none_exactly_past_the_grid_sizes(self):
+        # weighted_l1:k takes P^k points and matop:2 (13 P)^2: past k = 3 and
+        # d = 2 the space has no grid
+        for k in range(1, 7):
+            assert (grid_dual(WeightedL1Space.uniform(k)) is None) == (k > 3)
+            assert grid_dual(LinfSpace(k)) is not None
+        for d in range(1, 5):
+            assert (grid_dual(MatOpSpace(d)) is None) == (d > 2)
+        assert grid_dual(ScalarSpace()) is not None
+        assert spaces.CoefficientSpace().grid_dual(np.ones(3)) is None
+
+
 class TestNormAxioms:
     @settings(deadline=None, max_examples=60)
     @given(
@@ -130,7 +158,7 @@ def random_atoms(space, rng, m, low=0.1):
 def grid_sup(space, weights, vecs):
     """Brute-force max of sum_t w_t |<v_t, xp>| over the phase-grid points."""
     weights, vecs = np.asarray(weights, dtype=float), np.asarray(vecs, dtype=complex)
-    return _points_dual_sup(space, weights, vecs, grid_dual_points(space))
+    return _points_dual_sup(space, weights, vecs, grid_dual(space))
 
 
 class TestDualBallSup:
@@ -288,7 +316,7 @@ class TestAmplified:
         rng = np.random.default_rng(10 * k + n)
         entries = rng.standard_normal((n, n, k)) + 1j * rng.standard_normal((n, n, k))
         est = amplified_norm(MatrixOverX(s, entries))
-        paired = s.pair_many(entries.reshape(n * n, k), grid_dual_points(s))
+        paired = s.pair_many(entries.reshape(n * n, k), grid_dual(s))
         brute = np.linalg.svd(paired.reshape(-1, n, n), compute_uv=False)[:, 0].max()
         assert est.exact and est.lower == pytest.approx(brute, rel=1e-12)
 
@@ -328,7 +356,7 @@ class TestAmplified:
         entries = cplx(rng, n, n, k)
         upper = amplified_norm(MatrixOverX(s, entries)).upper
         inside = rng.random((200, k)) * s.sample_dual(rng, 200)
-        points = np.concatenate([grid_dual_points(s), inside])
+        points = np.concatenate([grid_dual(s), inside])
         paired = s.pair_many(entries.reshape(n * n, k), points).reshape(-1, n, n)
         assert np.linalg.svd(paired, compute_uv=False)[:, 0].max() <= upper * (1 + 1e-12)
 
@@ -680,7 +708,7 @@ GRID_SLACK = 1.02
 
 def grid_best(space, value):
     """The largest ``value`` of the [P, ...] pairings over the phase grid."""
-    return float(value(grid_dual_points(space)).max())
+    return float(value(grid_dual(space)).max())
 
 
 class TestAscentFree:
@@ -706,7 +734,7 @@ class TestAscentFree:
         for q, w, v in zip(quick, weights, vecs):
             # the all-aligned start dominates ||sum_t w_t v_t||
             assert q.lower >= (1 - 1e-12) * space.norm_of(w @ v)
-            if _grid_supported(space):
+            if grid_dual(space) is not None:
                 assert q.lower <= GRID_SLACK * grid_sup(space, w, v)
 
     @pytest.mark.parametrize("spec", CONTAIN_SPECS)
@@ -719,7 +747,7 @@ class TestAscentFree:
         vecs[1, 1:] = 0
         quick = estimates(_resolve([spaces._lp(space, v, p) for v in vecs], ascend=False))
         self.assert_contains(quick, [lp_dual_sup(space, v, p) for v in vecs])
-        if _grid_supported(space):
+        if grid_dual(space) is not None:
             for q, v in zip(quick, vecs):
                 best = grid_best(
                     space, lambda xp: np.mean(np.abs(space.pair_many(v, xp)) ** p, axis=1)
@@ -739,7 +767,7 @@ class TestAscentFree:
         self.assert_contains(quick, [amplified_norm(MatrixOverX(space, e)) for e in entries])
         # on a matrix space the matrix norm is the block operator norm, not a
         # sup over dual-ball points
-        if _grid_supported(space) and not isinstance(space, MatOpSpace):
+        if grid_dual(space) is not None and not isinstance(space, MatOpSpace):
             for q, e in zip(quick, entries):
                 best = grid_best(space, lambda xp: np.linalg.svd(
                     space.pair_many(e.reshape(n * n, -1), xp).reshape(-1, n, n),
@@ -757,7 +785,7 @@ class TestWeightedLqSup:
         # the ascent's Hoelder step |h_t|^(p-1) finds the L^p sup; a step
         # with |h_t|^p stops short of the phase grid's best value
         space = space_from_spec(spec)
-        points = grid_dual_points(space)
+        points = grid_dual(space)
         rng = np.random.default_rng(31)
         for _ in range(40):
             v = cplx(rng, 6, space.dim)
