@@ -30,7 +30,7 @@ def conv_classical(f: ScalarFunction, g: ScalarFunction) -> ScalarFunction:
     """(f * g)(t) = average over s of f(t s^-1) g(s)."""
     require_same_group(f.group, g.group)
     q = f.group.right_quotient_table()  # q[t, s] = t s^-1
-    vals = (f.values[q] @ g.values) / f.group.order
+    vals = (f.values[..., q] @ g.values[..., None])[..., 0] / f.group.order
     return ScalarFunction(f.group, vals)
 
 
@@ -55,7 +55,7 @@ def conv_vector(
     require_same_group(f.group, g.group)
     require_same_group(f.group, nu.group)
     q = f.group.right_quotient_table()
-    vals = np.einsum("ts,s,sc->tc", f.values[q], g.values, nu.atoms)
+    vals = np.einsum("...ts,...s,...sc->...tc", f.values[..., q], g.values, nu.atoms)
     return VectorFunction(f.group, nu.space, vals)
 
 
@@ -66,7 +66,7 @@ def conv_measure_sv(mu: VectorMeasure, nu: VectorMeasure) -> VectorMeasure:
         raise ValueError("left factor must be a scalar measure")
     require_same_group(mu.group, nu.group)
     q = mu.group.right_quotient_table()
-    atoms = np.einsum("st,tc->sc", mu.atoms[:, 0][q], nu.atoms)
+    atoms = np.einsum("...st,...tc->...sc", mu.atoms[..., 0][..., q], nu.atoms)
     return VectorMeasure(nu.group, nu.space, atoms)
 
 
@@ -77,7 +77,7 @@ def conv_measure_vs(nu: VectorMeasure, mu: VectorMeasure) -> VectorMeasure:
         raise ValueError("right factor must be a scalar measure")
     require_same_group(mu.group, nu.group)
     q = nu.group.right_quotient_table()
-    atoms = np.einsum("stc,t->sc", nu.atoms[q], mu.atoms[:, 0])
+    atoms = np.einsum("...stc,...t->...sc", nu.atoms[..., q, :], mu.atoms[..., 0])
     return VectorMeasure(nu.group, nu.space, atoms)
 
 
@@ -86,5 +86,5 @@ def conv_function_measure(f: ScalarFunction, nu: VectorMeasure) -> VectorFunctio
     t -> sum_s f(t s^-1) x_s; equals the vector convolution of f with 1."""
     require_same_group(f.group, nu.group)
     q = f.group.right_quotient_table()
-    vals = np.einsum("ts,sc->tc", f.values[q], nu.atoms)
+    vals = np.einsum("...ts,...sc->...tc", f.values[..., q], nu.atoms)
     return VectorFunction(f.group, nu.space, vals)

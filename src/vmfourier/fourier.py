@@ -43,8 +43,9 @@ _RANK_TOL = 1e-8  # uniqueness_rank's singular-value cutoff, relative to the lar
 
 @dataclass(frozen=True, eq=False)
 class FourierCoefficients:
-    """Complex coefficients as one [sum d^2] stack, in the row order of
-    ``dual.coefficients``; ``blocks`` views it as one d x d matrix per irrep."""
+    """Complex coefficients as one [..., sum d^2] stack (leading axes stack
+    several), in the row order of ``dual.coefficients``; ``blocks`` views it
+    as one [..., d, d] matrix per irrep."""
 
     dual: UnitaryDual
     stack: np.ndarray
@@ -52,22 +53,23 @@ class FourierCoefficients:
     def __post_init__(self):
         object.__setattr__(self, "stack", np.asarray(self.stack, dtype=complex))
         shape = (len(self.dual.coefficients),)
-        if self.stack.shape != shape:
+        if self.stack.shape[-1:] != shape:
             raise ValueError(f"stack must have shape {shape}, got {self.stack.shape}")
 
     @functools.cached_property
     def blocks(self) -> list[np.ndarray]:
-        return _blocks(self.dual, self.stack)
+        return _blocks(self.dual, self.stack, -1)
 
     def max_abs_diff(self, other: "FourierCoefficients") -> float:
-        return float(np.abs(self.stack - other.stack).max())
+        return np.abs(self.stack - other.stack).max(axis=-1)[()]
 
 
 @dataclass(frozen=True, eq=False)
 class VectorFourierCoefficients:
-    """Coefficients valued in a coefficient space as one [sum d^2, dim] stack,
-    in the row order of ``dual.coefficients``; ``blocks`` views it as one
-    d-level matrix over X per irrep."""
+    """Coefficients valued in a coefficient space as one [..., sum d^2, dim]
+    stack (leading axes stack several), in the row order of
+    ``dual.coefficients``; ``blocks`` views an unstacked one as one d-level
+    matrix over X per irrep."""
 
     dual: UnitaryDual
     space: CoefficientSpace
@@ -76,7 +78,7 @@ class VectorFourierCoefficients:
     def __post_init__(self):
         object.__setattr__(self, "stack", np.asarray(self.stack, dtype=complex))
         shape = (len(self.dual.coefficients), self.space.dim)
-        if self.stack.shape != shape:
+        if self.stack.shape[-2:] != shape:
             raise ValueError(f"stack must have shape {shape}, got {self.stack.shape}")
 
     @functools.cached_property
@@ -84,15 +86,16 @@ class VectorFourierCoefficients:
         return [MatrixOverX(self.space, b) for b in _blocks(self.dual, self.stack)]
 
     def max_abs_diff(self, other: "VectorFourierCoefficients") -> float:
-        return float(np.abs(self.stack - other.stack).max())
+        return np.abs(self.stack - other.stack).max(axis=(-2, -1))[()]
 
 
-def _blocks(dual: UnitaryDual, stack: np.ndarray) -> list[np.ndarray]:
-    """Split a [sum d^2, ...] stack, in the row order of ``dual.coefficients``,
-    into one [d, d, ...] view per irrep."""
-    out, start = [], 0
+def _blocks(dual: UnitaryDual, stack: np.ndarray, axis: int = 0) -> list[np.ndarray]:
+    """Split a stack along ``axis``, of [sum d^2] rows in the row order of
+    ``dual.coefficients``, into one view per irrep with [d, d] in its place."""
+    out, start, axis = [], 0, axis % stack.ndim
     for d in dual.dims():
-        out.append(stack[start : start + d * d].reshape(d, d, *stack.shape[1:]))
+        rows = stack[(slice(None),) * axis + (slice(start, start + d * d),)]
+        out.append(rows.reshape(*stack.shape[:axis], d, d, *stack.shape[axis + 1 :]))
         start += d * d
     return out
 
@@ -100,7 +103,8 @@ def _blocks(dual: UnitaryDual, stack: np.ndarray) -> list[np.ndarray]:
 def ft_classical(f: ScalarFunction, dual: UnitaryDual) -> FourierCoefficients:
     """Block at an irrep: the Haar average of f(t) pi(t)^*, scaled by 1/d."""
     require_same_group(dual.group, f.group)
-    return FourierCoefficients(dual, dual.coefficients @ f.values / f.group.order)
+    stack = (dual.coefficients @ f.values[..., None])[..., 0]
+    return FourierCoefficients(dual, stack / f.group.order)
 
 
 def ft_inverse(c: FourierCoefficients) -> ScalarFunction:
@@ -127,7 +131,7 @@ def ft_vector(
     integrals (1/d) integral of f(t) conj(pi(t)_{ji}) d nu at entry (i, j)."""
     require_same_group(dual.group, f.group)
     require_same_group(dual.group, nu.group)
-    stack = dual.coefficients @ (f.values[:, None] * nu.atoms)
+    stack = dual.coefficients @ (f.values[..., None] * nu.atoms)
     return VectorFourierCoefficients(dual, nu.space, stack)
 
 
@@ -152,9 +156,10 @@ def ft_sup_norm(c: VectorFourierCoefficients) -> NormEstimate:
 
 
 def _sup(space: CoefficientSpace, stack: np.ndarray, levels):
-    """The norm request of ``ft_sup_norm`` for a [sum n^2, ...] stack of n x n
-    blocks over ``space``, n in ``levels``, in the row order of ``_blocks``."""
-    return space, _AMP, tuple(levels), stack.reshape(-1, space.dim), None
+    """The norm request of ``ft_sup_norm`` for a [..., sum n^2, ...] stack of
+    n x n blocks over ``space``, n in ``levels``, in the row order of ``_blocks``."""
+    rows = sum(n * n for n in levels)
+    return space, _AMP, tuple(levels), stack.reshape(-1, rows, space.dim), None
 
 
 def uniqueness_rank(dual: UnitaryDual, target: VectorMeasure | CoefficientSpace) -> int:

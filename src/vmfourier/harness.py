@@ -73,13 +73,12 @@ from .measures import (
 )
 from .spaces import (
     CoefficientSpace,
-    MatrixOverX,
-    NormEstimate,
     ScalarSpace,
     XVector,
     _amplified_upper,
+    _known,
     _resolve,
-    amplified_norm,
+    _take,
     dual_ball_sup,
     dual_norm,
     norm,
@@ -113,8 +112,8 @@ _POINT_SLICE = 4096
 # points from one fixed seed
 CALIBRATION_SAMPLES = 4096
 CALIBRATION_SEED = 0
-# claim-table rows resolve the norm requests of this many instances at a
-# time; larger blocks raise peak memory for little gain
+# claim rows decide the checks of about this many instance rows at a time;
+# more raise peak memory for little gain
 _BLOCK = 256
 
 
@@ -188,7 +187,7 @@ def _conj(p: float) -> float:
 
 
 def generate_fixture(
-    kind: str, group: FiniteGroup, space: CoefficientSpace, seed: int = 0
+    kind: str, group: FiniteGroup, space: CoefficientSpace, seed=0
 ) -> VectorMeasure:
     """Reproducible vector measures for the suites.
 
@@ -199,32 +198,48 @@ def generate_fixture(
     identity.  ``random-gaussian``: independent complex Gaussian atoms,
     divided by their variation |nu|(G) = sum_t ||x_t||, which is exact and
     dominates the semivariation, so |nu|(G) = 1 and ||nu||(G) <= 1 without
-    running an estimator (all-zero atoms are left as they are).
+    running an estimator (all-zero atoms are left as they are).  An array of
+    seeds gives the stack of their fixtures, each that of its seed alone.
     """
-    rng = np.random.default_rng(seed)
+    seeds = np.asarray(seed)
+    rng = _Streams(list(map(np.random.default_rng, seeds.tolist()))) if seeds.ndim else (
+        np.random.default_rng(seed))
     n = group.order
     if kind in ("haar-like", "translation-invariant", "point-mass"):
-        x0 = np.ones(space.dim, dtype=complex)
+        x0 = np.ones(seeds.shape + (space.dim,), dtype=complex)
         if kind == "translation-invariant":
             x0 = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        x0 /= space.norm_of(x0)
+        x0 /= space.norm_many(x0[..., None, :])
         if kind == "point-mass":
-            return VectorMeasure(group, space, np.eye(n)[group.identity][:, None] * x0)
-        return VectorMeasure(group, space, np.tile(x0 / n, (n, 1)))
+            atoms = np.eye(n)[group.identity][:, None] * x0[..., None, :]
+            return VectorMeasure(group, space, atoms)
+        return VectorMeasure(group, space, np.repeat(x0[..., None, :] / n, n, axis=-2))
     if kind == "random-gaussian":
         atoms = rng.standard_normal((n, space.dim)) + 1j * rng.standard_normal((n, space.dim))
-        total = float(space.norm_many(atoms).sum())
-        return VectorMeasure(group, space, atoms / total if total > 0 else atoms)
+        total = space.norm_many(atoms).sum(axis=-1)
+        return VectorMeasure(group, space, atoms / np.where(total > 0, total, 1.0)[..., None, None])
     raise ValueError(f"unknown fixture kind {kind!r}")
 
 
-def _random_function(group: FiniteGroup, rng) -> ScalarFunction:
+class _Streams:
+    """The rng streams of a stack of instances as one generator: a draw calls
+    each stream alike and stacks the results, as each instance draws alone."""
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+
+    def __getattr__(self, name):
+        return lambda *args, **kw: np.array([getattr(r, name)(*args, **kw) for r in self.rngs])
+
+
+def _draw_function(group: FiniteGroup, rng) -> ScalarFunction:
     v = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
     return ScalarFunction(group, v)
 
 
-def _random_dual(space: CoefficientSpace, rng) -> XVector:
-    return XVector(space, space.sample_dual(rng, 1)[0] * rng.uniform(0.25, 2.0))
+def _draw_dual(space: CoefficientSpace, rng) -> XVector:
+    xp = space.sample_dual(rng, 1)[..., 0, :]
+    return XVector(space, xp * np.asarray(rng.uniform(0.25, 2.0))[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -275,84 +290,119 @@ def _perturbed_dual(dual: UnitaryDual) -> UnitaryDual:
     return UnitaryDual(dual.group, [*irreps, UnitaryIrrep(last.dim, mats, last.label)])
 
 
-def _instance(ctx: _Ctx, name: str, i: int, kind: str, g: FiniteGroup, space):
-    """Instance i of the suite keyed ``name``: its rng stream, and its ``kind``
-    fixture on (g, space) seeded by the stream's first draw."""
-    rng = _instance_rng(ctx.cfg.seed, name, i)
-    return rng, generate_fixture(kind, g, space, seed=int(rng.integers(2**32)))
+def _draw(ctx: _Ctx, name: str, idx, kind: str, g: FiniteGroup, space):
+    """Instances ``idx`` of the suite keyed ``name`` as a stack, or instance
+    ``idx`` alone for one index: their rng streams and ``kind`` fixtures on
+    (g, space), seeded by their first draws."""
+    rngs = [_instance_rng(ctx.cfg.seed, name, i) for i in np.atleast_1d(idx)]
+    rng = _Streams(rngs) if np.ndim(idx) else rngs[0]
+    return rng, generate_fixture(kind, g, space, seed=rng.integers(2**32))
 
 
 # -- claim sides ---------------------------------------------------------------
 #
-# A claim states each side of lhs <= rhs as data: a known NormEstimate, or
-# ``_product(a[, b], scale=c)``, the norm c * a * b of the norm requests a and
-# b (see ``spaces._resolve``), which the builders beside the norms' public
-# functions make.  Its bracket ends are the products of a's and b's ends and c.
+# A claim states each side of lhs <= rhs over a stack of instances as data:
+# ``_product(a[, b], scale=c)``, the norms c * a * b of the norm requests a
+# and b (see ``spaces._resolve``), which the builders beside the norms'
+# public functions make.  Its bracket ends are a's and b's ends times c.
 
 _SCALAR = ScalarSpace()
 
 
-def _product(*factors, scale=1.0):
-    return factors, scale
+def _product(a, b=None, *, scale=1.0):
+    return ((a,) if b is None else (a, b)), scale
 
 
 def _sides(sides, ascend=True):
-    """The brackets of a list of claim sides as (lower, upper) arrays, their
-    requests resolved together: each end of a side is the product of its
-    factors' ends of that kind, taken in order, times the side's scale."""
-    sides = [s if isinstance(s, tuple) else _product(s) for s in sides]
-    ends = _resolve([f for factors, _ in sides for f in factors], ascend)
-    starts = np.cumsum([0, *(len(factors) for factors, _ in sides)])[:-1]
-    scale = np.array([c for _, c in sides], dtype=float)
+    """The brackets of a list of claim sides as (lower, upper) arrays of
+    their rows, side after side, their requests resolved together: each end
+    of a row is the product of its factors' ends of that kind, taken in
+    order, times the side's scale for that row."""
+    rows = [len(factors[0][3]) for factors, _ in sides]  # each side's B
+    scale = np.concatenate([np.zeros(0), *(
+        np.broadcast_to(np.asarray(c, dtype=float), b) for (_, c), b in zip(sides, rows))])
     if not np.all(scale >= 0):
         raise ValueError("scale factors must be nonnegative")
-    return tuple(np.multiply.reduceat(end, starts) * scale for end in ends)
+    # every side's first factor, then the second factors of the sides with two
+    lower, upper = _resolve([fs[0] for fs, _ in sides] + [fs[1] for fs, _ in sides if fs[1:]],
+                            ascend)
+    two = np.repeat([len(fs) == 2 for fs, _ in sides], rows).astype(bool)
+    ends = lower[: len(scale)], upper[: len(scale)]
+    for e, end in zip(ends, (lower, upper)):
+        e[two] *= end[len(scale) :]
+    return ends[0] * scale, ends[1] * scale
+
+
+def _decide(checks):
+    """The columns instance, k, tol, lhs.lower, lhs.upper, rhs.lower and
+    rhs.upper of a list of (instances, k, tol, (lhs, rhs)) checks over
+    stacks, their sides resolved together in two passes: a pair whose
+    ascent-free brackets give ``lhs.upper <= rhs.lower`` passes from those as
+    from the full ones (same upper ends, lower ends no lower); the others'
+    rows are resolved in full."""
+    lower, upper = _sides([s for *_, pair in checks for s in pair], ascend=False)
+    # a check over b instances has b lhs rows, then b rhs rows
+    sizes = np.array([len(idx) for idx, *_ in checks])
+    redo, at = [], []
+    for a, b, (*_, pair) in zip(2 * np.cumsum([0, *sizes]), sizes, checks):
+        j = np.flatnonzero(upper[a : a + b] > lower[a + b : a + 2 * b])
+        if len(j):
+            redo += [(tuple(_take(f, j) for f in fs), c if np.ndim(c) == 0 else c[j])
+                     for fs, c in pair]
+            at += [a + j, a + b + j]
+    if redo:
+        lower[np.concatenate(at)], upper[np.concatenate(at)] = _sides(redo)
+    lhs = np.arange(sizes.sum()) + np.repeat(np.cumsum([0, *sizes])[:-1], sizes)
+    rhs = lhs + np.repeat(sizes, sizes)
+    return np.stack([np.concatenate([idx for idx, *_ in checks]),
+                     *(np.repeat([c[n] for c in checks], sizes) for n in (1, 2)),
+                     lower[lhs], upper[lhs], lower[rhs], upper[rhs]])
 
 
 def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, tally):
     """One row of the claim table.  Instance i takes cell i % len(cells) of the
     (group, space) grid, groups varying fastest unless ``spaces_fastest``, and
-    combo i % len(combos); ``check(combo, nu, dual, rng)`` draws the rest
-    and returns a residual (against ``TOL_EXACT``), an (lhs, rhs) pair of
-    sides (at ``TOL_BRACKET``), or a list of such checks.  Instances run in
-    blocks of ``_BLOCK``, whose sides are resolved together in two passes and
-    tallied in instance order from arrays of bracket ends: a pair whose
-    ascent-free brackets give ``lhs.upper <= rhs.lower`` passes from those as
-    from the full ones (same upper ends, lower ends no lower); the others are
-    resolved in full.  Only a violation formats its note: ``note``, or its
-    k-th entry for the k-th check, with the suite name, g and s (group and
-    space labels), c (the combo) and i."""
+    combo i % len(combos).  The instances of a (cell, combo) pair are drawn
+    in stacks of at most ``_BLOCK`` (``_draw``), and ``check(combo, nu, dual,
+    rng)`` draws the rest from their streams and returns, over the stack,
+    residuals r (the checks [r, r] <= [0, 0] at ``TOL_EXACT``), an (lhs, rhs)
+    pair of sides (at ``TOL_BRACKET``), or a list of such checks.  The checks
+    of about ``_BLOCK`` instances at a time are decided together
+    (``_decide``), and all are tallied in instance order.  Only a violation formats its note:
+    ``note``, or its k-th entry for the k-th check, with the suite name, g
+    and s (group and space labels), c (the combo) and i."""
     notes = note if isinstance(note, tuple) else (note,)
     if spaces_fastest:
         cells = [(g, dual, s) for g, dual in ctx.groups for s in ctx.spaces]
     else:
         cells = [(g, dual, s) for s in ctx.spaces for g, dual in ctx.groups]
+    groups = {}  # (cell, combo) -> its instances
+    for i in range(trials):
+        groups.setdefault((i % len(cells), i % len(combos)), []).append(i)
+    # a group's instances in stacks of at most _BLOCK, so memory is bounded at any trials
+    stacks = [(key, idx[c : c + _BLOCK]) for key, idx in groups.items()
+              for c in range(0, len(idx), _BLOCK)]
+    decided, block = [], []  # (instances, k, tol, (lhs, rhs)) of the open block's checks
+    for n, ((cell, combo), idx) in enumerate(stacks, 1):
+        g, dual, space = cells[cell]
+        rng, nu = _draw(ctx, name, idx, kind, g, space)
+        out = check(combos[combo], nu, dual, rng)
+        for k, c in enumerate(out if isinstance(out, list) else [out]):
+            exact = not isinstance(c, tuple)  # residuals r, the checks [r, r] <= [0, 0]
+            pair = (_product(_known(c)), _product(_known(np.zeros(len(idx))))) if exact else c
+            block.append((idx, k, TOL_EXACT if exact else TOL_BRACKET, pair))
+        if sum(len(c[0]) for c in block) >= _BLOCK or n == len(stacks):
+            decided.append(_decide(block))
+            block = []
+    inst, kth, tol, *ends = np.concatenate(decided, axis=1)
+    order = np.lexsort((kth, inst))
 
     def note_of(j):
-        i, k, _ = checks[j]
+        i, k = int(inst[order[j]]), int(kth[order[j]])
         g, _, space = cells[i % len(cells)]
         return notes[k].format(name=name, g=g.label, s=space.label, c=combos[i % len(combos)], i=i)
 
-    for start in range(0, trials, _BLOCK):
-        checks = []  # (instance, k, k-th check of the instance)
-        for i in range(start, min(start + _BLOCK, trials)):
-            g, dual, space = cells[i % len(cells)]
-            rng, nu = _instance(ctx, name, i, kind, g, space)
-            out = check(combos[i % len(combos)], nu, dual, rng)
-            checks += [(i, k, c) for k, c in enumerate(out if isinstance(out, list) else [out])]
-        pair = np.array([isinstance(c, tuple) for _, _, c in checks])
-        sides = [s for _, _, c in checks if isinstance(c, tuple) for s in c]
-        lower, upper = _sides(sides, ascend=False)
-        j = (2 * np.flatnonzero(upper[0::2] > lower[1::2])[:, None] + [0, 1]).ravel()
-        lower[j], upper[j] = _sides([sides[k] for k in j])
-        # columns lhs.lower, lhs.upper, rhs.lower, rhs.upper; a residual r is
-        # the check [r, r] <= [0, 0]
-        ends = np.array([(0.0,) * 4 if isinstance(c, tuple) else (c, c, 0.0, 0.0)
-                         for _, _, c in checks])
-        ends[pair] = np.stack([lower[0::2], upper[0::2], lower[1::2], upper[1::2]], axis=1)
-        tol = np.where(pair, TOL_BRACKET, TOL_EXACT)
-        tally.checks(*ends.T, tol, note_of)
-        del checks, sides  # drop this block's requests before drawing the next
+    tally.checks(*(e[order] for e in ends), tol[order], note_of)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +425,7 @@ def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     for i in range(trials):
         g, dual = ctx.groups[i % len(ctx.groups)]
         rng = _instance_rng(ctx.cfg.seed, name, i)
-        f = _random_function(g, rng)
+        f = _draw_function(g, rng)
         lhs, rhs = plancherel_check(f, dual)
         roundtrip = ft_inverse(ft_classical(f, dual))
         resid = np.maximum(abs(lhs - rhs), np.abs(roundtrip.values - f.values).max())
@@ -384,7 +434,7 @@ def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             # scalarized density, for measures with bounded scalarizations
             space = ctx.spaces[(i // 4) % len(ctx.spaces)]
             nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
-            xp = _random_dual(space, rng)
+            xp = _draw_dual(space, rng)
             fh = ScalarFunction(g, f.values * radon_nikodym(nu, xp))
             wl, wr = plancherel_check(fh, dual)
             wrt = ft_inverse(ft_weak(f, nu, xp, dual))
@@ -397,8 +447,8 @@ def _ft_norm_bounds(combo, nu, dual, rng):
     """4.4i, 4.8i and 7: the sup norms of the transform of f against nu, of
     its weak transform at xp and of nu's transform, against ||f||_{L^1(nu)},
     ||f||_{L^1(nu)} ||xp|| and the semivariation of nu."""
-    f = _random_function(nu.group, rng)
-    xp = _random_dual(nu.space, rng)
+    f = _draw_function(nu.group, rng)
+    xp = _draw_dual(nu.space, rng)
     f_nu_1 = _lp_nu(f, nu, 1.0)
     dims = dual.dims()
     return [
@@ -425,112 +475,113 @@ def _cb_amplification(combo, nu, dual, rng):
     drawn here, against their amplified semivariation (``meas``)."""
     n, branch = combo
     g, space = nu.group, nu.space
+    shape = (g.order, n, n)
     if branch == "fn":
-        fmat = MatrixFunction(
-            g, n, rng.standard_normal((g.order, n, n)) + 1j * rng.standard_normal((g.order, n, n))
-        )
+        fmat = MatrixFunction(g, n, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         hats = [[ft_vector(fmat.entry(a, b), nu, dual) for b in range(n)] for a in range(n)]
         rhs = _product(_n_norm(fmat, nu))
     else:
         nus = [
-            [generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
+            [generate_fixture("random-gaussian", g, space, seed=rng.integers(2**32))
              for _ in range(n)]
             for _ in range(n)
         ]
         hats = [[ft_measure(nus[a][b], dual) for b in range(n)] for a in range(n)]
-        rhs = _amplified_measure_semivariation(space, nus)
+        rhs = _product(_amplified_measure_semivariation(space, nus))
     # irrep pi's level-n*d block holds hats[a][b]'s d x d block at rows a*d..,
-    # columns b*d..; _blocks views the [sum d^2, n, n, dim] stack per irrep
-    stacks = np.array([[h.stack for h in row] for row in hats]).transpose(2, 0, 1, 3)
-    blocks = [b.transpose(2, 0, 3, 1, 4).reshape(-1, space.dim) for b in _blocks(dual, stacks)]
-    return _product(_sup(space, np.concatenate(blocks), [n * d for d in dual.dims()])), rhs
+    # columns b*d..; _blocks views the [B, sum d^2, n, n, dim] stack per irrep
+    stacks = np.array([[h.stack for h in row] for row in hats]).transpose(2, 3, 0, 1, 4)
+    blocks = [b.transpose(0, 3, 1, 4, 2, 5).reshape(len(b), -1, space.dim)
+              for b in _blocks(dual, stacks, 1)]
+    return _product(_sup(space, np.concatenate(blocks, axis=1), [n * d for d in dual.dims()])), rhs
 
 
-def _amplified_measure_semivariation(space, nus) -> NormEstimate:
-    """Bracket for the semivariation of the matrix measure [nu_ab]: below by
-    the matrix norm of its total mass, above by the sum of the matrix norms
-    of its atoms (their upper ends, which need no ascent)."""
-    atoms = np.array([[nu.atoms for nu in row] for row in nus]).transpose(2, 0, 1, 3)
-    lower = amplified_norm(MatrixOverX(space, sum(atoms))).lower
-    upper = sum(_amplified_upper(space, atoms)[0])
-    return NormEstimate.bracket(lower, upper)
+def _amplified_measure_semivariation(space, nus):
+    """Known brackets for the semivariations of a stack of matrix measures
+    [nu_ab]: below by the matrix norm of the total mass, above by the sum of
+    the matrix norms of the atoms (their upper ends, which need no ascent)."""
+    atoms = np.array([[nu.atoms for nu in row] for row in nus]).transpose(2, 3, 0, 1, 4)
+    B, order, n = atoms.shape[:3]
+    lower = _resolve([_sup(space, sum(atoms.swapaxes(0, 1)), [n])])[0]
+    upper = sum(_amplified_upper(space, atoms.reshape(-1, n, n, space.dim))[0].reshape(B, order).T)
+    return _known(np.minimum(lower, upper), upper)
 
 
-def _weak_block_gap(hat, weak, xp: XVector) -> float:
-    """Largest entry of <hat, xp> - weak over the whole stack."""
-    return float(np.abs(hat.space.pair_many(hat.stack, xp.coords[None, :])[0] - weak.stack).max())
+def _weak_block_gap(hat, weak, xp: XVector):
+    """Largest entry of <hat, xp> - weak over each stack."""
+    paired = hat.space.pair_many(hat.stack, xp.coords[..., None, :])[..., 0, :]
+    return np.abs(paired - weak.stack).max(axis=-1)
 
 
-def _pairing_residual(combo, nu, dual, rng) -> float:
-    f = _random_function(nu.group, rng)
-    xp = _random_dual(nu.space, rng)
+def _pairing_residual(combo, nu, dual, rng):
+    f = _draw_function(nu.group, rng)
+    xp = _draw_dual(nu.space, rng)
     return _weak_block_gap(ft_vector(f, nu, dual), ft_weak(f, nu, xp, dual), xp)
 
 
-def _density_residual(combo, nu, dual, rng) -> float:
-    f = _random_function(nu.group, rng)
+def _density_residual(combo, nu, dual, rng):
+    f = _draw_function(nu.group, rng)
     lhs = ft_vector(f, nu, dual)
     rhs = ft_measure(measure_from_density(nu, f.values), dual)
-    xp = _random_dual(nu.space, rng)
+    xp = _draw_dual(nu.space, rng)
     weak = ft_weak(f, nu, xp, dual)
-    return float(np.maximum(lhs.max_abs_diff(rhs), _weak_block_gap(rhs, weak, xp)))
+    return np.maximum(lhs.max_abs_diff(rhs), _weak_block_gap(rhs, weak, xp))
 
 
-def _scalarization_residual(combo, nu, dual, rng) -> float:
-    f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
-    xp = _random_dual(nu.space, rng)
+def _scalarization_residual(combo, nu, dual, rng):
+    f, h = _draw_function(nu.group, rng), _draw_function(nu.group, rng)
+    xp = _draw_dual(nu.space, rng)
     vec = conv_vector(f, h, nu)
-    paired = nu.space.pair_many(vec.values, xp.coords[None, :])[0]
-    return float(np.abs(paired - conv_weak(f, h, nu, xp).values).max())
+    paired = nu.space.pair_many(vec.values, xp.coords[..., None, :])[..., 0, :]
+    return np.abs(paired - conv_weak(f, h, nu, xp).values).max(axis=-1)
 
 
-def _ft_conv6_residual(f, g_fn, nu, xp, dual, dpi=1) -> float:
-    lhs = ft_classical(conv_weak(f, g_fn, nu, xp), dual)
-    ghat = ft_vector(g_fn, nu, dual)
-    fhat = ft_classical(f, dual)
+def _ft_conv6_residual(f, g_fn, nu, xp, dual, dpi=1):
+    lhs = ft_classical(conv_weak(f, g_fn, nu, xp), dual).blocks
+    ghat = _blocks(dual, ft_vector(g_fn, nu, dual).stack, -2)
+    fhat = ft_classical(f, dual).blocks
     resid = 0.0
-    for p, lb, gb, fb in zip(dual.irreps, lhs.blocks, ghat.blocks, fhat.blocks):
-        prod = np.einsum("ikc,kj->ijc", gb.entries, fb).reshape(-1, nu.space.dim)
-        rhs = p.dim**dpi * nu.space.pair_many(prod, xp.coords[None, :])[0]
-        resid = np.maximum(resid, np.abs(lb.reshape(-1) - rhs).max())
-    return float(resid)
+    for p, lb, gb, fb in zip(dual.irreps, lhs, ghat, fhat):
+        prod = np.einsum("...ikc,...kj->...ijc", gb, fb).reshape(*gb.shape[:-3], -1, nu.space.dim)
+        rhs = p.dim**dpi * nu.space.pair_many(prod, xp.coords[..., None, :])[..., 0, :]
+        resid = np.maximum(resid, np.abs(lb.reshape(rhs.shape) - rhs).max(axis=-1))
+    return resid
 
 
-def _ft_conv6_instance(combo, nu, dual, rng, dpi=1) -> float:
-    f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
-    return _ft_conv6_residual(f, h, nu, _random_dual(nu.space, rng), dual, dpi)
+def _ft_conv6_instance(combo, nu, dual, rng, dpi=1):
+    f, h = _draw_function(nu.group, rng), _draw_function(nu.group, rng)
+    return _ft_conv6_residual(f, h, nu, _draw_dual(nu.space, rng), dual, dpi)
 
 
-def _ft_conv8_residual(mu, nu, dual, dpi=1) -> float:
-    lhs = ft_measure(conv_measure_sv(mu, nu), dual)
-    nuhat = ft_measure(nu, dual)
-    muhat = ft_measure(mu, dual)
+def _ft_conv8_residual(mu, nu, dual, dpi=1):
+    lhs, nuhat, muhat = (_blocks(dual, ft_measure(m, dual).stack, -2)
+                         for m in (conv_measure_sv(mu, nu), nu, mu))
     resid = 0.0
-    for p, lb, nb, mb in zip(dual.irreps, lhs.blocks, nuhat.blocks, muhat.blocks):
-        rhs = np.einsum("ikc,kj->ijc", nb.entries, p.dim**dpi * mb.entries[:, :, 0])
-        resid = np.maximum(resid, np.abs(lb.entries - rhs).max())
-    return float(resid)
+    for p, lb, nb, mb in zip(dual.irreps, lhs, nuhat, muhat):
+        rhs = np.einsum("...ikc,...kj->...ijc", nb, p.dim**dpi * mb[..., 0])
+        resid = np.maximum(resid, np.abs(lb - rhs).max(axis=(-3, -2, -1)))
+    return resid
 
 
-def _ft_conv8_instance(combo, nu, dual, rng, dpi=1) -> float:
-    mu = VectorMeasure.scalar(nu.group, _random_function(nu.group, rng).values)
+def _ft_conv8_instance(combo, nu, dual, rng, dpi=1):
+    mu = VectorMeasure.scalar(nu.group, _draw_function(nu.group, rng).values)
     return _ft_conv8_residual(mu, nu, dual, dpi)
 
 
-def _pettis_residual(combo, nu, dual, rng) -> float:
-    f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
+def _pettis_residual(combo, nu, dual, rng):
+    f, h = _draw_function(nu.group, rng), _draw_function(nu.group, rng)
     lhs = pettis_integral(conv_vector(f, h, nu))
-    rhs = complex(np.mean(f.values)) * integrate(h.values, nu).coords
-    return float(np.abs(lhs.coords - rhs).max())
+    rhs = np.mean(f.values, axis=-1)[..., None] * integrate(h.values, nu).coords
+    return np.abs(lhs.coords - rhs).max(axis=-1)
 
 
-def _duality_residual(combo, nu, dual, rng) -> float:
-    f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
-    phi = _random_function(nu.group, rng)
-    xp = _random_dual(nu.space, rng)
-    lhs = complex(np.mean(conv_weak(f, h, nu, xp).values * phi.values))
+def _duality_residual(combo, nu, dual, rng):
+    f, h = _draw_function(nu.group, rng), _draw_function(nu.group, rng)
+    phi = _draw_function(nu.group, rng)
+    xp = _draw_dual(nu.space, rng)
+    lhs = np.mean(conv_weak(f, h, nu, xp).values * phi.values, axis=-1)
     inner = conv_classical(reflect(f), phi)
-    return abs(lhs - pair(integrate(inner.values * h.values, nu), xp))
+    return np.abs(lhs - pair(integrate(inner.values * h.values, nu), xp))
 
 
 def _suite_uniqueness(ctx: _Ctx, name: str, trials: int, tally: _Tally):
@@ -538,7 +589,7 @@ def _suite_uniqueness(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     for k, (g, dual) in enumerate(ctx.groups):
         for j, space in enumerate(ctx.spaces):
             # one stream per (group, space) pair, keyed by its place in the config
-            _, nu = _instance(ctx, name, k * len(ctx.spaces) + j, "random-gaussian", g, space)
+            _, nu = _draw(ctx, name, k * len(ctx.spaces) + j, "random-gaussian", g, space)
             targets = [(space, "measure kernel"), (nu, "fn kernel")]
             if g.order > 1:  # nu without its atom at element 1
                 nu0 = measure_from_density(nu, np.arange(g.order) != 1)
@@ -577,7 +628,7 @@ def _vector_young(p, q, r, nu, f, h):
 
 def _young_62(combo, nu, f, h, xp):
     (p,) = combo
-    lhs = NormEstimate.of_exact(lp_norm_haar(conv_weak(f, h, nu, xp), p))
+    lhs = _product(_known(lp_norm_haar(conv_weak(f, h, nu, xp), p)))
     return lhs, _product(_lp_nu(h, nu, 1.0), scale=lp_norm_haar(f, p) * dual_norm(xp))
 
 
@@ -652,8 +703,8 @@ def _young(claim):
     """The check of a Young claim: it draws f, h and then xp."""
 
     def check(combo, nu, dual, rng):
-        f, h = _random_function(nu.group, rng), _random_function(nu.group, rng)
-        return claim(combo, nu, f, h, _random_dual(nu.space, rng))
+        f, h = _draw_function(nu.group, rng), _draw_function(nu.group, rng)
+        return claim(combo, nu, f, h, _draw_dual(nu.space, rng))
 
     return check
 
@@ -661,16 +712,16 @@ def _young(claim):
 def _embedding_413(combo, nu, dual, rng):
     """4.13: ||int f dnu|| against ||nu||_p ||f||_{L^p'}."""
     (p,) = combo
-    f = _random_function(nu.group, rng)
-    lhs = NormEstimate.of_exact(norm(integrate(f.values, nu)))
+    f = _draw_function(nu.group, rng)
+    lhs = _product(_known(norm(integrate(f.values, nu))))
     return lhs, _product(_p_semi(nu, p), scale=lp_norm_haar(f, _conj(p)))
 
 
 def _lp_containment(combo, nu, dual, rng):
     """Part B of 5: ||f||_{L^p} against ||f||_{L^p(nu)} ||nu(G)||^(-1/p)."""
     (p,) = combo
-    f = _random_function(nu.group, rng)
-    lhs = NormEstimate.of_exact(lp_norm_haar(f, p))
+    f = _draw_function(nu.group, rng)
+    lhs = _product(_known(lp_norm_haar(f, p)))
     return lhs, _product(_lp_nu(f, nu, p), scale=norm(evaluate(nu)) ** (-1.0 / p))
 
 
@@ -698,7 +749,7 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             haar = generate_fixture("haar-like", g, space)
             nu = measure_from_density(haar, chi)
             rng = _instance_rng(ctx.cfg.seed, name, k * len(ctx.spaces) + j)
-            phis = [_random_function(g, rng) for _ in range(3)]
+            phis = [_draw_function(g, rng) for _ in range(3)]
             for hmap, twist in maps:
                 nu_h = pushforward(nu, hmap)
                 off = VectorMeasure(g, space, nu_h.atoms - twist[:, None] * haar.atoms)
@@ -980,8 +1031,10 @@ _KEYS = {
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse a key-value config file: ``key = value`` lines, each key at most
-    once, ``#`` comments, comma-separated lists for groups/spaces/suites."""
-    values = {}
+    once, ``#`` comments, comma-separated lists for groups/spaces/suites.  A
+    bad line raises ValueError naming ``path:lineno``; each value is checked
+    at its line by ``RunConfig``'s per-field checks."""
+    cfg, seen = RunConfig(), set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -992,7 +1045,11 @@ def load_config(path: str | Path) -> RunConfig:
         key = key.strip()
         if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
+        if key in seen:
             raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-        values[key] = _KEYS[key](value.strip())
-    return RunConfig(**values)
+        seen.add(key)
+        try:
+            setattr(cfg, key, _KEYS[key](value.strip()))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad {key} value: {exc}") from exc
+    return cfg

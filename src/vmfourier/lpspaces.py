@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import FiniteGroup, require_same_group
 from .measures import GroupMap, VectorMeasure, _subset_indices
-from .spaces import CoefficientSpace, NormEstimate, XVector, _lp, _resolve_one
+from .spaces import CoefficientSpace, NormEstimate, XVector, _known, _lp, _request, _resolve_one
 
 __all__ = [
     "ScalarFunction",
@@ -33,14 +33,15 @@ __all__ = [
 
 @dataclass(eq=False)
 class ScalarFunction:
-    """A complex function on a finite group, tabulated per element."""
+    """A complex function on a finite group, tabulated per element, or a
+    stack of them: values [..., order]."""
 
     group: FiniteGroup
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).reshape(-1)
-        if v.size != self.group.order:
+        v = np.atleast_1d(np.asarray(self.values, dtype=complex))
+        if v.shape[-1] != self.group.order:
             raise ValueError("value count must equal the group order")
         self.values = v
 
@@ -62,45 +63,47 @@ class ScalarFunction:
 
 @dataclass(eq=False)
 class VectorFunction:
-    """A coefficient-space-valued function on a finite group."""
+    """A coefficient-space-valued function on a finite group, or a stack of them."""
 
     group: FiniteGroup
     space: CoefficientSpace
-    values: np.ndarray  # [order, dim]
+    values: np.ndarray  # [..., order, dim]
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.group.order, self.space.dim):
+        if v.shape[-2:] != (self.group.order, self.space.dim):
             raise ValueError("values must have shape [order, space.dim]")
         self.values = v
 
 
 @dataclass(eq=False)
 class MatrixFunction:
-    """A matrix-valued function on a finite group, one n x n block per element."""
+    """A matrix-valued function on a finite group, one n x n block per
+    element, or a stack of them."""
 
     group: FiniteGroup
     n: int
-    values: np.ndarray  # [order, n, n]
+    values: np.ndarray  # [..., order, n, n]
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.group.order, self.n, self.n):
+        if v.shape[-3:] != (self.group.order, self.n, self.n):
             raise ValueError("values must have shape [order, n, n]")
         self.values = v
 
     def entry(self, i: int, j: int) -> ScalarFunction:
-        return ScalarFunction(self.group, self.values[:, i, j].copy())
+        return ScalarFunction(self.group, self.values[..., i, j].copy())
 
 
 def lp_norm_haar(f: ScalarFunction, p: float) -> float:
-    """L^p norm against normalized counting measure; p = inf gives the max."""
+    """L^p norm against normalized counting measure; p = inf gives the max.
+    An array of norms over a stack."""
     if not p >= 1:
         raise ValueError("p must be >= 1")
     a = np.abs(f.values)
     if np.isinf(p):
-        return float(a.max()) if a.size else 0.0
-    return float(np.mean(a**p) ** (1.0 / p))
+        return a.max(axis=-1)[()]
+    return (np.mean(a**p, axis=-1) ** (1.0 / p))[()]
 
 
 def lp_nu_norm(f: ScalarFunction, nu: VectorMeasure, p: float = 1.0) -> NormEstimate:
@@ -118,11 +121,10 @@ def _lp_nu(f: ScalarFunction, nu: VectorMeasure, p: float):
     require_same_group(f.group, nu.group)
     if not p >= 1:
         raise ValueError("p must be >= 1")
-    if np.isinf(p):
+    if np.isinf(p):  # the max of |f| over the live atoms, 0 without one
         live = nu.space.norm_many(nu.atoms) > 0
-        vals = np.abs(f.values[live])
-        return NormEstimate.of_exact(float(vals.max()) if vals.size else 0.0)
-    return nu.space, 1, np.abs(f.values) ** p, nu.atoms, p
+        return _known(np.where(live, np.abs(f.values), 0.0).max(axis=-1))
+    return _request(nu.space, 1, np.abs(f.values) ** p, nu.atoms, p)
 
 
 def N_norm(F: MatrixFunction, nu: VectorMeasure) -> NormEstimate:
@@ -134,10 +136,10 @@ def N_norm(F: MatrixFunction, nu: VectorMeasure) -> NormEstimate:
 def _n_norm(F: MatrixFunction, nu: VectorMeasure):
     """The norm request of ``N_norm(F, nu)``."""
     require_same_group(F.group, nu.group)
-    opnorms = np.linalg.svd(F.values, compute_uv=False)[:, 0] if F.n > 1 else np.abs(
-        F.values[:, 0, 0]
+    opnorms = np.linalg.svd(F.values, compute_uv=False)[..., 0] if F.n > 1 else np.abs(
+        F.values[..., 0, 0]
     )
-    return nu.space, 1, opnorms, nu.atoms, None
+    return _request(nu.space, 1, opnorms, nu.atoms, None)
 
 
 def Pp_norm(phi: VectorFunction, p: float) -> NormEstimate:
@@ -159,13 +161,13 @@ def pettis_integral(phi: VectorFunction, subset=None) -> XVector:
     vector equals the scalar integral of the paired function.
     """
     idx = _subset_indices(phi.group, subset)
-    return XVector(phi.space, phi.values[idx].sum(axis=0) / phi.group.order)
+    return XVector(phi.space, phi.values[..., idx, :].sum(axis=-2) / phi.group.order)
 
 
 def function_pushforward(f: ScalarFunction, h: GroupMap) -> ScalarFunction:
     """f_h = f composed with the inverse map: f_h(t) = f(h^{-1}(t))."""
     require_same_group(f.group, h.group)
-    return ScalarFunction(f.group, f.values[h.inverse().table])
+    return ScalarFunction(f.group, f.values[..., h.inverse().table])
 
 
 def reflect(f: ScalarFunction) -> ScalarFunction:

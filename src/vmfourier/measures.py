@@ -24,6 +24,7 @@ from .spaces import (
     ScalarSpace,
     XVector,
     _lp,
+    _request,
     _require_same_space,
     _resolve,
     _resolve_one,
@@ -47,15 +48,15 @@ __all__ = [
 
 @dataclass(eq=False)
 class VectorMeasure:
-    """A coefficient-space-valued measure given by its atoms."""
+    """A coefficient-space-valued measure given by its atoms (or a stack)."""
 
     group: FiniteGroup
     space: CoefficientSpace
-    atoms: np.ndarray  # [order, dim]
+    atoms: np.ndarray  # [..., order, dim]
 
     def __post_init__(self):
         a = np.asarray(self.atoms, dtype=complex)
-        if a.shape != (self.group.order, self.space.dim):
+        if a.shape[-2:] != (self.group.order, self.space.dim):
             raise ValueError(
                 f"atoms must have shape ({self.group.order}, {self.space.dim}), got {a.shape}"
             )
@@ -67,8 +68,8 @@ class VectorMeasure:
 
     @staticmethod
     def scalar(group: FiniteGroup, values) -> "VectorMeasure":
-        """A scalar measure: atoms are plain complex masses."""
-        v = np.asarray(values, dtype=complex).reshape(-1, 1)
+        """A scalar measure: atoms are plain complex masses ([..., order] values)."""
+        v = np.atleast_1d(np.asarray(values, dtype=complex))[..., None]
         return VectorMeasure(group, ScalarSpace(), v)
 
     @staticmethod
@@ -123,7 +124,7 @@ def _subset_indices(g: FiniteGroup, subset: Iterable[int] | None) -> np.ndarray:
 def evaluate(nu: VectorMeasure, subset: Iterable[int] | None = None) -> XVector:
     """nu(A) = sum of the atoms over A (all of G when A is omitted)."""
     idx = _subset_indices(nu.group, subset)
-    return XVector(nu.space, nu.atoms[idx].sum(axis=0))
+    return XVector(nu.space, nu.atoms[..., idx, :].sum(axis=-2))
 
 
 def variation(nu: VectorMeasure, subset: Iterable[int] | None = None) -> float:
@@ -146,7 +147,8 @@ def semivariation(nu: VectorMeasure, subset: Iterable[int] | None = None) -> Nor
 def _semi(nu: VectorMeasure, subset: Iterable[int] | None = None):
     """The norm request of ``semivariation(nu, subset)``."""
     idx = _subset_indices(nu.group, subset)
-    return nu.space, 1, np.ones(idx.size), nu.atoms[idx], None
+    atoms = nu.atoms[..., idx, :]
+    return _request(nu.space, 1, np.ones(atoms.shape[:-1]), atoms, None)
 
 
 def p_semivariation(nu: VectorMeasure, p: float) -> NormEstimate:
@@ -171,7 +173,7 @@ def _p_semi(nu: VectorMeasure, p: float):
 def radon_nikodym(nu: VectorMeasure, xp: XVector) -> np.ndarray:
     """Density of <nu, xp> against normalized counting measure: t -> |G| <x_t, xp>."""
     _require_same_space(nu.space, xp.space)
-    return nu.group.order * nu.space.pair_many(nu.atoms, xp.coords[None, :])[0]
+    return nu.group.order * nu.space.pair_many(nu.atoms, xp.coords[..., None, :])[..., 0, :]
 
 
 def pushforward(nu: VectorMeasure, h: GroupMap) -> VectorMeasure:
@@ -182,18 +184,18 @@ def pushforward(nu: VectorMeasure, h: GroupMap) -> VectorMeasure:
 
 def measure_from_density(nu: VectorMeasure, f: np.ndarray) -> VectorMeasure:
     """nu_f(A) = integral of f over A against nu; atoms f(t) x_t."""
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    if f.size != nu.group.order:
+    f = np.atleast_1d(np.asarray(f, dtype=complex))
+    if f.shape[-1] != nu.group.order:
         raise ValueError("density length must equal the group order")
-    return VectorMeasure(nu.group, nu.space, f[:, None] * nu.atoms)
+    return VectorMeasure(nu.group, nu.space, f[..., None] * nu.atoms)
 
 
 def integrate(f: np.ndarray, nu: VectorMeasure) -> XVector:
     """integral of a scalar function against nu: sum_t f(t) x_t."""
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    if f.size != nu.group.order:
+    f = np.atleast_1d(np.asarray(f, dtype=complex))
+    if f.shape[-1] != nu.group.order:
         raise ValueError("function length must equal the group order")
-    return XVector(nu.space, f @ nu.atoms)
+    return XVector(nu.space, (f[..., None, :] @ nu.atoms)[..., 0, :])
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +244,7 @@ def check_semivariation_invariance(
         *(rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(trials)),
     ]
     # the semivariations of every nu_phi, then of every (nu_h)_phi, in one batch
-    lo, hi = _resolve(
-        [_semi(measure_from_density(m, phi)) for m in (nu, nu_h) for phi in densities]
-    )
+    lo, hi = _resolve([_semi(measure_from_density(m, np.array(densities))) for m in (nu, nu_h)])
     k = len(densities)
     worst = float(np.maximum(np.maximum(lo[:k] - hi[k:], lo[k:] - hi[:k]), 0.0).max())
     return InvarianceReport(worst > 0, worst, k)

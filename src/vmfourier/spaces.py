@@ -62,6 +62,12 @@ __all__ = [
 ]
 
 
+def _raised(lower, upper):
+    """Bracket ends with lower raised to 0 and upper to lower."""
+    lower = np.maximum(0.0, lower)
+    return lower, np.maximum(lower, upper)
+
+
 @dataclass(frozen=True, slots=True)
 class NormEstimate:
     """Certified bracket [lower, upper] for a nonnegative norm quantity.
@@ -79,10 +85,9 @@ class NormEstimate:
         lo, hi = float(self.lower), float(self.upper)
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError(f"NaN end in the bracket [{lo}, {hi}]")
-        lo = max(0.0, lo)
-        hi = max(lo, hi)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        lo, hi = _raised(lo, hi)
+        object.__setattr__(self, "lower", float(lo))
+        object.__setattr__(self, "upper", float(hi))
 
     @property
     def exact(self) -> bool:
@@ -108,7 +113,7 @@ class CoefficientSpace:
     # -- single-vector norms ------------------------------------------------
 
     def norm_of(self, coords: np.ndarray) -> float:
-        return float(self.norm_many(np.asarray(coords, dtype=complex).reshape(1, -1))[0])
+        return self.norm_many(np.asarray(coords, dtype=complex)[..., None, :])[..., 0][()]
 
     def dual_norm_of(self, coords: np.ndarray) -> float:
         raise NotImplementedError
@@ -130,7 +135,7 @@ class CoefficientSpace:
         raise NotImplementedError
 
     def sample_dual(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Random extreme points of the dual unit ball, as [count, dim] rows."""
+        """Random extreme points of the dual unit ball, as [..., count, dim] rows."""
         raise NotImplementedError
 
     def grid_dual(self, phases: np.ndarray):
@@ -188,7 +193,7 @@ class ScalarSpace(CoefficientSpace):
         return np.abs(vecs[..., 0])
 
     def dual_norm_of(self, coords):
-        return float(abs(np.asarray(coords, dtype=complex).reshape(-1)[0]))
+        return np.abs(np.asarray(coords, dtype=complex)[..., 0])[()]
 
     def norming_dual_many(self, ys):
         y = ys[:, 0]
@@ -222,7 +227,7 @@ class LinfSpace(CoefficientSpace):
         return np.abs(vecs).max(axis=-1)
 
     def dual_norm_of(self, coords):
-        return float(np.abs(np.asarray(coords, dtype=complex)).sum())
+        return np.abs(np.asarray(coords, dtype=complex)).sum(axis=-1)[()]
 
     def norming_dual_many(self, ys):
         j = np.argmax(np.abs(ys), axis=1)
@@ -234,8 +239,8 @@ class LinfSpace(CoefficientSpace):
 
     def sample_dual(self, rng, count):
         j = rng.integers(0, self.dim, size=count)
-        out = np.zeros((count, self.dim), dtype=complex)
-        out[np.arange(count), j] = np.exp(2j * np.pi * rng.random(count))
+        out = np.zeros(j.shape + (self.dim,), dtype=complex)
+        np.put_along_axis(out, j[..., None], np.exp(2j * np.pi * rng.random(count))[..., None], -1)
         return out
 
     def grid_dual(self, phases):
@@ -276,8 +281,8 @@ class MatOpSpace(CoefficientSpace):
         return scale * np.sqrt(0.5 * (a + b) + np.hypot(0.5 * (a - b), np.abs(c)))
 
     def dual_norm_of(self, coords):
-        m = np.asarray(coords, dtype=complex).reshape(self.d, self.d)
-        return float(np.linalg.svd(m, compute_uv=False).sum())
+        m = self._mats(np.asarray(coords, dtype=complex))
+        return np.linalg.svd(m, compute_uv=False).sum(axis=-1)[()]
 
     def pair_many(self, vecs, xps):
         return np.conj(xps) @ vecs.swapaxes(-1, -2)  # tr(xp^H v) on flat coordinates
@@ -292,10 +297,10 @@ class MatOpSpace(CoefficientSpace):
         # rank-one u v^H: the extreme points of the trace-norm unit ball
         u = rng.standard_normal((count, self.d)) + 1j * rng.standard_normal((count, self.d))
         v = rng.standard_normal((count, self.d)) + 1j * rng.standard_normal((count, self.d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        xp = u[:, :, None] * np.conj(v)[:, None, :]
-        return xp.reshape(count, self.dim)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        xp = u[..., :, None] * np.conj(v)[..., None, :]
+        return xp.reshape(*u.shape[:-1], self.dim)
 
     def grid_dual(self, phases):
         # u v^H for u, v = (cos a, sin a * phase) on 13 angles a in [0, pi/2]; d <= 2
@@ -341,14 +346,13 @@ class WeightedL1Space(CoefficientSpace):
         return np.abs(vecs) @ self.weights
 
     def dual_norm_of(self, coords):
-        c = np.asarray(coords, dtype=complex).reshape(-1)
-        return float((np.abs(c) / self.weights).max())
+        return (np.abs(np.asarray(coords, dtype=complex)) / self.weights).max(axis=-1)[()]
 
     def norming_dual_many(self, ys):
         return self.weights[None, :] * _conj_phase(ys, np.abs(ys), 0.0)
 
     def sample_dual(self, rng, count):
-        return self.weights[None, :] * np.exp(2j * np.pi * rng.random((count, self.dim)))
+        return self.weights * np.exp(2j * np.pi * rng.random((count, self.dim)))
 
     def grid_dual(self, phases):
         # the weights times every tuple of phases, len(phases)**dim points: dim <= 3
@@ -375,9 +379,9 @@ class XVector:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=complex).reshape(-1)
-        if c.size != self.space.dim:
-            raise ValueError(f"expected {self.space.dim} coordinates, got {c.size}")
+        c = np.atleast_1d(np.asarray(self.coords, dtype=complex))
+        if c.shape[-1] != self.space.dim:
+            raise ValueError(f"expected {self.space.dim} coordinates, got {c.shape[-1]}")
         object.__setattr__(self, "coords", c)
 
 
@@ -422,7 +426,7 @@ def dual_norm(xp: XVector) -> float:
 def pair(x: XVector, xp: XVector) -> complex:
     """Duality pairing <x, xp>; linear in x, |value| <= norm(x) * dual_norm(xp)."""
     _require_same_space(x.space, xp.space)
-    return complex(x.space.pair_many(x.coords[None, :], xp.coords[None, :])[0, 0])
+    return x.space.pair_many(x.coords[..., None, :], xp.coords[..., None, :])[..., 0, 0][()]
 
 
 def _top_singular_pairs(mats: np.ndarray):
@@ -601,8 +605,7 @@ def _estimates(rows, ascend=True):
             _ascend(ascent(*(a[i : i + step] for a in arrays)), upper[todo[i : i + step]])
             for i in range(0, len(todo), step)
         ]))
-    lower = np.maximum(np.minimum(lower, upper), 0.0)
-    return lower, np.maximum(lower, upper)
+    return _raised(np.minimum(lower, upper), upper)
 
 
 def _norming(space, ys):
@@ -676,7 +679,8 @@ def dual_ball_sup(space: CoefficientSpace, weights, vecs) -> NormEstimate:
     variation bound sum_t w_t ||v_t||.  It is the weighted L^q sup of
     ``_sup_rows`` at q = 1; ``_resolve`` evaluates many at once.
     """
-    return _resolve_one((space, 1, weights, vecs, None))
+    return _resolve_one((space, 1, np.asarray(weights, dtype=float)[None],
+                         np.asarray(vecs, dtype=complex)[None], None))
 
 
 def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEstimate:
@@ -693,15 +697,14 @@ def lp_dual_sup(space: CoefficientSpace, vecs: np.ndarray, p: float) -> NormEsti
 
 
 def _lp(space, vecs, p):
-    """The norm request of ``lp_dual_sup(space, vecs, p)``, for a [T, dim]
+    """The norm request of ``lp_dual_sup(space, vecs, p)``, for a [..., T, dim]
     stack; shapes are checked where ``_resolve`` stacks the requests."""
     if not p >= 1:
         raise ValueError("p must be >= 1")
+    vecs = np.asarray(vecs, dtype=complex)
     if math.isinf(p):
-        norms = space.norm_many(np.asarray(vecs, dtype=complex))
-        return NormEstimate.of_exact(norms.max(initial=0.0))
-    # the weights as a list, which is cheaper to build than an array
-    return space, p, [1.0 / max(len(vecs), 1)] * len(vecs), vecs, p
+        return _known(space.norm_many(vecs).max(axis=-1, initial=0.0))
+    return _request(space, p, np.full(vecs.shape[:-1], 1.0 / max(vecs.shape[-2], 1)), vecs, p)
 
 
 def _amplified_ascent(space, entries):
@@ -764,41 +767,64 @@ def amplified_norm(m: MatrixOverX) -> NormEstimate:
     take the top singular pair in closed form.  Level 1 always collapses to
     the vector norm.  ``_resolve`` evaluates many at once.
     """
-    return _resolve_one((m.space, _AMP, (m.level,), m.entries.reshape(-1, m.space.dim), None))
+    return _resolve_one((m.space, _AMP, (m.level,), m.entries.reshape(1, -1, m.space.dim), None))
 
 
 # -- norm requests -------------------------------------------------------------
 #
-# A norm request states a norm as data: a NormEstimate known without an
-# estimator, or ``(space, q, weights, vecs, root)``, the sup over the dual
-# ball of sum_t w_t |<v_t, xp>|^q (q = 1 for ``dual_ball_sup``, q = p and
-# weights 1/T for ``lp_dual_sup``), with both ends raised to 1/root unless
-# root is None; or ``(space, _AMP, levels, stack, None)``, the max of the
-# matrix-level norms of the n x n blocks (n in levels) that ``stack`` holds
-# one after another, flattened to rows.  Each norm of the package builds its
-# request in one private function beside its public one.
+# A norm request states B norms as data: ``(space, q, weights, vecs,
+# root)``, row b the sup over the dual ball of sum_t w_bt |<v_bt, xp>|^q for
+# [B, T] weights and [B, T, dim] vectors (q = 1 for ``dual_ball_sup``, q = p
+# and weights 1/T for ``lp_dual_sup``), with both ends raised to 1/root
+# unless root is None; ``(space, _AMP, levels, stack, None)``, row b the max
+# of the matrix-level norms of the n x n blocks (n in levels) that stack[b]
+# holds one after another, flattened to rows; or ``(None, _KNOWN, ends,
+# ends, None)``, row b the known bracket ends[b] (see ``_known``).  Each
+# norm of the package builds its request in one private function beside its
+# public one.
 
-_AMP = "amplified"
+_AMP, _KNOWN = "amplified", "known"
+
+
+def _request(space, q, weights, vecs, root):
+    """The request of [..., T] weights and [..., T, dim] vectors with the same
+    leading axes, flattened to [B, T] and [B, T, dim]."""
+    weights, vecs = np.asarray(weights, dtype=float), np.asarray(vecs, dtype=complex)
+    return space, q, weights.reshape(-1, vecs.shape[-2]), vecs.reshape(-1, *vecs.shape[-2:]), root
+
+
+def _known(lower, upper=None):
+    """The request of the known brackets [lower, upper] (exact values without
+    ``upper``), raised as in NormEstimate; a NaN end passes as it is."""
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    ends = np.stack(_raised(lower, lower if upper is None else upper), axis=-1)
+    return None, _KNOWN, ends, ends, None
+
+
+def _take(request, rows):
+    """The request of the given rows of a request."""
+    space, q, weights, vecs, root = request
+    return space, q, weights if q is _AMP else weights[rows], vecs[rows], root
 
 
 def _resolve(requests, ascend=True):
-    """The brackets of a list of norm requests as (lower, upper) arrays, each
-    row equal bit for bit to its request resolved alone (ascent-free unless
-    ``ascend``), from one batch of rows per (space, q, T) key, T the number
-    of atoms, and one per block level of a (space, _AMP, levels) key.  A
-    request object listed more than once is resolved once."""
-
-    lower, upper = np.zeros(len(requests)), np.zeros(len(requests))
-    keyed = {}
+    """The brackets of a list of norm requests as (lower, upper) arrays of
+    their rows, request after request, each row equal bit for bit to its
+    request resolved alone (ascent-free unless ``ascend``), from one batch of
+    rows per (space, q, T) key, T the number of atoms, and one per block
+    level of a (space, _AMP, levels) key.  A request object listed more than
+    once is resolved once.  A NaN end of an estimate raises ValueError."""
+    offsets = np.cumsum([0, *(len(r[3]) for r in requests)])
+    lower, upper = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+    keyed, inv = {}, np.full(offsets[-1], np.nan)  # 1/root of the rooted rows
     for k, r in enumerate(requests):
-        if isinstance(r, NormEstimate):
-            lower[k], upper[k] = r.lower, r.upper
-        else:
-            keyed.setdefault((r[0], r[1], r[2] if r[1] is _AMP else len(r[3])), []).append(k)
+        keyed.setdefault((r[0], r[1], r[2] if r[1] is _AMP else r[3].shape[1]), []).append(k)
     for (space, q, t), ks in keyed.items():
         reqs = {id(requests[k]): requests[k] for k in ks}
-        vecs = np.array([r[3] for r in reqs.values()])
-        if q is _AMP:  # t is the block levels; each request takes the max over its blocks
+        vecs = np.concatenate([r[3] for r in reqs.values()])
+        if q is _KNOWN:
+            ends = vecs.T
+        elif q is _AMP:  # t is the block levels; each request takes the max over its blocks
             ends, starts = np.zeros((2, len(vecs))), np.cumsum([0, *(n * n for n in t)])
             for n in dict.fromkeys(t):
                 blocks = [vecs[:, a:b] for a, b, m in zip(starts, starts[1:], t) if m == n]
@@ -807,16 +833,19 @@ def _resolve(requests, ascend=True):
                 # the rows are block-major: [blocks, requests]
                 ends = np.maximum(ends, np.reshape(level, (2, len(blocks), -1)).max(axis=1))
         else:
-            weights = np.array([r[2] for r in reqs.values()])
+            weights = np.concatenate([r[2] for r in reqs.values()])
             ends = _estimates(_sup_rows(space, weights, vecs, q), ascend)
-        slot = {i: j for j, i in enumerate(reqs)}
-        rows = [slot[id(requests[k])] for k in ks]
-        lower[ks], upper[ks] = ends[0][rows], ends[1][rows]
-        rooted = [k for k in ks if requests[k][4] is not None]
-        inv = 1.0 / np.array([requests[k][4] for k in rooted], dtype=float)
-        lower[rooted], upper[rooted] = lower[rooted] ** inv, upper[rooted] ** inv
-    if np.isnan(lower).any() or np.isnan(upper).any():
-        raise ValueError("NaN end in a bracket")
+        if q is not _KNOWN and np.isnan(ends).any():
+            raise ValueError("NaN end in a bracket")
+        # each distinct request's rows of ends, in order
+        first = dict(zip(reqs, np.cumsum([0, *(len(r[3]) for r in reqs.values())])))
+        for k in ks:
+            a, b, f = offsets[k], offsets[k + 1], first[id(requests[k])]
+            lower[a:b], upper[a:b] = ends[0][f : f + b - a], ends[1][f : f + b - a]
+            if requests[k][4] is not None:
+                inv[a:b] = 1.0 / requests[k][4]
+    rooted = ~np.isnan(inv)
+    lower[rooted], upper[rooted] = lower[rooted] ** inv[rooted], upper[rooted] ** inv[rooted]
     return lower, upper
 
 

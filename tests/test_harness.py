@@ -14,7 +14,7 @@ from vmfourier.fourier import _sup
 from vmfourier.harness import _points_dual_sup
 from vmfourier.lpspaces import _lp_nu, _n_norm, _pp
 from vmfourier.measures import _p_semi, _semi
-from vmfourier.spaces import _resolve
+from vmfourier.spaces import _known, _resolve, _take
 
 from conftest import grid_dual
 
@@ -292,12 +292,12 @@ class TestRunSuite:
         # the 2 x 2 (group, space) grid: groups vary fastest for the
         # random-gaussian rows, spaces for the translation-invariant ones
         records, levels = [], []
-        instance = harness._instance
+        draw = harness._draw
         monkeypatch.setattr(
-            harness, "_instance",
-            lambda ctx, name, i, kind, g, space: records.append(
-                (name, i, kind, g.label, space.label)
-            ) or instance(ctx, name, i, kind, g, space),
+            harness, "_draw",
+            lambda ctx, name, idx, kind, g, space: records.extend(
+                (name, i, kind, g.label, space.label) for i in idx
+            ) or draw(ctx, name, idx, kind, g, space),
         )
         n_norm, measure_sv = harness._n_norm, harness._amplified_measure_semivariation
         monkeypatch.setattr(
@@ -322,15 +322,47 @@ class TestRunSuite:
                 cells = [(gs[i // 2 % 2], ss[i % 2]) for i in range(8)]
             else:
                 cells = [(gs[i % 2], ss[i // 2 % 2]) for i in range(8)]
-            assert records == [(key, i, kind, *cells[i]) for i in range(8)], suite
+            # groups are drawn one after another; each instance exactly once
+            assert sorted(records, key=lambda r: r[1]) == [
+                (key, i, kind, *cells[i]) for i in range(8)
+            ], suite
+        # cb's 6 combos and 4 cells put each of the 8 instances in its own group
         assert levels == [((1, 2, 3)[i % 3], ("fn", "meas")[i % 2]) for i in range(8)]
         # ft-norm-bounds runs one row per space, keyed by the space, with
-        # instance i on group i % 2, in instance order
+        # instance i on group i % 2
         records.clear()
         vf.run_suite("ft-norm-bounds", cfg)
         expected = [(f"ft-norm-bounds:{s}", i, gs[i % 2], s) for s in ss for i in range(8)]
-        assert [(key, i, g, s) for key, i, kind, g, s in records] == expected
+        assert sorted((key, i, g, s) for key, i, kind, g, s in records) == expected
         assert {kind for *_, kind, _, _ in records} == {"random-gaussian"}
+
+    def test_checks_run_once_per_group(self, monkeypatch):
+        # young-6.5 at 1000 trials: 8 cells and 15 combos make 120 (cell,
+        # combo) groups, and the check runs once per group, not per instance
+        spec = harness._SUITES["young-6.5"]
+        calls, check = [], spec.runner.args[1]
+        counted = harness._swap_check(
+            spec.runner, lambda combo, nu, *a: calls.append(len(nu.atoms)) or check(combo, nu, *a)
+        )
+        monkeypatch.setitem(harness._SUITES, "young-6.5", dataclasses.replace(spec, runner=counted))
+        rep = vf.run_suite("young-6.5", small_config(trials=1000))
+        assert rep.instances == sum(calls) == 1000
+        assert len(calls) <= 8 * 15
+
+    def test_stacks_hold_at_most_block_instances(self, monkeypatch):
+        # one cell and one combo at trials above _BLOCK: the one group is
+        # drawn and checked in stacks of at most _BLOCK instances
+        spec = harness._SUITES["scalarization"]
+        calls, check = [], spec.runner.args[1]
+        counted = harness._swap_check(
+            spec.runner, lambda combo, nu, *a: calls.append(len(nu.atoms)) or check(combo, nu, *a)
+        )
+        monkeypatch.setitem(harness._SUITES, "scalarization", dataclasses.replace(spec, runner=counted))
+        trials = harness._BLOCK + 44
+        rep = vf.run_suite("scalarization", small_config(groups=["cyclic:2"], spaces=["scalar"],
+                                                          trials=trials))
+        assert rep.instances == trials
+        assert calls == [harness._BLOCK, 44]
 
     def test_calibration_samples_spaces_without_grid_oracle(self):
         # outside the grid oracle the upper end is checked against sampled
@@ -363,7 +395,7 @@ class TestNormRequests:
                 for seed in range(2):
                     nu = vf.generate_fixture("random-gaussian", g, space, seed=seed)
                     rng = np.random.default_rng(seed)
-                    f = harness._random_function(g, rng)
+                    f = harness._draw_function(g, rng)
                     f.values[seed] = 0.0
                     shape = (g.order, space.dim)
                     phi = vf.VectorFunction(
@@ -397,9 +429,8 @@ class TestNormRequests:
             (a.lower * b.lower * 0.7, a.upper * b.upper * 0.7)
             for a, b in zip(singles[::2], singles[1::2])
         ]
-        assert array_ends(harness._sides([*sides, singles[0]])) == [
-            *products, *ends(singles[:1])
-        ]
+        known = harness._product(_known(singles[0].lower, singles[0].upper))
+        assert array_ends(harness._sides([*sides, known])) == [*products, *ends(singles[:1])]
 
     def test_sup_sides_equal_ft_sup_norm(self, all_spaces):
         # a sup side over a transform's blocks, in one block of sides over
@@ -411,13 +442,13 @@ class TestNormRequests:
         for spec in ("cyclic:4", "symmetric:3", "symmetric:4", "quaternion8"):
             g, dual = harness.group_with_dual(spec)
             rng = np.random.default_rng(g.order)
-            f = harness._random_function(g, rng)
+            f = harness._draw_function(g, rng)
             for space in all_spaces:
                 nu = vf.generate_fixture("random-gaussian", g, space, seed=g.order)
                 for c in (vf.ft_vector(f, nu, dual), vf.ft_measure(nu, dual)):
                     sides.append(harness._product(_sup(space, c.stack, dual.dims())))
                     singles.append(c)
-                weak = vf.ft_weak(f, nu, harness._random_dual(space, rng), dual).stack
+                weak = vf.ft_weak(f, nu, harness._draw_dual(space, rng), dual).stack
                 sides.append(harness._product(_sup(scalar, weak, dual.dims())))
                 singles.append(vf.VectorFourierCoefficients(dual, scalar, weak[:, None]))
         blocks = [[vf.amplified_norm(b) for b in c.blocks] for c in singles]
@@ -430,7 +461,7 @@ class TestNormRequests:
         # ft-norm-bounds' fn and weak bounds share one ||f||_{L^1(nu)} request
         g = vf.build_group("symmetric:3")
         nu = vf.generate_fixture("random-gaussian", g, vf.WeightedL1Space.uniform(2), seed=2)
-        f = harness._random_function(g, np.random.default_rng(2))
+        f = harness._draw_function(g, np.random.default_rng(2))
         single = vf.lp_nu_norm(f, nu, 1.0)
         rows, ascend = [], vf.spaces._ascend
         monkeypatch.setattr(
@@ -447,43 +478,48 @@ class TestNormRequests:
         [*harness._YOUNG, "embedding-4.13", "invariance-5", "ft-norm-bounds", "cb-amplification"],
     )
     def test_brackets_equal_alone_and_in_blocks(self, name, monkeypatch):
-        draw = harness._random_function
+        # the tallied brackets of a row in blocks of 3 (each group drawn in
+        # stacks of at most 3, a partial one included, and decided about 3
+        # rows at a time) equal those of whole groups with every request row
+        # resolved alone
+        draw, matrix = harness._draw_function, harness.MatrixFunction
 
         def brackets(block, sparse):
-            # with ``sparse``, the drawn functions take turns at a zero at one
-            # element, a single nonzero element and no zero, which gives
-            # dual-ball rows with zero-weight atoms and with one live atom; S4
-            # has enough atoms for numpy's pairwise sums to group them
+            # with ``sparse``, the drawn functions of each instance take turns
+            # at a zero at one element, a single nonzero element and no zero,
+            # which gives dual-ball rows with zero-weight atoms and with one
+            # live atom; S4 has enough atoms for numpy's pairwise sums to
+            # group them
             seen, drawn = [], []
 
-            def sparsify(f):
-                if sparse and len(drawn) % 3 < 2:
-                    f.values[np.arange(len(f.values)) != 0 if len(drawn) % 3 else 0] = 0.0
-                drawn.append(f)
+            def sparsify(f, axes):
+                for v in f.values.reshape(-1, *f.values.shape[-axes:]):
+                    if sparse and len(drawn) % 3 < 2:
+                        v[np.arange(len(v)) != 0 if len(drawn) % 3 else 0] = 0.0
+                    drawn.append(v)
                 return f
 
-            monkeypatch.setattr(harness, "_random_function", lambda g, rng: sparsify(draw(g, rng)))
-            monkeypatch.setattr(
-                harness, "MatrixFunction", lambda *args: sparsify(vf.MatrixFunction(*args))
-            )
+            monkeypatch.setattr(harness, "_draw_function", lambda g, rng: sparsify(draw(g, rng), 1))
             monkeypatch.setattr(harness, "_BLOCK", block)
             monkeypatch.setattr(
+                harness, "MatrixFunction", lambda *args: sparsify(matrix(*args), 3)
+            )
+            monkeypatch.setattr(
                 harness._Tally, "checks",
-                lambda self, *ends_and_tol: seen.extend(zip(*(e.tolist() for e in ends_and_tol[:4]))),
+                lambda self, *ends: seen.extend(zip(*(e.tolist() for e in ends[:4]))),
             )
             groups = ["cyclic:2", "symmetric:4" if sparse else "symmetric:3"]
-            vf.run_suite(name, small_config(groups=groups))
+            vf.run_suite(name, small_config(groups=groups, trials=20))
             return seen
 
-        def one_by_one(fs, *a):
-            parts = [resolve([f], *a) for f in fs] or [resolve([], *a)]
-            return tuple(np.concatenate(x) for x in zip(*parts))
+        def one_by_one(requests, *a):
+            parts = [resolve([_take(r, [b])], *a) for r in requests for b in range(len(r[3]))]
+            return tuple(np.concatenate(x) for x in zip(*parts or [resolve([], *a)]))
 
-        # blocks of 4 over 6 trials: one full block and one partial
-        resolve = harness._resolve
-        blocked = [brackets(4, sparse) for sparse in (False, True)]
+        resolve, block = harness._resolve, harness._BLOCK
+        blocked = [brackets(3, sparse) for sparse in (False, True)]
         monkeypatch.setattr(harness, "_resolve", one_by_one)
-        assert [brackets(1, sparse) for sparse in (False, True)] == blocked
+        assert [brackets(block, sparse) for sparse in (False, True)] == blocked
         assert blocked[0] != blocked[1]
 
     def test_estimator_calls_bounded_by_keys_not_trials(self, monkeypatch):
@@ -508,12 +544,12 @@ class TestClaimBuilders:
     def test_claim_requests_get_the_public_checks(self, s3, z2):
         # the builders the claim rows use raise where their public norms do
         nu = vf.generate_fixture("random-gaussian", s3, vf.MatOpSpace(2), seed=1)
-        f = harness._random_function(s3, np.random.default_rng(1))
+        f = harness._draw_function(s3, np.random.default_rng(1))
         with pytest.raises(ValueError, match="p > 1"):
             harness._p_semi(nu, 1.0)
         with pytest.raises(ValueError, match="p must be >= 1"):
             harness._lp_nu(f, nu, 0.5)
-        other = harness._random_function(z2, np.random.default_rng(1))
+        other = harness._draw_function(z2, np.random.default_rng(1))
         with pytest.raises(ValueError, match="group mismatch"):
             harness._lp_nu(other, nu, 1.0)
 
@@ -828,6 +864,15 @@ class TestConfigFiles:
             setattr(cfg, key, value)
         cfg.seed = 3
         assert cfg.seed == 3
+
+    @pytest.mark.parametrize("line", ["seed = abc", "seed = -1", "trials = 0"])
+    def test_bad_value_names_its_line(self, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=r"cfg\.txt:1: bad (seed|trials) value"):
+            vf.load_config(path)
+        out = run_cli("run", "--config", str(path), "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2 and "cfg.txt:1: bad" in out.stderr
 
     def test_config_file_values_are_validated(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -491,7 +491,7 @@ class TestNormEstimate:
         # claim sides carry the scale factors
         for scale in (np.nan, -1.0):
             with pytest.raises(ValueError, match="nonnegative"):
-                _sides([_product(NormEstimate.bracket(1.0, 2.0), scale=scale)])
+                _sides([_product(spaces._known(1.0, 2.0), scale=scale)])
         with pytest.raises(ValueError):
             NormEstimate.of_exact(np.nan)
 
@@ -604,7 +604,8 @@ class TestBatched:
         for b in range(2, 8):  # mixed kept atom counts
             weights[b, rng.random(T) < 0.4] = 0
         sizes = record_norming(monkeypatch, space)
-        batched = estimates(_resolve([(space, 1, w, v, None) for w, v in zip(weights, vecs)]))
+        requests = [spaces._request(space, 1, w, v, None) for w, v in zip(weights, vecs)]
+        batched = estimates(_resolve(requests))
         singles = [dual_ball_sup(space, w, v) for w, v in zip(weights, vecs)]
         assert [bits(e) for e in batched] == [bits(e) for e in singles]
         assert batched[0].exact and batched[0].upper == 0.0
