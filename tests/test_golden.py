@@ -1,0 +1,23 @@
+"""Every run of ``golden_reports.py`` against its checked-in digest: counts
+and notes exactly, ``max_residual`` within 1e-13 absolute."""
+
+import json
+
+import pytest
+
+from golden_reports import GOLDEN, digest, runs
+
+RUNS = runs()
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_reports_equal_golden(run):
+    golden = json.loads(GOLDEN.read_text())[run]
+    fresh = digest(*RUNS[run])
+    assert list(fresh) == list(golden)
+    for suite, doc in fresh.items():
+        want = golden[suite]
+        res, ref = doc.pop("max_residual"), want.pop("max_residual")
+        assert doc == want, (run, suite)
+        assert (res is None) == (ref is None), (run, suite)
+        assert res is None or abs(res - ref) <= 1e-13, (run, suite, res, ref)
