@@ -117,11 +117,11 @@ def ft_inverse(c: FourierCoefficients) -> ScalarFunction:
 
 def plancherel_check(f: ScalarFunction, dual: UnitaryDual) -> tuple[float, float]:
     """Both sides of the energy identity: ||f||_2^2 against the weighted block
-    traces sum_pi d^3 tr(block^* block)."""
-    c = ft_classical(f, dual)
-    lhs = float(np.mean(np.abs(f.values) ** 2))
-    rhs = sum(p.dim**3 * float(np.vdot(b, b).real) for p, b in zip(dual.irreps, c.blocks))
-    return lhs, rhs
+    traces sum_pi d^3 tr(block^* block), as arrays over f's leading axes."""
+    dims = np.array(dual.dims())
+    lhs = np.mean(np.abs(f.values) ** 2, axis=-1)
+    rhs = np.abs(ft_classical(f, dual).stack) ** 2 @ np.repeat(dims**3, dims**2)
+    return lhs[()], rhs[()]
 
 
 def ft_vector(

@@ -12,8 +12,10 @@ violation; overlapping brackets count as near misses, never as pass or fail.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
+import math
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, replace
@@ -164,9 +166,87 @@ class TheoremReport:
         return doc
 
 
-def _instance_rng(seed: int, suite: str, index: int) -> np.random.Generator:
-    key = zlib.crc32(suite.encode())
-    return np.random.default_rng(np.random.SeedSequence([seed, key, index]))
+# -- instance streams -----------------------------------------------------------
+#
+# Instance i of the suite keyed ``name`` draws from the SplitMix64 stream
+# (Steele, Lea and Flood, OOPSLA 2014) of a key that hashes (seed,
+# crc32(name), i): word c of key k is mix(k + (c + 1) * gamma).  The words
+# are counters, so a stack of keys computes them as one array.
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_CHUNK = 64  # the fewest counter positions a stream computes at a time
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser of a uint64 array, in place."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _instance_keys(seed: int, name: str, idx) -> np.ndarray:
+    """The stream keys of instances ``idx`` (an array) of the suite keyed ``name``."""
+    h = np.zeros(1, dtype=np.uint64)
+    for part in ([seed], [zlib.crc32(name.encode())], idx):
+        h = _mix(h + (np.asarray(part, dtype=np.uint64) + np.uint64(1)) * _GAMMA)
+    return h
+
+
+class _Stream:
+    """The streams of an array of keys, drawn together.  A draw of ``size``
+    has shape keys.shape + size and takes the next ``prod(size)`` positions
+    of every key.  Position c holds the uniform u_c = (word_c >> 11) / 2^53
+    and the normal sqrt(-2 log(1 - u_c)) cos(2 pi u_{c + 2^62}) (Box-Muller),
+    so a key's values do not depend on the stack it is drawn in; an int key
+    gives unstacked draws.  Values are computed for every key at once, ahead
+    of the draws, and ``stream[j]`` (the streams of keys[j]) shares them.
+    Offers the ``np.random.Generator`` methods that the library calls."""
+
+    def __init__(self, keys, count: int = 0):
+        keys = np.asarray(keys, dtype=np.uint64)
+        self.shape, self.count = keys.shape, count  # count: the positions taken
+        self._keys, self._rows, self._root = keys.reshape(-1, 1), np.arange(keys.size), self
+        self._uniform = self._normal = np.zeros((keys.size, 0))
+
+    def __getitem__(self, j) -> "_Stream":
+        """The streams of keys[j], at the same position."""
+        out = copy.copy(self)
+        out._rows = self._rows.reshape(self.shape)[j]
+        out.shape = out._rows.shape
+        return out
+
+    def _extend(self, end: int):
+        have = self._uniform.shape[1]
+        ctr = np.arange(have + 1, have + max(end - have, have, _CHUNK) + 1, dtype=np.uint64)
+        u, v = ((_mix(self._keys + (ctr + np.uint64(lane)) * _GAMMA) >> np.uint64(11)) * 2.0**-53
+                for lane in (0, 2**62))
+        self._uniform = np.concatenate([self._uniform, u], axis=1)
+        normal = np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * np.pi * v)
+        self._normal = np.concatenate([self._normal, normal], axis=1)
+
+    def _take(self, size, values: str) -> np.ndarray:
+        shape = () if size is None else (size,) if np.ndim(size) == 0 else tuple(size)
+        start, self.count = self.count, self.count + math.prod(shape)
+        if self.count > self._root._uniform.shape[1]:
+            self._root._extend(self.count)
+        taken = getattr(self._root, values)[self._rows, start : self.count]
+        return taken.reshape(self.shape + shape)
+
+    def random(self, size=None) -> np.ndarray:
+        return self._take(size, "_uniform")
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return low + (high - low) * self.random(size)
+
+    def integers(self, low, high=None, size=None) -> np.ndarray:
+        """Integers on [low, high), or on [0, low) without ``high``."""
+        low, high = (0, low) if high is None else (low, high)
+        return low + (self.random(size) * (high - low)).astype(np.int64)
+
+    def standard_normal(self, size=None) -> np.ndarray:
+        return self._take(size, "_normal")
 
 
 def _inv(p: float) -> float:
@@ -198,15 +278,14 @@ def generate_fixture(
     identity.  ``random-gaussian``: independent complex Gaussian atoms,
     divided by their variation |nu|(G) = sum_t ||x_t||, which is exact and
     dominates the semivariation, so |nu|(G) = 1 and ||nu||(G) <= 1 without
-    running an estimator (all-zero atoms are left as they are).  An array of
-    seeds gives the stack of their fixtures, each that of its seed alone.
+    running an estimator (all-zero atoms are left as they are).  ``seed``
+    keys one stream, or is the ``_Stream`` of a stack of instances, whose next
+    draws give the stack of their fixtures.
     """
-    seeds = np.asarray(seed)
-    rng = _Streams(list(map(np.random.default_rng, seeds.tolist()))) if seeds.ndim else (
-        np.random.default_rng(seed))
+    rng = seed if isinstance(seed, _Stream) else _Stream(seed)
     n = group.order
     if kind in ("haar-like", "translation-invariant", "point-mass"):
-        x0 = np.ones(seeds.shape + (space.dim,), dtype=complex)
+        x0 = np.ones(rng.shape + (space.dim,), dtype=complex)
         if kind == "translation-invariant":
             x0 = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         x0 /= space.norm_many(x0[..., None, :])
@@ -219,17 +298,6 @@ def generate_fixture(
         total = space.norm_many(atoms).sum(axis=-1)
         return VectorMeasure(group, space, atoms / np.where(total > 0, total, 1.0)[..., None, None])
     raise ValueError(f"unknown fixture kind {kind!r}")
-
-
-class _Streams:
-    """The rng streams of a stack of instances as one generator: a draw calls
-    each stream alike and stacks the results, as each instance draws alone."""
-
-    def __init__(self, rngs):
-        self.rngs = rngs
-
-    def __getattr__(self, name):
-        return lambda *args, **kw: np.array([getattr(r, name)(*args, **kw) for r in self.rngs])
 
 
 def _draw_function(group: FiniteGroup, rng) -> ScalarFunction:
@@ -291,12 +359,16 @@ def _perturbed_dual(dual: UnitaryDual) -> UnitaryDual:
 
 
 def _draw(ctx: _Ctx, name: str, idx, kind: str, g: FiniteGroup, space):
-    """Instances ``idx`` of the suite keyed ``name`` as a stack, or instance
-    ``idx`` alone for one index: their rng streams and ``kind`` fixtures on
-    (g, space), seeded by their first draws."""
-    rngs = [_instance_rng(ctx.cfg.seed, name, i) for i in np.atleast_1d(idx)]
-    rng = _Streams(rngs) if np.ndim(idx) else rngs[0]
-    return rng, generate_fixture(kind, g, space, seed=rng.integers(2**32))
+    """Instances ``idx`` of the suite keyed ``name`` as a stack: their
+    streams, and their ``kind`` fixtures on (g, space), drawn first."""
+    rng = _Stream(_instance_keys(ctx.cfg.seed, name, idx))
+    return rng, generate_fixture(kind, g, space, rng)
+
+
+def _stacks(trials: int, n: int, j: int) -> list[np.ndarray]:
+    """The instances i < trials with i % n == j, in stacks of at most ``_BLOCK``."""
+    idx = np.arange(j, trials, n)
+    return [idx[c : c + _BLOCK] for c in range(0, len(idx), _BLOCK)]
 
 
 # -- claim sides ---------------------------------------------------------------
@@ -362,35 +434,33 @@ def _decide(checks):
 def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, tally):
     """One row of the claim table.  Instance i takes cell i % len(cells) of the
     (group, space) grid, groups varying fastest unless ``spaces_fastest``, and
-    combo i % len(combos).  The instances of a (cell, combo) pair are drawn
-    in stacks of at most ``_BLOCK`` (``_draw``), and ``check(combo, nu, dual,
-    rng)`` draws the rest from their streams and returns, over the stack,
-    residuals r (the checks [r, r] <= [0, 0] at ``TOL_EXACT``), an (lhs, rhs)
-    pair of sides (at ``TOL_BRACKET``), or a list of such checks.  The checks
-    of about ``_BLOCK`` instances at a time are decided together
-    (``_decide``), and all are tallied in instance order.  Only a violation formats its note:
-    ``note``, or its k-th entry for the k-th check, with the suite name, g
-    and s (group and space labels), c (the combo) and i."""
+    combo i % len(combos).  The instances of a cell are drawn in stacks of at
+    most ``_BLOCK`` (``_draw``), and for each combo of a stack ``check(combo,
+    nu, dual, rng)`` draws the rest of that combo's instances from their
+    streams and returns, over them, residuals r (the checks [r, r] <= [0, 0]
+    at ``TOL_EXACT``), an (lhs, rhs) pair of sides (at ``TOL_BRACKET``), or a
+    list of such checks.  The checks of about ``_BLOCK`` instances at a time
+    are decided together (``_decide``), and all are tallied in instance
+    order.  Only a violation formats its note: ``note``, or its k-th entry for
+    the k-th check, with the suite name, g and s (group and space labels), c
+    (the combo) and i."""
     notes = note if isinstance(note, tuple) else (note,)
     if spaces_fastest:
         cells = [(g, dual, s) for g, dual in ctx.groups for s in ctx.spaces]
     else:
         cells = [(g, dual, s) for s in ctx.spaces for g, dual in ctx.groups]
-    groups = {}  # (cell, combo) -> its instances
-    for i in range(trials):
-        groups.setdefault((i % len(cells), i % len(combos)), []).append(i)
-    # a group's instances in stacks of at most _BLOCK, so memory is bounded at any trials
-    stacks = [(key, idx[c : c + _BLOCK]) for key, idx in groups.items()
-              for c in range(0, len(idx), _BLOCK)]
+    stacks = [(c, idx) for c in range(len(cells)) for idx in _stacks(trials, len(cells), c)]
     decided, block = [], []  # (instances, k, tol, (lhs, rhs)) of the open block's checks
-    for n, ((cell, combo), idx) in enumerate(stacks, 1):
+    for n, (cell, idx) in enumerate(stacks, 1):
         g, dual, space = cells[cell]
         rng, nu = _draw(ctx, name, idx, kind, g, space)
-        out = check(combos[combo], nu, dual, rng)
-        for k, c in enumerate(out if isinstance(out, list) else [out]):
-            exact = not isinstance(c, tuple)  # residuals r, the checks [r, r] <= [0, 0]
-            pair = (_product(_known(c)), _product(_known(np.zeros(len(idx))))) if exact else c
-            block.append((idx, k, TOL_EXACT if exact else TOL_BRACKET, pair))
+        for combo in np.unique(idx % len(combos)).tolist():
+            j = np.flatnonzero(idx % len(combos) == combo)
+            out = check(combos[combo], VectorMeasure(g, space, nu.atoms[j]), dual, rng[j])
+            for k, c in enumerate(out if isinstance(out, list) else [out]):
+                exact = not isinstance(c, tuple)  # residuals r, the checks [r, r] <= [0, 0]
+                pair = (_product(_known(c)), _product(_known(np.zeros(len(j))))) if exact else c
+                block.append((idx[j], k, TOL_EXACT if exact else TOL_BRACKET, pair))
         if sum(len(c[0]) for c in block) >= _BLOCK or n == len(stacks):
             decided.append(_decide(block))
             block = []
@@ -420,27 +490,37 @@ def _suite_dual_validation(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     tally.residuals(checks)
 
 
+def _plancherel_gap(f: ScalarFunction, c, dual: UnitaryDual):
+    """The larger of f's Plancherel gap and the error of f read back from its
+    transform c, over the stack."""
+    lhs, rhs = plancherel_check(f, dual)
+    return np.maximum(abs(lhs - rhs), np.abs(ft_inverse(c).values - f.values).max(-1))
+
+
 def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
-    checks = []
-    for i in range(trials):
-        g, dual = ctx.groups[i % len(ctx.groups)]
-        rng = _instance_rng(ctx.cfg.seed, name, i)
-        f = _draw_function(g, rng)
-        lhs, rhs = plancherel_check(f, dual)
-        roundtrip = ft_inverse(ft_classical(f, dual))
-        resid = np.maximum(abs(lhs - rhs), np.abs(roundtrip.values - f.values).max())
-        if i % 4 == 3:
-            # weak-transform variant: the identity applies to f times the
-            # scalarized density, for measures with bounded scalarizations
-            space = ctx.spaces[(i // 4) % len(ctx.spaces)]
-            nu = generate_fixture("random-gaussian", g, space, seed=int(rng.integers(2**32)))
-            xp = _draw_dual(space, rng)
-            fh = ScalarFunction(g, f.values * radon_nikodym(nu, xp))
-            wl, wr = plancherel_check(fh, dual)
-            wrt = ft_inverse(ft_weak(f, nu, xp, dual))
-            resid = np.max([resid, abs(wl - wr), np.abs(wrt.values - fh.values).max()])
-        checks.append((float(resid), TOL_EXACT, f"{g.label} trial {i}"))
-    tally.residuals(checks)
+    """Instance i draws f on group i % |groups|; on i % 4 == 3 it also checks
+    the weak-transform variant on space (i // 4) % |spaces|: the identity
+    applies to f times the scalarized density, for measures with bounded
+    scalarizations.  Drawn and checked in stacks per group, and per space
+    for the variant."""
+    resid = np.zeros(trials)
+    for k, (g, dual) in enumerate(ctx.groups):
+        for idx in _stacks(trials, len(ctx.groups), k):
+            rng = _Stream(_instance_keys(ctx.cfg.seed, name, idx))
+            f = _draw_function(g, rng)
+            resid[idx] = _plancherel_gap(f, ft_classical(f, dual), dual)
+            for j, space in enumerate(ctx.spaces):
+                w = np.flatnonzero((idx % 4 == 3) & (idx // 4 % len(ctx.spaces) == j))
+                if len(w):
+                    sub, fw = rng[w], ScalarFunction(g, f.values[w])
+                    nu = generate_fixture("random-gaussian", g, space, sub)
+                    xp = _draw_dual(space, sub)
+                    fh = ScalarFunction(g, fw.values * radon_nikodym(nu, xp))
+                    gap = _plancherel_gap(fh, ft_weak(fw, nu, xp, dual), dual)
+                    resid[idx[w]] = np.maximum(resid[idx[w]], gap)
+    labels = [g.label for g, _ in ctx.groups]
+    tally.checks(resid, resid, 0 * resid, 0 * resid, TOL_EXACT,
+                 lambda i: f"{labels[i % len(labels)]} trial {i}")
 
 
 def _ft_norm_bounds(combo, nu, dual, rng):
@@ -472,7 +552,8 @@ _CB_COMBOS = tuple((n, ("fn", "meas")[i % 2]) for i, n in enumerate((1, 2, 3) * 
 def _cb_amplification(combo, nu, dual, rng):
     """4.4ii/3.6iii at level n: the amplified transform of an n x n matrix
     function against its N-norm (``fn``), or of an n x n matrix of measures,
-    drawn here, against their amplified semivariation (``meas``)."""
+    nu at (0, 0) and the others drawn here, against their amplified
+    semivariation (``meas``)."""
     n, branch = combo
     g, space = nu.group, nu.space
     shape = (g.order, n, n)
@@ -481,11 +562,8 @@ def _cb_amplification(combo, nu, dual, rng):
         hats = [[ft_vector(fmat.entry(a, b), nu, dual) for b in range(n)] for a in range(n)]
         rhs = _product(_n_norm(fmat, nu))
     else:
-        nus = [
-            [generate_fixture("random-gaussian", g, space, seed=rng.integers(2**32))
-             for _ in range(n)]
-            for _ in range(n)
-        ]
+        nus = [nu] + [generate_fixture("random-gaussian", g, space, rng) for _ in range(n * n - 1)]
+        nus = [nus[a * n : a * n + n] for a in range(n)]
         hats = [[ft_measure(nus[a][b], dual) for b in range(n)] for a in range(n)]
         rhs = _product(_amplified_measure_semivariation(space, nus))
     # irrep pi's level-n*d block holds hats[a][b]'s d x d block at rows a*d..,
@@ -586,10 +664,11 @@ def _duality_residual(combo, nu, dual, rng):
 
 def _suite_uniqueness(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     checks = []
+    # one stream per (group, space) pair, keyed by its place in the config
+    rng = _Stream(_instance_keys(ctx.cfg.seed, name, np.arange(len(ctx.groups) * len(ctx.spaces))))
     for k, (g, dual) in enumerate(ctx.groups):
         for j, space in enumerate(ctx.spaces):
-            # one stream per (group, space) pair, keyed by its place in the config
-            _, nu = _draw(ctx, name, k * len(ctx.spaces) + j, "random-gaussian", g, space)
+            nu = generate_fixture("random-gaussian", g, space, rng[k * len(ctx.spaces) + j])
             targets = [(space, "measure kernel"), (nu, "fn kernel")]
             if g.order > 1:  # nu without its atom at element 1
                 nu0 = measure_from_density(nu, np.arange(g.order) != 1)
@@ -735,40 +814,52 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     """Part A: invariance of the semivariation and of measure-weighted norms
     under translations and the inversion, on nu = chi(t) x0 / |G| (x0 the
     ``haar-like`` direction, chi from ``_character``), which a translation by
-    s maps to chi(s) nu and the inversion to its conj(chi) twist.  A map's 30
-    requests are resolved in one call; its semivariation check is the larger
-    of the gap between ||nu|| and ||nu_h|| and the upper end of ||nu_h -
-    twist||.  Part B, containment in the Haar space, is a claim row."""
+    s maps to chi(s) nu and the inversion to its conj(chi) twist.  The
+    requests of every map on a (group, space) pair are resolved in one call;
+    a map's semivariation check is the larger of the gap between ||nu|| and
+    ||nu_h|| and the upper end of ||nu_h - twist||.  Part B, containment in
+    the Haar space, is a claim row."""
     checks = []
     for k, (g, _) in enumerate(ctx.groups):
         # the unperturbed dual's character: a perturbed one is no homomorphism
         chi = _character(group_with_dual(ctx.cfg.groups[k])[1])
         maps = [(GroupMap.translation(g, s), chi[s] * chi) for s in range(g.order)]
         maps.append((GroupMap.inversion(g), chi.conj()))
+        # the (group, space) pairs of g, keyed by their places in the config,
+        # draw three functions each: phis[j] of space j, and moved by each map
+        keys = _instance_keys(ctx.cfg.seed, name, k * len(ctx.spaces) + np.arange(len(ctx.spaces)))
+        rng = _Stream(keys)
+        phis = ScalarFunction(g, np.stack([_draw_function(g, rng).values for _ in range(3)], 1))
+        moved = [function_pushforward(phis, hmap).values for hmap, _ in maps]
         for j, space in enumerate(ctx.spaces):
             haar = generate_fixture("haar-like", g, space)
             nu = measure_from_density(haar, chi)
-            rng = _instance_rng(ctx.cfg.seed, name, k * len(ctx.spaces) + j)
-            phis = [_draw_function(g, rng) for _ in range(3)]
-            for hmap, twist in maps:
+            fs = [ScalarFunction(g, v) for v in phis.values[j]]
+            requests = [_semi(nu)]
+            for (hmap, twist), phis_h in zip(maps, moved):
                 nu_h = pushforward(nu, hmap)
                 off = VectorMeasure(g, space, nu_h.atoms - twist[:, None] * haar.atoms)
-                lo, hi = _resolve([_semi(nu), _semi(nu_h), _semi(off), *(
+                requests += [_semi(nu_h), _semi(off), *(
                     _lp_nu(f, m, p)
-                    for phi in phis
+                    for phi, phi_h in zip(fs, [ScalarFunction(g, v) for v in phis_h[j]])
                     for p in (1.0, 2.0, 3.0)
-                    for f, m in ((phi, nu), (phi, nu_h), (function_pushforward(phi, hmap), nu))
-                )])
+                    for f, m in ((phi, nu), (phi, nu_h), (phi_h, nu))
+                )]
+            lo, hi = _resolve(requests)
+            # a row per map: ||nu||, ||nu_h||, ||off||, then (phi, nu), (phi, nu_h), (phi_h, nu)
+            lo, hi = (np.concatenate([np.broadcast_to(e[0], (len(maps), 1)),
+                                      e[1:].reshape(len(maps), -1)], axis=1) for e in (lo, hi))
 
-                def gap(a, b):  # certified distances between the brackets a and b
-                    return np.maximum(np.maximum(lo[a] - hi[b], lo[b] - hi[a]), 0.0)
+            def gap(a, b):  # certified distances between the brackets in columns a and b
+                return np.maximum(np.maximum(lo[:, a] - hi[:, b], lo[:, b] - hi[:, a]), 0.0)
 
-                checks.append((float(np.maximum(gap(0, 1), hi[2])), TOL_BRACKET,
-                               f"semivar {g.label}"))
-                a = np.arange(3, len(lo), 3)
-                tol = TOL_EXACT if space.exact_dual_sup else TOL_BRACKET
-                for r in np.maximum(gap(a, a + 1), gap(a, a + 2)).tolist():
-                    checks.append((r, tol, f"norms {g.label} {space.label}"))
+            a = np.arange(3, lo.shape[1], 3)
+            resid = np.column_stack([np.maximum(gap(0, 1), hi[:, 2]),
+                                     np.maximum(gap(a, a + 1), gap(a, a + 2))])
+            tol = TOL_EXACT if space.exact_dual_sup else TOL_BRACKET
+            notes = [f"semivar {g.label}"] + 9 * [f"norms {g.label} {space.label}"]
+            checks += [(r, t, n) for row in resid.tolist()
+                       for r, t, n in zip(row, [TOL_BRACKET] + 9 * [tol], notes)]
     tally.residuals(checks)
     _LP_CONTAINMENT(ctx, f"{name}:B", trials, tally)
 
@@ -787,22 +878,18 @@ def _suite_commutativity(ctx: _Ctx, name: str, trials: int, tally: _Tally):
             checks.append((0.0 if gap >= 0.5 else 1.0, 0.5, f"witness {g.label}"))
             witness_notes.append(f"{g.label}: witness t={t} s={s} gap={gap:.3g}")
         else:
-            worst = 0.0
-            for i in range(trials):
-                rng = _instance_rng(ctx.cfg.seed, f"commutativity:{g.label}", i)
-                mu = VectorMeasure.scalar(
-                    g, rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
-                )
-                nu = generate_fixture(
-                    "random-gaussian", g, ctx.spaces[i % len(ctx.spaces)],
-                    seed=int(rng.integers(2**32)),
-                )
-                diff = float(
-                    np.abs(conv_measure_sv(mu, nu).atoms - conv_measure_vs(nu, mu).atoms).max()
-                )
-                worst = max(worst, diff)
-                checks.append((diff, 1e-12, f"abelian commute {g.label} {i}"))
-            notes.append(f"{g.label}: abelian, max deviation {worst:.3g}")
+            # instance i on space i % |spaces|, drawn in stacks per space
+            diff = np.zeros(trials)
+            for j, space in enumerate(ctx.spaces):
+                for idx in _stacks(trials, len(ctx.spaces), j):
+                    rng = _Stream(_instance_keys(ctx.cfg.seed, f"commutativity:{g.label}", idx))
+                    mu = VectorMeasure.scalar(g, _draw_function(g, rng).values)
+                    nu = generate_fixture("random-gaussian", g, space, rng)
+                    gap = conv_measure_sv(mu, nu).atoms - conv_measure_vs(nu, mu).atoms
+                    diff[idx] = np.abs(gap).max(axis=(-2, -1))
+            checks += [(d, 1e-12, f"abelian commute {g.label} {i}")
+                       for i, d in enumerate(diff.tolist())]
+            notes.append(f"{g.label}: abelian, max deviation {np.max(diff):.3g}")
     # violation notes, appended by the checks, come first
     tally.residuals(checks)
     tally.notes += witness_notes + notes
@@ -823,7 +910,6 @@ def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     ``grid_dual`` on ``GRID_PHASES`` phases where it has one (both ends
     checked), otherwise the best of ``CALIBRATION_SAMPLES`` random dual-ball
     points (the upper end checked)."""
-    checks = []
     # each space's oracle points, built once per run
     phases = np.exp(2j * np.pi * np.arange(GRID_PHASES) / GRID_PHASES)
     grids = {space: space.grid_dual(phases) for space in ctx.spaces}
@@ -832,24 +918,27 @@ def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
         else space.sample_dual(np.random.default_rng(CALIBRATION_SEED), CALIBRATION_SAMPLES)
         for space, grid in grids.items()
     }
-    for i in range(trials):
-        space = ctx.spaces[i % len(ctx.spaces)]
-        rng = _instance_rng(ctx.cfg.seed, name, i)
-        m = int(rng.integers(1, 5))
-        weights = np.zeros(m)
-        vecs = np.zeros((m, space.dim), dtype=complex)
-        for t in range(m):
-            weights[t] = rng.uniform(0.1, 2.0)
-            vecs[t] = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        est = dual_ball_sup(space, weights, vecs)
-        bf = _points_dual_sup(space, weights, vecs, points[space])
-        resid = np.maximum(0.0, bf - est.upper)
-        if grids[space] is not None:
-            resid = np.maximum(resid, est.lower - 1.02 * bf)
-            if space.exact_dual_sup:
-                resid = np.maximum(resid, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))
-        checks.append((float(resid), TOL_BRACKET, f"{space.label} m={m} {i}"))
-    tally.residuals(checks)
+    resid, atoms = np.zeros(trials), np.zeros(trials, dtype=int)
+    for j, space in enumerate(ctx.spaces):
+        # instance i on space i % |spaces| keeps the first m of 4 weighted atoms drawn
+        for idx in _stacks(trials, len(ctx.spaces), j):
+            rng = _Stream(_instance_keys(ctx.cfg.seed, name, idx))
+            atoms[idx] = rng.integers(1, 5)
+            weights = rng.uniform(0.1, 2.0, 4)
+            vecs = rng.standard_normal((4, space.dim)) + 1j * rng.standard_normal((4, space.dim))
+            for i, w, v in zip(idx, weights, vecs):
+                w, v = w[: atoms[i]], v[: atoms[i]]
+                est = dual_ball_sup(space, w, v)
+                bf = _points_dual_sup(space, w, v, points[space])
+                r = np.maximum(0.0, bf - est.upper)
+                if grids[space] is not None:
+                    r = np.maximum(r, est.lower - 1.02 * bf)
+                    if space.exact_dual_sup:
+                        r = np.maximum(r, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))
+                resid[i] = r
+    labels = [space.label for space in ctx.spaces]
+    tally.checks(resid, resid, 0 * resid, 0 * resid, TOL_BRACKET,
+                 lambda i: f"{labels[i % len(labels)]} m={atoms[i]} {i}")
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ class TestFixtures:
             for kind in ("haar-like", "translation-invariant", "point-mass", "random-gaussian"):
                 vf.generate_fixture(kind, s3, space, seed=9)
             nu = vf.generate_fixture("random-gaussian", s3, space, seed=9)
-            rng = np.random.default_rng(9)
+            rng = harness._Stream(9)
             atoms = rng.standard_normal((s3.order, space.dim)) + 1j * rng.standard_normal(
                 (s3.order, space.dim)
             )
@@ -206,30 +206,37 @@ class TestRunSuite:
         }
 
     def test_instance_streams_are_distinct(self, monkeypatch):
-        # no two instances of a suite draw from one rng stream
-        keys = []
-        rng = harness._instance_rng
+        # no (suite key, index) is drawn twice, and every stream key of the
+        # default battery's instances is distinct
+        drawn = []
+        instance_keys = harness._instance_keys
         monkeypatch.setattr(
-            harness, "_instance_rng",
-            lambda seed, suite, index: keys.append((suite, index)) or rng(seed, suite, index),
+            harness, "_instance_keys",
+            lambda seed, name, idx: drawn.extend((name, i) for i in np.ravel(idx).tolist())
+            or instance_keys(seed, name, idx),
         )
         for name in vf.suite_names():
             vf.run_suite(name, small_config())
-        repeats = {key for key in keys if keys.count(key) > 1}
-        assert not repeats
+        assert len(set(drawn)) == len(drawn)
+        cfg = vf.RunConfig()
+        names = {name for name, _ in drawn} | {f"ft-norm-bounds:{s}" for s in cfg.spaces} | {
+            f"commutativity:{harness.group_with_dual(spec)[0].label}" for spec in cfg.groups}
+        keys = np.concatenate([instance_keys(cfg.seed, name, np.arange(1000)) for name in names])
+        assert len(np.unique(keys)) == len(keys)
 
     def test_plancherel_fixtures_differ_across_seeds(self, monkeypatch):
-        # the weak variant's fixture seed comes from the instance stream, so
-        # seed 0 instance 35 and seed 32 instance 3 draw different fixtures
-        seeds = []
+        # the weak variant's fixture comes from the instance stream, so seed
+        # 0 instance 35 and seed 32 instance 3 draw different fixtures
+        atoms = []
         fixture = harness.generate_fixture
         monkeypatch.setattr(
             harness, "generate_fixture",
-            lambda kind, g, space, seed=0: seeds.append(seed) or fixture(kind, g, space, seed),
+            lambda kind, g, space, seed=0: atoms.extend(
+                map(bytes, (nu := fixture(kind, g, space, seed)).atoms)) or nu,
         )
         for seed, trials in ((0, 36), (32, 4)):
             vf.run_suite("plancherel", small_config(groups=["cyclic:2"], seed=seed, trials=trials))
-        assert len(seeds) == 10 and len(set(seeds)) == 10
+        assert len(atoms) == 10 and len(set(atoms)) == 10
 
     def test_dropped_irrep_is_one_violation_per_group(self):
         # a dual without its last irrep fails completeness alone, once per group
@@ -326,8 +333,10 @@ class TestRunSuite:
             assert sorted(records, key=lambda r: r[1]) == [
                 (key, i, kind, *cells[i]) for i in range(8)
             ], suite
-        # cb's 6 combos and 4 cells put each of the 8 instances in its own group
-        assert levels == [((1, 2, 3)[i % 3], ("fn", "meas")[i % 2]) for i in range(8)]
+        # cb's 6 combos and 4 cells put each of the 8 instances in its own
+        # check, run by cell and then by combo
+        order = sorted(range(8), key=lambda i: (i % 4, i % 6))
+        assert levels == [((1, 2, 3)[i % 3], ("fn", "meas")[i % 2]) for i in order]
         # ft-norm-bounds runs one row per space, keyed by the space, with
         # instance i on group i % 2
         records.clear()

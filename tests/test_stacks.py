@@ -21,9 +21,8 @@ def close(stacked, singles, name):
 @pytest.mark.parametrize("spec", SPECS)
 def test_sample_dual_takes_draws_with_leading_axes(spec):
     space = vf.space_from_spec(spec)
-    streams = harness._Streams([np.random.default_rng(s) for s in (3, 4)])
-    stacked = space.sample_dual(streams, 1)
-    singles = [space.sample_dual(np.random.default_rng(s), 1) for s in (3, 4)]
+    stacked = space.sample_dual(harness._Stream([3, 4]), 1)
+    singles = [space.sample_dual(harness._Stream(s), 1) for s in (3, 4)]
     assert stacked.shape == (2, 1, space.dim)
     assert np.array_equal(stacked, np.array(singles))
 
@@ -31,9 +30,8 @@ def test_sample_dual_takes_draws_with_leading_axes(spec):
 @pytest.mark.parametrize("spec", SPECS)
 def test_batched_functions_equal_single_calls(spec, s3, s3_dual):
     space = vf.space_from_spec(spec)
-    rng = harness._Streams([np.random.default_rng(s) for s in range(B)])
-    seeds = rng.integers(2**32)
-    nu = harness.generate_fixture("random-gaussian", s3, space, seed=seeds)
+    rng = harness._Stream(np.arange(B))
+    nu = harness.generate_fixture("random-gaussian", s3, space, rng)
     f, h = harness._draw_function(s3, rng), harness._draw_function(s3, rng)
     xp = harness._draw_dual(space, rng)
     mu = vf.VectorMeasure.scalar(s3, h.values)
@@ -45,8 +43,8 @@ def test_batched_functions_equal_single_calls(spec, s3, s3_dual):
         return nub, fb, hb, xpb, vf.VectorMeasure.scalar(s3, h.values[b])
 
     singles = [one(b) for b in range(B)]
-    for b in range(B):  # each fixture of the stack is that of its seed alone
-        alone = vf.generate_fixture("random-gaussian", s3, space, seed=seeds[b])
+    for b in range(B):  # each fixture of the stack is that of its key alone
+        alone = vf.generate_fixture("random-gaussian", s3, space, seed=b)
         assert np.array_equal(nu.atoms[b], alone.atoms)
     calls = {
         "conv_classical": lambda n, f, h, x, m: vf.conv_classical(f, h).values,
@@ -70,10 +68,11 @@ def test_batched_functions_equal_single_calls(spec, s3, s3_dual):
         "ft_vector": lambda n, f, h, x, m: vf.ft_vector(f, n, s3_dual).stack,
         "ft_measure": lambda n, f, h, x, m: vf.ft_measure(n, s3_dual).stack,
         "ft_weak": lambda n, f, h, x, m: vf.ft_weak(f, n, x, s3_dual).stack,
+        "plancherel_check": lambda n, f, h, x, m: vf.plancherel_check(f, s3_dual),
     }
     for name, call in calls.items():
         stacked = call(nu, f, h, xp, mu)
-        if name == "lp_norm_haar":
+        if name in ("lp_norm_haar", "plancherel_check"):
             stacked = np.transpose(stacked)
         close(stacked, [call(*args) for args in singles], name)
 
@@ -82,8 +81,8 @@ def test_batched_functions_equal_single_calls(spec, s3, s3_dual):
 def test_batched_requests_equal_single_norms(spec, s3):
     # the request builders over a stack against the public single-call norms
     space = vf.space_from_spec(spec)
-    rng = harness._Streams([np.random.default_rng(10 + s) for s in range(B)])
-    nu = harness.generate_fixture("random-gaussian", s3, space, seed=rng.integers(2**32))
+    rng = harness._Stream(10 + np.arange(B))
+    nu = harness.generate_fixture("random-gaussian", s3, space, rng)
     f = harness._draw_function(s3, rng)
     phi = vf.conv_vector(f, f, nu)
     nus = [vf.VectorMeasure(s3, space, a) for a in nu.atoms]
