@@ -207,8 +207,11 @@ class _Stream:
     def __init__(self, keys, count: int = 0):
         keys = np.asarray(keys, dtype=np.uint64)
         self.shape, self.count = keys.shape, count  # count: the positions taken
-        self._keys, self._rows, self._root = keys.reshape(-1, 1), np.arange(keys.size), self
-        self._uniform = self._normal = np.zeros((keys.size, 0))
+        self._rows = np.arange(keys.size)
+        # the keys and their values so far, shared with the sub-stacks (no
+        # reference cycle, so a stack's values go as soon as its streams do)
+        self._values = {"keys": keys.reshape(-1, 1), "uniform": np.zeros((keys.size, 0))}
+        self._values["normal"] = self._values["uniform"]
 
     def __getitem__(self, j) -> "_Stream":
         """The streams of keys[j], at the same position."""
@@ -217,25 +220,22 @@ class _Stream:
         out.shape = out._rows.shape
         return out
 
-    def _extend(self, end: int):
-        have = self._uniform.shape[1]
-        ctr = np.arange(have + 1, have + max(end - have, have, _CHUNK) + 1, dtype=np.uint64)
-        u, v = ((_mix(self._keys + (ctr + np.uint64(lane)) * _GAMMA) >> np.uint64(11)) * 2.0**-53
-                for lane in (0, 2**62))
-        self._uniform = np.concatenate([self._uniform, u], axis=1)
-        normal = np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * np.pi * v)
-        self._normal = np.concatenate([self._normal, normal], axis=1)
-
-    def _take(self, size, values: str) -> np.ndarray:
+    def _take(self, size, kind: str) -> np.ndarray:
         shape = () if size is None else (size,) if np.ndim(size) == 0 else tuple(size)
         start, self.count = self.count, self.count + math.prod(shape)
-        if self.count > self._root._uniform.shape[1]:
-            self._root._extend(self.count)
-        taken = getattr(self._root, values)[self._rows, start : self.count]
-        return taken.reshape(self.shape + shape)
+        values = self._values
+        have = values["uniform"].shape[1]
+        if self.count > have:  # at least double the positions computed
+            ctr = np.arange(have + 1, max(self.count, 2 * have, _CHUNK) + 1, dtype=np.uint64)
+            u, v = ((_mix(values["keys"] + (ctr + np.uint64(lane)) * _GAMMA) >> np.uint64(11))
+                    * 2.0**-53 for lane in (0, 2**62))
+            normal = np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * np.pi * v)
+            values["uniform"] = np.concatenate([values["uniform"], u], axis=1)
+            values["normal"] = np.concatenate([values["normal"], normal], axis=1)
+        return values[kind][self._rows, start : self.count].reshape(self.shape + shape)
 
     def random(self, size=None) -> np.ndarray:
-        return self._take(size, "_uniform")
+        return self._take(size, "uniform")
 
     def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
         return low + (high - low) * self.random(size)
@@ -246,7 +246,7 @@ class _Stream:
         return low + (self.random(size) * (high - low)).astype(np.int64)
 
     def standard_normal(self, size=None) -> np.ndarray:
-        return self._take(size, "_normal")
+        return self._take(size, "normal")
 
 
 def _inv(p: float) -> float:

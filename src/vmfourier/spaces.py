@@ -134,8 +134,10 @@ class CoefficientSpace:
         """For each row y, a dual-ball element xp with <y, xp> = ||y||."""
         raise NotImplementedError
 
-    def sample_dual(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Random extreme points of the dual unit ball, as [..., count, dim] rows."""
+    def sample_dual(self, rng, count: int) -> np.ndarray:
+        """Random extreme points of the dual unit ball, as [..., count, dim]
+        rows: an ``np.random.Generator``'s, or a stack of instance streams'
+        (``harness._Stream``) with its leading axes."""
         raise NotImplementedError
 
     def grid_dual(self, phases: np.ndarray):

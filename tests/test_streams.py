@@ -1,9 +1,11 @@
 """The counter-based instance streams: stack independence, the statistics of
 their draws, and the modules that a battery run leaves unloaded."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,20 @@ def test_draws_equal_alone_and_in_a_stack(s3):
     rng = _Stream(keys)
     rng.random(3)
     assert np.array_equal(rng[[5, 9]].standard_normal(4), rng.standard_normal(4)[[5, 9]])
+
+
+def test_values_go_with_their_streams():
+    # no reference cycle holds a stack's values until the cyclic collector
+    # runs: a battery's memory would grow from one suite to the next
+    gc.disable()
+    try:
+        rng = _Stream(np.arange(4))
+        rng[1:].standard_normal(3)
+        values = weakref.ref(rng._values["normal"])
+        del rng
+        assert values() is None
+    finally:
+        gc.enable()
 
 
 def test_normal_moments():
