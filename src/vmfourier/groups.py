@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -112,13 +112,10 @@ def _group_from_cayley(cayley: np.ndarray, label: str) -> FiniteGroup:
     cayley = np.asarray(cayley, dtype=np.int64)
     n = cayley.shape[0]
     rng = np.arange(n)
-    ident = None
-    for e in range(n):
-        if (cayley[e] == rng).all() and (cayley[:, e] == rng).all():
-            ident = e
-            break
-    if ident is None:
+    both = (cayley == rng).all(axis=1) & (cayley == rng[:, None]).all(axis=0)  # e t = t e = t
+    if not both.any():
         raise ValueError("table has no identity element")
+    ident = int(both.argmax())
     inv = np.argmax(cayley == ident, axis=1)
     return FiniteGroup(n, cayley, ident, inv, label)
 
@@ -334,13 +331,7 @@ class DualValidationReport:
     completeness: float
 
     def residuals(self) -> dict[str, float]:
-        return {
-            "homomorphism": self.homomorphism,
-            "unitarity": self.unitarity,
-            "irreducibility": self.irreducibility,
-            "orthogonality": self.orthogonality,
-            "completeness": self.completeness,
-        }
+        return asdict(self)
 
     @property
     def max_residual(self) -> float:
@@ -391,10 +382,7 @@ def format_complex(z: complex) -> str:
 
 def parse_complex(token: str) -> complex:
     t = token.strip()
-    if t.endswith("i"):
-        t = t[:-1] + "j"
-        return complex(t)
-    return complex(float(t))
+    return complex(t[:-1] + "j") if t.endswith("i") else complex(float(t))
 
 
 def dump_group_file(g: FiniteGroup) -> str:
@@ -430,9 +418,7 @@ def dump_dual_file(dual: UnitaryDual) -> str:
 
 def load_dual_file(path: str | Path, g: FiniteGroup) -> UnitaryDual:
     lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
-    irreps = []
-    pos = 0
-    count = 0
+    irreps, pos = [], 0
     while pos < len(lines):
         head = lines[pos].split()
         if len(head) != 2 or head[0] != "dim":
@@ -445,7 +431,6 @@ def load_dual_file(path: str | Path, g: FiniteGroup) -> UnitaryDual:
         mats = np.array(
             [[parse_complex(tok) for tok in line.split()] for line in block]
         ).reshape(g.order, d, d)
-        irreps.append(UnitaryIrrep(d, mats, f"irrep{count}"))
-        count += 1
+        irreps.append(UnitaryIrrep(d, mats, f"irrep{len(irreps)}"))
         pos += g.order
     return UnitaryDual(g, irreps)

@@ -204,9 +204,9 @@ class _Stream:
     of the draws, and ``stream[j]`` (the streams of keys[j]) shares them.
     Offers the ``np.random.Generator`` methods that the library calls."""
 
-    def __init__(self, keys, count: int = 0):
+    def __init__(self, keys):
         keys = np.asarray(keys, dtype=np.uint64)
-        self.shape, self.count = keys.shape, count  # count: the positions taken
+        self.shape, self.count = keys.shape, 0  # count: the positions taken
         self._rows = np.arange(keys.size)
         # the keys and their values so far, shared with the sub-stacks (no
         # reference cycle, so a stack's values go as soon as its streams do)

@@ -52,8 +52,7 @@ class ScalarFunction:
     @staticmethod
     def indicator(group: FiniteGroup, subset) -> "ScalarFunction":
         v = np.zeros(group.order, dtype=complex)
-        for t in subset:
-            v[t] = 1.0
+        v[list(subset)] = 1.0
         return ScalarFunction(group, v)
 
     def __mul__(self, other: "ScalarFunction") -> "ScalarFunction":
