@@ -79,9 +79,9 @@ from .spaces import (
     XVector,
     _amplified_upper,
     _known,
+    _request,
     _resolve,
     _take,
-    dual_ball_sup,
     dual_norm,
     norm,
     pair,
@@ -135,8 +135,8 @@ class RunConfig:
         # every assignment, __init__'s included, checks the field it sets
         if key == "trials" and value is not None and value < 1:
             raise ValueError("trials must be >= 1")
-        if key == "seed" and value < 0:
-            raise ValueError("seed must be >= 0")
+        if key == "seed" and not 0 <= value < 2**64:  # a stream key hashes it as a uint64
+            raise ValueError("seed must be >= 0 and < 2**64")
         if key in ("groups", "spaces", "suites") and not value:
             raise ValueError(f"{key} must not be empty")
         for s in value if key == "suites" else ():
@@ -344,11 +344,6 @@ class _Tally:
         self.max_residual = float(residual.max(initial=self.max_residual))
         self.notes += [note(j) for j in np.flatnonzero(violation)]
 
-    def residuals(self, checks):
-        """Tally (residual r, tol, note) triples as the checks [r, r] <= [0, 0]."""
-        r, tol = np.array([c[:2] for c in checks], dtype=float).reshape(-1, 2).T
-        self.checks(r, r, np.zeros_like(r), np.zeros_like(r), tol, lambda j: checks[j][2])
-
 
 def _perturbed_dual(dual: UnitaryDual) -> UnitaryDual:
     """The dual with one entry of its last irrep moved off a homomorphism."""
@@ -358,17 +353,14 @@ def _perturbed_dual(dual: UnitaryDual) -> UnitaryDual:
     return UnitaryDual(dual.group, [*irreps, UnitaryIrrep(last.dim, mats, last.label)])
 
 
-def _draw(ctx: _Ctx, name: str, idx, kind: str, g: FiniteGroup, space):
+def _draw(ctx: _Ctx, name: str, idx, kind: str | None, g: FiniteGroup, space):
     """Instances ``idx`` of the suite keyed ``name`` as a stack: their
-    streams, and their ``kind`` fixtures on (g, space), drawn first."""
+    streams, and their ``kind`` fixtures on (g, space), drawn first, or for
+    kind None the zero measures on (g, space), which draw nothing."""
     rng = _Stream(_instance_keys(ctx.cfg.seed, name, idx))
+    if kind is None:
+        return rng, VectorMeasure(g, space, np.zeros((len(idx), g.order, space.dim), dtype=complex))
     return rng, generate_fixture(kind, g, space, rng)
-
-
-def _stacks(trials: int, n: int, j: int) -> list[np.ndarray]:
-    """The instances i < trials with i % n == j, in stacks of at most ``_BLOCK``."""
-    idx = np.arange(j, trials, n)
-    return [idx[c : c + _BLOCK] for c in range(0, len(idx), _BLOCK)]
 
 
 # -- claim sides ---------------------------------------------------------------
@@ -431,37 +423,52 @@ def _decide(checks):
                      lower[lhs], upper[lhs], lower[rhs], upper[rhs]])
 
 
-def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, tally):
-    """One row of the claim table.  Instance i takes cell i % len(cells) of the
-    (group, space) grid, groups varying fastest unless ``spaces_fastest``, and
-    combo i % len(combos).  The instances of a cell are drawn in stacks of at
-    most ``_BLOCK`` (``_draw``), and for each combo of a stack ``check(combo,
-    nu, dual, rng)`` draws the rest of that combo's instances from their
-    streams and returns, over them, residuals r (the checks [r, r] <= [0, 0]
-    at ``TOL_EXACT``), an (lhs, rhs) pair of sides (at ``TOL_BRACKET``), or a
-    list of such checks.  The checks of about ``_BLOCK`` instances at a time
-    are decided together (``_decide``), and all are tallied in instance
-    order.  Only a violation formats its note: ``note``, or its k-th entry for
-    the k-th check, with the suite name, g and s (group and space labels), c
-    (the combo) and i."""
-    notes = note if isinstance(note, tuple) else (note,)
-    if spaces_fastest:
-        cells = [(g, dual, s) for g, dual in ctx.groups for s in ctx.spaces]
+def _claim_suite(kind, check, combos, cells, note, ctx, name, trials, tally):
+    """One row of the claim table.  Its cells are the (group, space) grid,
+    groups varying fastest (``cells="groups-fastest"``) or spaces
+    (``"spaces-fastest"``), the groups on the first space (``"groups"``) or
+    the spaces on the first group (``"spaces"``).  Instance i takes cell i %
+    len(cells) and combo i % len(combos) (``combos``: a sequence, or a
+    function of ``ctx``); ``trials=None`` runs one instance per cell.  A
+    cell's instances are drawn in stacks of at most ``_BLOCK`` (``_draw``);
+    for each combo of a stack ``check(combo, nu, dual, rng)`` draws the rest
+    of that combo's instances and returns, over them, residuals r (the
+    checks [r, r] <= [0, 0] at ``TOL_EXACT``), residuals and their tolerance
+    (r, tol), an (lhs, rhs) pair of sides (at ``TOL_BRACKET``), or a list of
+    such checks.  Side checks of about ``_BLOCK`` instances at a time are
+    decided together (``_decide``), and all are tallied in instance order.
+    Only a violation makes its note: ``note``, or its k-th entry for the
+    k-th check, a format string or a function of name, g and s (group and
+    space labels), c (the combo), i and rng (instance i's stream)."""
+    notes = [n if callable(n) else n.format for n in (note if isinstance(note, tuple) else (note,))]
+    combos = combos(ctx) if callable(combos) else combos
+    gs = ctx.groups[:1] if cells == "spaces" else ctx.groups
+    ss = ctx.spaces[:1] if cells == "groups" else ctx.spaces
+    if cells == "spaces-fastest":
+        cells = [(g, dual, s) for g, dual in gs for s in ss]
     else:
-        cells = [(g, dual, s) for s in ctx.spaces for g, dual in ctx.groups]
-    stacks = [(c, idx) for c in range(len(cells)) for idx in _stacks(trials, len(cells), c)]
+        cells = [(g, dual, s) for s in ss for g, dual in gs]
+    trials = len(cells) if trials is None else trials
+    stacks = []  # (cell c, instances i < trials with i % len(cells) == c), at most _BLOCK each
+    for c in range(len(cells)):
+        idx = np.arange(c, trials, len(cells))
+        stacks += [(c, idx[a : a + _BLOCK]) for a in range(0, len(idx), _BLOCK)]
     decided, block = [], []  # (instances, k, tol, (lhs, rhs)) of the open block's checks
     for n, (cell, idx) in enumerate(stacks, 1):
         g, dual, space = cells[cell]
         rng, nu = _draw(ctx, name, idx, kind, g, space)
-        for combo in np.unique(idx % len(combos)).tolist():
+        for combo in sorted(set((idx % len(combos)).tolist())):  # np.unique loads numpy.ma
             j = np.flatnonzero(idx % len(combos) == combo)
             out = check(combos[combo], VectorMeasure(g, space, nu.atoms[j]), dual, rng[j])
             for k, c in enumerate(out if isinstance(out, list) else [out]):
-                exact = not isinstance(c, tuple)  # residuals r, the checks [r, r] <= [0, 0]
-                pair = (_product(_known(c)), _product(_known(np.zeros(len(j))))) if exact else c
-                block.append((idx[j], k, TOL_EXACT if exact else TOL_BRACKET, pair))
-        if sum(len(c[0]) for c in block) >= _BLOCK or n == len(stacks):
+                if isinstance(c, np.ndarray):
+                    c = (c, TOL_EXACT)
+                if isinstance(c[0], np.ndarray):  # _decide's columns of [r, r] <= [0, 0]
+                    r, zero = c[0], np.zeros(len(j))
+                    decided.append(np.array([idx[j], zero + k, zero + c[1], r, r, zero, zero]))
+                else:
+                    block.append((idx[j], k, TOL_BRACKET, c))
+        if block and (sum(len(c[0]) for c in block) >= _BLOCK or n == len(stacks)):
             decided.append(_decide(block))
             block = []
     inst, kth, tol, *ends = np.concatenate(decided, axis=1)
@@ -470,7 +477,8 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
     def note_of(j):
         i, k = int(inst[order[j]]), int(kth[order[j]])
         g, _, space = cells[i % len(cells)]
-        return notes[k].format(name=name, g=g.label, s=space.label, c=combos[i % len(combos)], i=i)
+        return notes[k](name=name, g=g.label, s=space.label, c=combos[i % len(combos)], i=i,
+                        rng=_Stream(_instance_keys(ctx.cfg.seed, name, [i])))
 
     tally.checks(*(e[order] for e in ends), tol[order], note_of)
 
@@ -480,14 +488,11 @@ def _claim_suite(kind, check, combos, spaces_fastest, note, ctx, name, trials, t
 # ---------------------------------------------------------------------------
 
 
-def _suite_dual_validation(ctx: _Ctx, name: str, trials: int, tally: _Tally):
-    checks = []
-    for g, dual in ctx.groups:
-        # the four identity residuals, then |sum d^2 - |G||, an integer
-        *identities, completeness = validate_dual(g, dual).residuals().values()
-        checks += [(float(np.max(identities)), TOL_EXACT, f"{g.label} residuals"),
-                   (completeness, 0.5, f"{g.label} completeness")]
-    tally.residuals(checks)
+def _dual_validation(combo, nu, dual, rng):
+    """The largest of the dual's four identity residuals, then its
+    completeness residual |sum d^2 - |G||, an integer."""
+    *identities, completeness = validate_dual(nu.group, dual).residuals().values()
+    return [np.full(len(nu.atoms), np.max(identities)), np.full(len(nu.atoms), completeness)]
 
 
 def _plancherel_gap(f: ScalarFunction, c, dual: UnitaryDual):
@@ -497,30 +502,19 @@ def _plancherel_gap(f: ScalarFunction, c, dual: UnitaryDual):
     return np.maximum(abs(lhs - rhs), np.abs(ft_inverse(c).values - f.values).max(-1))
 
 
-def _suite_plancherel(ctx: _Ctx, name: str, trials: int, tally: _Tally):
-    """Instance i draws f on group i % |groups|; on i % 4 == 3 it also checks
-    the weak-transform variant on space (i // 4) % |spaces|: the identity
-    applies to f times the scalarized density, for measures with bounded
-    scalarizations.  Drawn and checked in stacks per group, and per space
-    for the variant."""
-    resid = np.zeros(trials)
-    for k, (g, dual) in enumerate(ctx.groups):
-        for idx in _stacks(trials, len(ctx.groups), k):
-            rng = _Stream(_instance_keys(ctx.cfg.seed, name, idx))
-            f = _draw_function(g, rng)
-            resid[idx] = _plancherel_gap(f, ft_classical(f, dual), dual)
-            for j, space in enumerate(ctx.spaces):
-                w = np.flatnonzero((idx % 4 == 3) & (idx // 4 % len(ctx.spaces) == j))
-                if len(w):
-                    sub, fw = rng[w], ScalarFunction(g, f.values[w])
-                    nu = generate_fixture("random-gaussian", g, space, sub)
-                    xp = _draw_dual(space, sub)
-                    fh = ScalarFunction(g, fw.values * radon_nikodym(nu, xp))
-                    gap = _plancherel_gap(fh, ft_weak(fw, nu, xp, dual), dual)
-                    resid[idx[w]] = np.maximum(resid[idx[w]], gap)
-    labels = [g.label for g, _ in ctx.groups]
-    tally.checks(resid, resid, 0 * resid, 0 * resid, TOL_EXACT,
-                 lambda i: f"{labels[i % len(labels)]} trial {i}")
+def _plancherel(combo, nu, dual, rng):
+    """2.1 for f, drawn first; with a space as the combo, also its weak-
+    transform variant on that space: the identity applies to f times the
+    scalarized density, for measures with bounded scalarizations."""
+    g = nu.group
+    f = _draw_function(g, rng)
+    gap = _plancherel_gap(f, ft_classical(f, dual), dual)
+    if combo is None:
+        return gap
+    fixture = generate_fixture("random-gaussian", g, combo, rng)
+    xp = _draw_dual(combo, rng)
+    fh = ScalarFunction(g, f.values * radon_nikodym(fixture, xp))
+    return np.maximum(gap, _plancherel_gap(fh, ft_weak(f, fixture, xp, dual), dual))
 
 
 def _ft_norm_bounds(combo, nu, dual, rng):
@@ -662,20 +656,18 @@ def _duality_residual(combo, nu, dual, rng):
     return np.abs(lhs - pair(integrate(inner.values * h.values, nu), xp))
 
 
-def _suite_uniqueness(ctx: _Ctx, name: str, trials: int, tally: _Tally):
-    checks = []
-    # one stream per (group, space) pair, keyed by its place in the config
-    rng = _Stream(_instance_keys(ctx.cfg.seed, name, np.arange(len(ctx.groups) * len(ctx.spaces))))
-    for k, (g, dual) in enumerate(ctx.groups):
-        for j, space in enumerate(ctx.spaces):
-            nu = generate_fixture("random-gaussian", g, space, rng[k * len(ctx.spaces) + j])
-            targets = [(space, "measure kernel"), (nu, "fn kernel")]
-            if g.order > 1:  # nu without its atom at element 1
-                nu0 = measure_from_density(nu, np.arange(g.order) != 1)
-                targets.append((nu0, "fn kernel null-atom"))
-            checks += [(float(uniqueness_rank(dual, t)), 0.5, f"{what} {g.label} {space.label}")
-                       for t, what in targets]
-    tally.residuals(checks)
+def _uniqueness(combo, nu, dual, rng):
+    """4.10/7.5: the kernel dimensions of the transform on measures over the
+    space, on functions against nu and, where |G| > 1, against nu without
+    its atom at element 1."""
+    ranks = []
+    for atoms in nu.atoms:
+        nu_b = VectorMeasure(nu.group, nu.space, atoms)
+        targets = [nu.space, nu_b]
+        if nu.group.order > 1:  # nu without its atom at element 1
+            targets.append(measure_from_density(nu_b, np.arange(nu.group.order) != 1))
+        ranks.append([uniqueness_rank(dual, t) for t in targets])
+    return list(np.array(ranks, dtype=float).T)
 
 
 # -- Young-type inequalities -------------------------------------------------
@@ -819,7 +811,6 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
     a map's semivariation check is the larger of the gap between ||nu|| and
     ||nu_h|| and the upper end of ||nu_h - twist||.  Part B, containment in
     the Haar space, is a claim row."""
-    checks = []
     for k, (g, _) in enumerate(ctx.groups):
         # the unperturbed dual's character: a perturbed one is no homomorphism
         chi = _character(group_with_dual(ctx.cfg.groups[k])[1])
@@ -854,44 +845,49 @@ def _suite_invariance(ctx: _Ctx, name: str, trials: int, tally: _Tally):
                 return np.maximum(np.maximum(lo[:, a] - hi[:, b], lo[:, b] - hi[:, a]), 0.0)
 
             a = np.arange(3, lo.shape[1], 3)
-            resid = np.column_stack([np.maximum(gap(0, 1), hi[:, 2]),
-                                     np.maximum(gap(a, a + 1), gap(a, a + 2))])
+            # each map's row of residuals r, the checks [r, r] <= [0, 0]
+            r = np.column_stack([np.maximum(gap(0, 1), hi[:, 2]),
+                                 np.maximum(gap(a, a + 1), gap(a, a + 2))]).ravel()
             tol = TOL_EXACT if space.exact_dual_sup else TOL_BRACKET
             notes = [f"semivar {g.label}"] + 9 * [f"norms {g.label} {space.label}"]
-            checks += [(r, t, n) for row in resid.tolist()
-                       for r, t, n in zip(row, [TOL_BRACKET] + 9 * [tol], notes)]
-    tally.residuals(checks)
+            tally.checks(r, r, 0 * r, 0 * r, np.tile([TOL_BRACKET] + 9 * [tol], len(maps)),
+                         lambda j: notes[j % 10])
     _LP_CONTAINMENT(ctx, f"{name}:B", trials, tally)
 
 
+def _commutativity(combo, nu, dual, rng):
+    """8.5 on an abelian group: mu * nu against nu * mu for a scalar mu,
+    drawn first, and a ``random-gaussian`` nu, at 1e-12."""
+    g, space = nu.group, nu.space
+    mu = VectorMeasure.scalar(g, _draw_function(g, rng).values)
+    nu = generate_fixture("random-gaussian", g, space, rng)
+    gap = conv_measure_sv(mu, nu).atoms - conv_measure_vs(nu, mu).atoms
+    return np.abs(gap).max(axis=(-2, -1)), 1e-12
+
+
 def _suite_commutativity(ctx: _Ctx, name: str, trials: int, tally: _Tally):
-    checks, witness_notes, notes = [], [], []
+    """8.5: the claim row on each abelian group, whose instance rngs are
+    keyed "commutativity:{g}", and on each other group a witness pair of
+    point masses that do not commute.  Violation notes come first, then the
+    witnesses' and the abelian groups' notes."""
+    witness_notes, notes = [], []
     for g, dual in ctx.groups:
+        if g.is_abelian:
+            # the group's own max deviation, then the run's
+            worst, tally.max_residual = tally.max_residual, 0.0
+            _COMMUTATIVITY(replace(ctx, groups=[(g, dual)]), f"commutativity:{g.label}", trials,
+                           tally)
+            notes.append(f"{g.label}: abelian, max deviation {tally.max_residual:.3g}")
+            tally.max_residual = float(np.max([worst, tally.max_residual]))
+            continue
         space = ctx.spaces[0]
-        if not g.is_abelian:
-            t, s = (int(i) for i in np.argwhere(g.cayley != g.cayley.T)[0])
-            mu = VectorMeasure.scalar(g, np.eye(g.order)[t])
-            nu = VectorMeasure(g, space, np.outer(np.eye(g.order)[s], np.ones(space.dim)))
-            gap = float(
-                np.abs(conv_measure_sv(mu, nu).atoms - conv_measure_vs(nu, mu).atoms).max()
-            )
-            checks.append((0.0 if gap >= 0.5 else 1.0, 0.5, f"witness {g.label}"))
-            witness_notes.append(f"{g.label}: witness t={t} s={s} gap={gap:.3g}")
-        else:
-            # instance i on space i % |spaces|, drawn in stacks per space
-            diff = np.zeros(trials)
-            for j, space in enumerate(ctx.spaces):
-                for idx in _stacks(trials, len(ctx.spaces), j):
-                    rng = _Stream(_instance_keys(ctx.cfg.seed, f"commutativity:{g.label}", idx))
-                    mu = VectorMeasure.scalar(g, _draw_function(g, rng).values)
-                    nu = generate_fixture("random-gaussian", g, space, rng)
-                    gap = conv_measure_sv(mu, nu).atoms - conv_measure_vs(nu, mu).atoms
-                    diff[idx] = np.abs(gap).max(axis=(-2, -1))
-            checks += [(d, 1e-12, f"abelian commute {g.label} {i}")
-                       for i, d in enumerate(diff.tolist())]
-            notes.append(f"{g.label}: abelian, max deviation {np.max(diff):.3g}")
-    # violation notes, appended by the checks, come first
-    tally.residuals(checks)
+        t, s = (int(i) for i in np.argwhere(g.cayley != g.cayley.T)[0])
+        mu = VectorMeasure.scalar(g, np.eye(g.order)[t])
+        nu = VectorMeasure(g, space, np.outer(np.eye(g.order)[s], np.ones(space.dim)))
+        gap = float(np.abs(conv_measure_sv(mu, nu).atoms - conv_measure_vs(nu, mu).atoms).max())
+        r = np.array([0.0 if gap >= 0.5 else 1.0])  # the check [r, r] <= [0, 0]
+        tally.checks(r, r, 0 * r, 0 * r, TOL_EXACT, lambda j: f"witness {g.label}")
+        witness_notes.append(f"{g.label}: witness t={t} s={s} gap={gap:.3g}")
     tally.notes += witness_notes + notes
 
 
@@ -905,40 +901,33 @@ def _points_dual_sup(space, weights, vecs, points) -> float:
     )
 
 
-def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
-    """Estimator brackets against an independent search: the space's
+def _calibration(combo, nu, dual, rng):
+    """Estimator brackets against an independent search: the dual-ball sup
+    of the first m of 4 weighted atoms, m drawn first, against the space's
     ``grid_dual`` on ``GRID_PHASES`` phases where it has one (both ends
     checked), otherwise the best of ``CALIBRATION_SAMPLES`` random dual-ball
-    points (the upper end checked)."""
-    # each space's oracle points, built once per run
-    phases = np.exp(2j * np.pi * np.arange(GRID_PHASES) / GRID_PHASES)
-    grids = {space: space.grid_dual(phases) for space in ctx.spaces}
-    points = {
-        space: grid if grid is not None
-        else space.sample_dual(np.random.default_rng(CALIBRATION_SEED), CALIBRATION_SAMPLES)
-        for space, grid in grids.items()
-    }
-    resid, atoms = np.zeros(trials), np.zeros(trials, dtype=int)
-    for j, space in enumerate(ctx.spaces):
-        # instance i on space i % |spaces| keeps the first m of 4 weighted atoms drawn
-        for idx in _stacks(trials, len(ctx.spaces), j):
-            rng = _Stream(_instance_keys(ctx.cfg.seed, name, idx))
-            atoms[idx] = rng.integers(1, 5)
-            weights = rng.uniform(0.1, 2.0, 4)
-            vecs = rng.standard_normal((4, space.dim)) + 1j * rng.standard_normal((4, space.dim))
-            for i, w, v in zip(idx, weights, vecs):
-                w, v = w[: atoms[i]], v[: atoms[i]]
-                est = dual_ball_sup(space, w, v)
-                bf = _points_dual_sup(space, w, v, points[space])
-                r = np.maximum(0.0, bf - est.upper)
-                if grids[space] is not None:
-                    r = np.maximum(r, est.lower - 1.02 * bf)
-                    if space.exact_dual_sup:
-                        r = np.maximum(r, abs(est.lower - bf) - 0.02 * max(est.lower, 1e-30))
-                resid[i] = r
-    labels = [space.label for space in ctx.spaces]
-    tally.checks(resid, resid, 0 * resid, 0 * resid, TOL_BRACKET,
-                 lambda i: f"{labels[i % len(labels)]} m={atoms[i]} {i}")
+    points (the upper end checked).  The oracle points are built per stack,
+    and its brackets come from one ``_resolve`` call, one request per m."""
+    space = nu.space
+    atoms = rng.integers(1, 5)
+    weights = rng.uniform(0.1, 2.0, 4)
+    vecs = rng.standard_normal((4, space.dim)) + 1j * rng.standard_normal((4, space.dim))
+    grid = space.grid_dual(np.exp(2j * np.pi * np.arange(GRID_PHASES) / GRID_PHASES))
+    points = grid if grid is not None else space.sample_dual(
+        np.random.default_rng(CALIBRATION_SEED), CALIBRATION_SAMPLES)
+    lower, upper = np.zeros((2, len(atoms)))
+    by_m = np.argsort(atoms, kind="stable")  # the instances grouped by m, as requested
+    lower[by_m], upper[by_m] = _resolve([_request(space, 1, weights[atoms == m, :m],
+                                                  vecs[atoms == m, :m], None)
+                                         for m in sorted(set(atoms.tolist()))])
+    bf = np.array([_points_dual_sup(space, w[:m], v[:m], points)
+                   for m, w, v in zip(atoms, weights, vecs)])
+    r = np.maximum(0.0, bf - upper)
+    if grid is not None:
+        r = np.maximum(r, lower - 1.02 * bf)
+        if space.exact_dual_sup:
+            r = np.maximum(r, np.abs(lower - bf) - 0.02 * np.maximum(lower, 1e-30))
+    return r, TOL_BRACKET
 
 
 # ---------------------------------------------------------------------------
@@ -949,14 +938,14 @@ def _suite_calibration(ctx: _Ctx, name: str, trials: int, tally: _Tally):
 @dataclass(frozen=True)
 class _SuiteSpec:
     anchor: str
-    default_trials: int
+    default_trials: int | None  # None: one instance per cell, whatever the trials
     runner: object  # (ctx, name, trials, tally); the name keys its instance rngs
 
 
-def _claim(check, combos=((),), kind="random-gaussian", spaces_fastest=False,
+def _claim(check, combos=((),), kind="random-gaussian", cells="groups-fastest",
            note="{g} {s} {i}"):
     """A row of the claim table, as a suite runner ``(ctx, name, trials, tally)``."""
-    return functools.partial(_claim_suite, kind, check, combos, spaces_fastest, note)
+    return functools.partial(_claim_suite, kind, check, combos, cells, note)
 
 
 def _swap_check(row, check):
@@ -968,12 +957,19 @@ _FT_NORM_BOUNDS = _claim(_ft_norm_bounds, note=(
     "fn bound {g} {s} {i}", "weak bound {g} {s} {i}", "measure bound {g} {i}"))
 # part B of invariance-5, which ``_suite_invariance`` runs under "invariance-5:B"
 _LP_CONTAINMENT = _claim(
-    _lp_containment, ((1.0,), (2.0,)), "translation-invariant", True, "L^p embed {g} {s} {i}"
+    _lp_containment, ((1.0,), (2.0,)), "translation-invariant", "spaces-fastest",
+    "L^p embed {g} {s} {i}"
 )
+# the abelian groups' row of commutativity-8.5, run by ``_suite_commutativity``
+_COMMUTATIVITY = _claim(_commutativity, kind=None, cells="spaces", note="abelian commute {g} {i}")
 
 _SUITES: dict[str, _SuiteSpec] = {
-    "dual-validation": _SuiteSpec("duals", 1, _suite_dual_validation),
-    "plancherel": _SuiteSpec("2.1", 1000, _suite_plancherel),
+    "dual-validation": _SuiteSpec("duals", None, _claim(
+        _dual_validation, kind=None, cells="groups", note=("{g} residuals", "{g} completeness"))),
+    # instance i checks the weak variant on i % 4 == 3, on space (i // 4) % |spaces|
+    "plancherel": _SuiteSpec("2.1", 1000, _claim(
+        _plancherel, lambda ctx: [s if k == 3 else None for s in ctx.spaces for k in range(4)],
+        None, "groups", "{g} trial {i}")),
     "ft-norm-bounds": _SuiteSpec("4.4i/4.8i/7", 1000, _suite_ft_norm_bounds),
     "cb-amplification": _SuiteSpec(
         "4.4ii/3.6iii", 200,
@@ -986,11 +982,13 @@ _SUITES: dict[str, _SuiteSpec] = {
     "ft-conv-8": _SuiteSpec("8-ft-conv", 200, _claim(_ft_conv8_instance)),
     "pettis-product": _SuiteSpec("6.9", 200, _claim(_pettis_residual)),
     "duality-6.6": _SuiteSpec("6.6", 200, _claim(_duality_residual)),
-    "uniqueness": _SuiteSpec("4.10/7.5", 1, _suite_uniqueness),
+    "uniqueness": _SuiteSpec("4.10/7.5", None, _claim(_uniqueness, cells="spaces-fastest", note=(
+        "measure kernel {g} {s}", "fn kernel {g} {s}", "fn kernel null-atom {g} {s}"))),
     **{
         thm: _SuiteSpec(
             thm.removeprefix("young-"), 1000,
-            _claim(_young(claim), combos, "translation-invariant", True, "{name} {g} {s} {c} {i}"),
+            _claim(_young(claim), combos, "translation-invariant", "spaces-fastest",
+                   "{name} {g} {s} {c} {i}"),
         )
         for thm, (combos, claim) in _YOUNG.items()
     },
@@ -1000,7 +998,9 @@ _SUITES: dict[str, _SuiteSpec] = {
     ),
     "invariance-5": _SuiteSpec("5.2/5.4/5.5", 500, _suite_invariance),
     "commutativity-8.5": _SuiteSpec("8.5", 200, _suite_commutativity),
-    "calibration": _SuiteSpec("estimators", 200, _suite_calibration),
+    "calibration": _SuiteSpec("estimators", 200, _claim(
+        _calibration, kind=None, cells="spaces",
+        note=lambda s, i, rng, **_: f"{s} m={rng.integers(1, 5)[0]} {i}")),
 }
 
 # fault -> {suite: the check it swaps into that claim row}, dpi being the power
@@ -1045,12 +1045,11 @@ def run_suite(name: str, cfg: RunConfig, *, fault: str | None = None) -> Theorem
     ctx = _build_ctx(cfg, fault)
     swap = fault and FAULTS[fault].get(name)
     runner = _swap_check(spec.runner, swap) if swap else spec.runner
-    trials = cfg.trials if cfg.trials is not None else spec.default_trials
+    trials = spec.default_trials and (cfg.trials or spec.default_trials)
     start = time.perf_counter()
     tally = _Tally()
     runner(ctx, name, trials, tally)
     elapsed = time.perf_counter() - start
-    detail = "; ".join(tally.notes[:4])
     return TheoremReport(
         suite=name,
         anchor=spec.anchor,
@@ -1059,7 +1058,7 @@ def run_suite(name: str, cfg: RunConfig, *, fault: str | None = None) -> Theorem
         near_misses=tally.near_misses,
         max_residual=tally.max_residual,
         elapsed_s=elapsed,
-        detail=detail,
+        detail="; ".join(tally.notes[:4]),
     )
 
 

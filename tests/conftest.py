@@ -39,6 +39,15 @@ def all_spaces():
     return [vf.ScalarSpace(), vf.LinfSpace(2), vf.MatOpSpace(2), vf.WeightedL1Space.uniform(2)]
 
 
+@pytest.fixture(scope="session")
+def default_battery():
+    """Suite -> the report of every suite at its default trials on
+    ``RunConfig()`` (seed 0), run once per session for the acceptance
+    criteria and the golden digest."""
+    cfg = vf.RunConfig()
+    return {name: vf.run_suite(name, cfg) for name in cfg.suites}
+
+
 @pytest.fixture
 def linf2():
     return vf.LinfSpace(2)

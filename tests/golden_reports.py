@@ -36,13 +36,14 @@ def runs():
     return out
 
 
-def digest(cfg, fault):
+def digest(cfg, fault, reports=None):
     """Suite -> its report's counts, notes (the report's ``detail``, its first
-    four) and max_residual (None if NaN).  The rounding-level deviations in
+    four) and max_residual (None if NaN), from ``reports`` (suite -> report)
+    if given, else from a run.  The rounding-level deviations in
     commutativity-8.5's notes are masked."""
     out = {}
     for name in cfg.suites:
-        doc = vf.run_suite(name, cfg, fault=fault).to_dict()
+        doc = (reports[name] if reports else vf.run_suite(name, cfg, fault=fault)).to_dict()
         out[name] = {
             "instances": doc["instances"],
             "violations": doc["violations"],

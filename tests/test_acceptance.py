@@ -1,28 +1,17 @@
 """Acceptance battery: every quantitative gate at its stated tolerance.
 
 Each test prints one PASS/FAIL line.  Suites run at their default trial
-counts on the default group/space grid; the elapsed times recorded here are
-summed at the end against the whole-battery budget.
+counts on the default group/space grid, once per session (the
+``default_battery`` fixture, which the golden digest reads too); their
+elapsed times are summed at the end against the whole-battery budget.
 """
 
 import time
 
 import vmfourier as vf
 
-RESULTS: dict[str, vf.TheoremReport] = {}
-
 TOL_EXACT = 1e-10
 TOL_BRACKET = 1e-8
-
-
-def run_suite(name, **overrides):
-    cfg = vf.RunConfig()
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    rep = vf.run_suite(name, cfg)
-    if not overrides:
-        RESULTS[name] = rep
-    return rep
 
 
 def report(n, ok, msg):
@@ -30,7 +19,7 @@ def report(n, ok, msg):
     assert ok, f"criterion {n}: {msg}"
 
 
-def test_criterion_1_dual_validation():
+def test_criterion_1_dual_validation(default_battery):
     start = time.perf_counter()
     worst = 0.0
     for spec in vf.builtin_group_specs():
@@ -41,26 +30,25 @@ def test_criterion_1_dual_validation():
         assert rep.max_residual <= TOL_EXACT, (spec, rep.residuals())
         assert sum(p.dim**2 for p in dual.irreps) == g.order
     elapsed = time.perf_counter() - start
-    RESULTS["dual-validation"] = run_suite("dual-validation")
-    ok = worst <= TOL_EXACT and elapsed < 1.0 and RESULTS["dual-validation"].violations == 0
+    ok = worst <= TOL_EXACT and elapsed < 1.0 and default_battery["dual-validation"].violations == 0
     report(1, ok, f"8 duals validated, max residual {worst:.2e}, {elapsed:.2f}s")
 
 
-def test_criterion_2_plancherel_inversion():
-    rep = run_suite("plancherel")
+def test_criterion_2_plancherel_inversion(default_battery):
+    rep = default_battery["plancherel"]
     ok = rep.violations == 0 and rep.instances >= 1000 and rep.max_residual <= TOL_EXACT
     report(2, ok, f"{rep.instances} functions, max residual {rep.max_residual:.2e}")
 
 
-def test_criterion_3_transform_norm_bounds():
-    rep = run_suite("ft-norm-bounds")
+def test_criterion_3_transform_norm_bounds(default_battery):
+    rep = default_battery["ft-norm-bounds"]
     # 1000 instances per space family, three bound checks per instance
     ok = rep.violations == 0 and rep.instances >= 4 * 1000
     report(3, ok, f"{rep.instances} bound checks, {rep.violations} certified violations")
 
 
-def test_criterion_4_cb_amplification():
-    rep = run_suite("cb-amplification")
+def test_criterion_4_cb_amplification(default_battery):
+    rep = default_battery["cb-amplification"]
     ok = rep.violations == 0 and rep.instances >= 200
     report(4, ok, f"{rep.instances} matrix instances, {rep.violations} violations")
 
@@ -76,18 +64,18 @@ EXACT_IDENTITY_SUITES = (
 )
 
 
-def test_criterion_5_exact_identities():
+def test_criterion_5_exact_identities(default_battery):
     worst = 0.0
     ok = True
     for name in EXACT_IDENTITY_SUITES:
-        rep = run_suite(name)
+        rep = default_battery[name]
         worst = max(worst, rep.max_residual)
         ok = ok and rep.violations == 0 and rep.instances >= 200 and rep.max_residual <= TOL_EXACT
     report(5, ok, f"7 identity suites at 200 instances, max residual {worst:.2e}")
 
 
-def test_criterion_6_uniqueness():
-    rep = run_suite("uniqueness")
+def test_criterion_6_uniqueness(default_battery):
+    rep = default_battery["uniqueness"]
     ok = rep.violations == 0 and rep.max_residual == 0.0
     report(6, ok, f"{rep.instances} kernel computations, all dimensions zero")
 
@@ -105,31 +93,31 @@ YOUNG_SUITES = (
 )
 
 
-def test_criterion_7_young_inequalities():
+def test_criterion_7_young_inequalities(default_battery):
     total = 0
     ok = True
     for name in YOUNG_SUITES:
-        rep = run_suite(name)
+        rep = default_battery[name]
         total += rep.instances
         ok = ok and rep.violations == 0 and rep.instances >= 1000
     report(7, ok, f"{total} inequality instances across 9 statements, zero violations")
 
 
-def test_criterion_8_invariance():
-    rep = run_suite("invariance-5")
+def test_criterion_8_invariance(default_battery):
+    rep = default_battery["invariance-5"]
     ok = rep.violations == 0 and rep.instances >= 500
     report(8, ok, f"{rep.instances} invariance checks, {rep.violations} violations")
 
 
-def test_criterion_9_commutativity():
-    rep = run_suite("commutativity-8.5")
+def test_criterion_9_commutativity(default_battery):
+    rep = default_battery["commutativity-8.5"]
     witnesses = rep.detail.count("witness")
     ok = rep.violations == 0 and witnesses >= 3
     report(9, ok, f"witnesses on {witnesses} non-abelian groups; abelian pairs commute")
 
 
-def test_criterion_10_estimator_calibration():
-    rep = run_suite("calibration")
+def test_criterion_10_estimator_calibration(default_battery):
+    rep = default_battery["calibration"]
     ok = rep.violations == 0 and rep.instances >= 100
     report(10, ok, f"{rep.instances} bracket calibrations against the phase grid")
 
@@ -150,13 +138,10 @@ def test_criterion_11_fault_injection():
     report(11, ok, f"violations within 10 trials: {hits}")
 
 
-def test_battery_runtime_budget():
-    # every suite ran above at its default trial count; the remaining one
-    # (embedding-4.13) completes the registry
-    for name in vf.suite_names():
-        if name not in RESULTS:
-            RESULTS[name] = run_suite(name)
-    total = sum(r.violations for r in RESULTS.values())
-    elapsed = sum(r.elapsed_s for r in RESULTS.values())
+def test_battery_runtime_budget(default_battery):
+    # every suite of the registry, each timed by its own run
+    assert list(default_battery) == vf.suite_names()
+    total = sum(r.violations for r in default_battery.values())
+    elapsed = sum(r.elapsed_s for r in default_battery.values())
     ok = total == 0 and elapsed <= 60.0
     report("B", ok, f"full battery: {total} violations, {elapsed:.1f}s (budget 60s)")

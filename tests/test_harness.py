@@ -117,8 +117,9 @@ class TestClassify:
         violations, near_misses, worst, notes = verdict(np.nan, np.nan, 0.0, 0.0)
         assert (violations, near_misses, notes) == (1, 0, ["check 0"]) and np.isnan(worst)
         tally = harness._Tally()
-        tally.residuals([(1.0, 1e-10, "one"), (np.nan, 1e-10, "nan"), (0.0, 1e-10, "zero")])
-        tally.residuals([(2.0, 1e-10, "two")])
+        for r, notes in (([1.0, np.nan, 0.0], ["one", "nan", "zero"]), ([2.0], ["two"])):
+            r = np.array(r)
+            tally.checks(r, r, np.zeros_like(r), np.zeros_like(r), 1e-10, notes.__getitem__)
         assert (tally.instances, tally.violations) == (4, 3)
         assert tally.notes == ["one", "nan", "two"] and np.isnan(tally.max_residual)
         # a NaN end that no violation certifies leaves a near miss
@@ -140,8 +141,9 @@ class TestOneVerdictRule:
             harness._ft_conv6_residual(f, vf.ScalarFunction.constant(g), nu, xp, dual),
         ]
         assert np.isnan(residuals).all()
+        r = np.array(residuals, dtype=float)
         tally = harness._Tally()
-        tally.residuals([(r, 1e-10, "conv") for r in residuals])
+        tally.checks(r, r, np.zeros_like(r), np.zeros_like(r), 1e-10, lambda j: "conv")
         assert tally.violations == 2 and np.isnan(tally.max_residual)
 
     def test_nan_pairing_residuals_are_violations(self, monkeypatch):
@@ -171,6 +173,33 @@ class TestOneVerdictRule:
             assert sum(tallied) == instances > 0, name
         assert not hasattr(harness, "classify")
         assert not hasattr(harness._Tally, "residual_check")
+        assert not hasattr(harness._Tally, "residuals")
+
+    def test_every_suite_reaches_the_claim_loop(self, monkeypatch):
+        # every suite draws its instances in _claim_suite, the one instance
+        # loop; the suites left outside the table only key rows or add checks
+        # that draw nothing
+        reached, draw = {}, harness._draw
+
+        def counted(ctx, name, *rest):
+            caller = sys._getframe(1).f_code
+            assert caller is harness._claim_suite.__code__, caller.co_name
+            reached[suite] = reached.get(suite, 0) + 1
+            return draw(ctx, name, *rest)
+
+        monkeypatch.setattr(harness, "_draw", counted)
+        for suite in harness._SUITES:
+            vf.run_suite(suite, small_config())
+        assert set(reached) == set(harness._SUITES) and all(reached.values())
+        assert sorted(n for n in vars(harness) if n.startswith("_suite_")) == [
+            "_suite_commutativity", "_suite_ft_norm_bounds", "_suite_invariance"]
+
+    @pytest.mark.parametrize("name, checks", [("dual-validation", 2 * 2), ("uniqueness", 8 * 3)])
+    def test_one_instance_per_cell_whatever_the_trials(self, name, checks):
+        # dual-validation: 2 checks on each of 2 groups; uniqueness: 3 kernels
+        # on each of 8 (group, space) pairs, both groups having order > 1
+        counts = {vf.run_suite(name, small_config(trials=t)).instances for t in (1, 40, None)}
+        assert harness._SUITES[name].default_trials is None and counts == {checks}
 
 
 class TestRunSuite:
@@ -244,7 +273,8 @@ class TestRunSuite:
         groups = [harness.group_with_dual(spec) for spec in cfg.groups]
         groups = [(g, vf.UnitaryDual(g, dual.irreps[:-1])) for g, dual in groups]
         tally = harness._Tally()
-        harness._suite_dual_validation(harness._Ctx(cfg, groups, []), "dual-validation", 1, tally)
+        ctx = harness._Ctx(cfg, groups, [vf.ScalarSpace()])
+        harness._SUITES["dual-validation"].runner(ctx, "dual-validation", None, tally)
         assert (tally.instances, tally.violations) == (4, 2)
         assert tally.notes == ["Z3 completeness", "S3 completeness"]
 
@@ -722,12 +752,12 @@ class TestFaultInjection:
     def test_checks_take_combo_nu_dual_rng(self):
         # every claim row's check, and every check a fault swaps in, takes
         # (combo, nu, dual, rng) and at most a defaulted dpi
-        rows = [harness._FT_NORM_BOUNDS, harness._LP_CONTAINMENT] + [
+        rows = [harness._FT_NORM_BOUNDS, harness._LP_CONTAINMENT, harness._COMMUTATIVITY] + [
             spec.runner for spec in harness._SUITES.values()
             if getattr(spec.runner, "func", None) is harness._claim_suite
         ]
         swapped = [check for swaps in harness.FAULTS.values() for check in swaps.values()]
-        assert len(rows) == 20 and len(swapped) == 3
+        assert len(rows) == 25 and len(swapped) == 3
         for check in [row.args[1] for row in rows] + swapped:
             params = list(inspect.signature(check).parameters.values())
             assert [p.name for p in params[:4]] == ["combo", "nu", "dual", "rng"], check
@@ -883,6 +913,20 @@ class TestConfigFiles:
         out = run_cli("run", "--config", str(path), "--out", str(tmp_path / "r.json"))
         assert out.returncode == 2 and "cfg.txt:1: bad" in out.stderr
 
+    def test_seed_beyond_64_bits_rejected(self, tmp_path):
+        # a stream key hashes the seed as a uint64: 2**64 - 1 runs, 2**64 is
+        # rejected where it is set, with its config line
+        cfg = small_config(seed=2**64 - 1, trials=2)
+        assert vf.run_suite("plancherel", cfg).instances == 2
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=2**64)
+        with pytest.raises(ValueError, match="seed"):
+            cfg.seed = 2**64
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"seed = {2**64}\n")
+        with pytest.raises(ValueError, match=r"cfg\.txt:1: bad seed value"):
+            vf.load_config(path)
+
     def test_config_file_values_are_validated(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("seed = -3\n")
@@ -1002,6 +1046,13 @@ class TestCli:
         out = run_cli("run", "--seed", "-1", "--out", str(tmp_path / "r.json"))
         assert out.returncode == 2
         assert out.stderr.startswith("configuration error:")
+        assert out.stdout == ""  # rejected before any suite runs
+
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path):
+        out = run_cli("run", "--seed", str(2**64), "--suite", "plancherel",
+                      "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2
+        assert out.stderr.startswith("configuration error:") and "seed" in out.stderr
         assert out.stdout == ""  # rejected before any suite runs
 
     def test_zero_trials_exits_2(self, tmp_path):
